@@ -18,10 +18,11 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 from . import identities, quadrature
 from .exact import bernoulli, render_decimal, zeta_even_euler, zeta_even_recursive
+from .machin import decimal_str
 
 IDENTITIES = ("eq2", "eq5", "eq7", "closure", "eq9", "s2", "log2", "eq10", "odd")
 
@@ -36,6 +37,14 @@ def _fmt(x) -> str:
     if isinstance(x, (float, complex)):
         return repr(x)
     return str(x)
+
+
+def _coeff_str(q: Fraction) -> str:
+    """str(q) for a q_n in (0, 1), without CPython's cap on int-to-str digits.
+
+    The denominator of q_858 already has more than the default 4300 digits.
+    """
+    return f"{decimal_str(q.numerator)}/{decimal_str(q.denominator)}"
 
 
 def _jsonable(x):
@@ -74,19 +83,12 @@ def _emit_record(fields: list[tuple[str, object]], fmt: str, command: str) -> No
             print(f"{k.ljust(width)}  {_fmt(v)}".rstrip())
 
 
-def cmd_zeta_even(n_max: int, digits: int, fmt: str, jobs: int) -> int:
-    def row(n: int):
+def cmd_zeta_even(n_max: int, digits: int, fmt: str) -> int:
+    rows = []
+    for n in range(1, n_max + 1):
         recursive = zeta_even_recursive(n)
-        euler = zeta_even_euler(n)
-        equal = recursive.coeff == euler.coeff
-        return [n, str(recursive.coeff), equal, render_decimal(recursive, digits)]
-
-    ns = range(1, n_max + 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(row, ns))
-    else:
-        rows = [row(n) for n in ns]
+        equal = recursive.coeff == zeta_even_euler(n).coeff
+        rows.append([n, _coeff_str(recursive.coeff), equal, render_decimal(recursive, digits)])
     _emit_table(["n", "coeff", "equal", "zeta"], rows, fmt, "even")
     return 0 if all(r[2] for r in rows) else 1
 
@@ -170,8 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("plain", "json", "csv"), default="plain",
                         help="output format (default: plain)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="fan out independent work items (default: 1)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -215,15 +215,12 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"ZETA_RECUR_EVAL_BUDGET must be an integer >= 100, got {raw_budget!r}")
         quadrature.set_eval_budget(budget)
 
-    if getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be >= 1")
-
     if args.command == "even":
         if not 1 <= args.n <= MAX_N:
             parser.error(f"--n must be in 1..{MAX_N}")
         if not 1 <= args.digits <= MAX_DIGITS:
             parser.error(f"--digits must be in 1..{MAX_DIGITS}")
-        return cmd_zeta_even(args.n, args.digits, args.format, args.jobs)
+        return cmd_zeta_even(args.n, args.digits, args.format)
 
     if args.command == "bernoulli":
         if not 0 <= args.n <= MAX_BERNOULLI:

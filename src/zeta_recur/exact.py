@@ -4,6 +4,13 @@ Both routes produce the rational coefficient q_n with zeta(2n) = q_n * pi^(2n):
 
 * ``zeta_even_euler``     -- the Bernoulli closed form
                              q_n = 2^(2n) (-1)^(n+1) B_(2n) / (2 (2n)!).
+                             ``bernoulli`` takes B_(2k) from the integer
+                             tangent numbers T_k (Brent & Harvey, "Fast
+                             computation of Bernoulli, Tangent and Secant
+                             numbers", 2011):
+
+                                 B_(2k) = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
+
 * ``zeta_even_recursive`` -- the recursion derived from the rectangle-contour
                              identity (docs/derivation.md, eqs. 10-11):
 
@@ -11,21 +18,25 @@ Both routes produce the rational coefficient q_n with zeta(2n) = q_n * pi^(2n):
                                      = (-1)^(n-1) / (4n)
 
                              where a(n,k) is the rational part of the
-                             coefficient alpha(n,k) = a(n,k) * pi^(2k).  The
-                             k = 0 term carries q_n itself, so it is moved to
-                             the left before solving:
+                             coefficient alpha(n,k) = a(n,k) * pi^(2k).
+                             Since C(2n-1,2k) Gamma(2n-2k) = (2n-1)!/(2k)!,
+                             dividing by (2n-1)! and solving for the rescaled
+                             unknowns b_m = 2^(1-2m) (2m)! q_m leaves only
+                             integer coefficients:
 
-                                 (Gamma(2n) + a(n,0)) q_n
-                                     = (-1)^(n-1)/(4n) - sum_{k>=1} a(n,k) q_{n-k}.
+                                 (4^n - 1) b_n = (-1)^(n-1)/2
+                                     - sum_{k=1}^{n-1} (-1)^k C(2n,2k)
+                                           (2^(2(n-k)-1) - 1) b_{n-k}.
 
-                             The divisor is a sum of positive rationals and
-                             never vanishes.
+                             The k = 0 term, which carries q_n itself, became
+                             the factor 4^n - 1, which never vanishes.
 
-All arithmetic is exact.  ``Rational`` is the standard-library Fraction,
-which keeps canonical form (positive denominator, gcd 1) after every
-operation and supports integer powers with negative exponents.
+The two routes share no arithmetic: tangent numbers never enter the
+recursion.  All arithmetic is exact.  ``Rational`` is the standard-library
+Fraction, which keeps canonical form (positive denominator, gcd 1) after
+every operation and supports integer powers with negative exponents.
 
-Concurrency: every returned value is immutable.  The Bernoulli and q_n memo
+Concurrency: every returned value is immutable.  The Bernoulli and b_m memo
 tables are guarded by a module lock (single shared writer), so concurrent
 callers are safe and results are deterministic regardless of interleaving.
 """
@@ -71,25 +82,44 @@ def gamma_int(m: int) -> int:
 
 
 _lock = threading.Lock()
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
+# B_0 .. B_(2K+1) for the K tangent numbers last computed
+_bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+
+
+def _tangent_numbers(count: int) -> list[int]:
+    """T_1 .. T_count, where tan x = sum_k T_k x^(2k-1) / (2k-1)!.
+
+    Brent & Harvey's in-place recurrence: O(count^2) products of a small
+    integer by a big one, no division.
+    """
+    t = [0, 1] + [0] * (count - 1)
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:count + 1]
 
 
 def bernoulli(m: int) -> Fraction:
     """Bernoulli number B_m (convention B_1 = -1/2), memoized.
 
-    Uses the recurrence sum_{k=0}^{m} C(m+1, k) B_k = 0 with B_0 = 1, i.e.
-    B_m = -(1/(m+1)) sum_{k<m} C(m+1, k) B_k.
+    B_(2k) = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers;
+    odd indices above 1 vanish.  A request beyond the table recomputes it to
+    at least twice its size, so a growing sequence of requests costs a
+    bounded multiple of one computation at the final size.
     """
     if m < 0:
         raise ValueError("Bernoulli index must be nonnegative")
     with _lock:
-        while len(_bernoulli_cache) <= m:
-            j = len(_bernoulli_cache)
-            acc = Fraction(0)
-            for k, bk in enumerate(_bernoulli_cache):
-                if bk:
-                    acc += math.comb(j + 1, k) * bk
-            _bernoulli_cache.append(-acc / (j + 1))
+        if m >= len(_bernoulli_cache):
+            count = max(m // 2, len(_bernoulli_cache) - 2)
+            table = [Fraction(1), Fraction(-1, 2)]
+            for k, t in enumerate(_tangent_numbers(count), start=1):
+                four_k = 1 << (2 * k)
+                b = Fraction(2 * k * t, four_k * (four_k - 1))
+                table += [b if k % 2 else -b, Fraction(0)]
+            _bernoulli_cache[:] = table
         return _bernoulli_cache[m]
 
 
@@ -150,7 +180,33 @@ def recursion_divisor(n: int) -> Fraction:
     return gamma_int(2 * n) + alpha_coeff(n, 0).coeff
 
 
-_q_cache: list[Fraction] = []
+# b_1, b_2, ... with b_m = 2^(1-2m) (2m)! q_m
+_b_cache: list[Fraction] = []
+
+
+def _next_b(b: list[Fraction]) -> Fraction:
+    """b_n for n = len(b) + 1 from the integer-coefficient recursion.
+
+    The right side is summed as one integer numerator over ``den``, a common
+    multiple of the denominators seen so far, so the only gcd between two
+    big numbers is the single reduction of b_n itself.
+    """
+    n = len(b) + 1
+    num, den = (1 if n % 2 else -1), 2
+    binom = 1  # C(2n, 2k), stepped from C(2n, 2k-2); math.comb per term costs more than the sum
+    for k in range(1, n):
+        m = n - k
+        binom = binom * (2 * m + 2) * (2 * m + 1) // ((2 * k - 1) * (2 * k))
+        bm = b[m - 1]
+        d = bm.denominator
+        widen = d // math.gcd(den, d)
+        if widen > 1:
+            num *= widen
+            den *= widen
+        x = binom * (bm.numerator * (den // d))
+        term = (x << (2 * m - 1)) - x  # times 2^(2m-1) - 1, by shift instead of a product
+        num = num + term if k % 2 else num - term
+    return Fraction(num, den * ((1 << (2 * n)) - 1))
 
 
 def zeta_even_recursive(n: int) -> ZetaEvenValue:
@@ -158,23 +214,54 @@ def zeta_even_recursive(n: int) -> ZetaEvenValue:
     if n < 1:
         raise ValueError("n must be >= 1")
     with _lock:
-        while len(_q_cache) < n:
-            m = len(_q_cache) + 1
-            rhs = Fraction(1 if m % 2 == 1 else -1, 4 * m)
-            for k in range(1, m):
-                rhs -= alpha_coeff(m, k).coeff * _q_cache[m - k - 1]
-            _q_cache.append(rhs / recursion_divisor(m))
-        return ZetaEvenValue(n, _q_cache[n - 1])
+        while len(_b_cache) < n:
+            _b_cache.append(_next_b(_b_cache))
+        b = _b_cache[n - 1]
+    return ZetaEvenValue(n, Fraction(b.numerator << (2 * n - 1),
+                                     b.denominator * math.factorial(2 * n)))
+
+
+def _fixed_mul(a: int, a_err: int, b: int, b_err: int, scale: int) -> tuple[int, int]:
+    """Product of two nonnegative fixed-point values, with its error bound.
+
+    If |a - x * scale| <= a_err and |b - y * scale| <= b_err, the returned
+    (c, c_err) satisfies |c - x * y * scale| <= c_err: the operand errors
+    propagate as a*b_err + b*a_err + a_err*b_err, divided by the scale and
+    rounded up, and the floor adds less than one unit.
+    """
+    return a * b // scale, -(-(a * b_err + b * a_err + a_err * b_err) // scale) + 1
+
+
+def _pi_power_scaled(n: int, precision: int) -> tuple[int, int]:
+    """(y, err) with |y - pi^(2n) * 10**precision| <= err, by binary powering of pi^2."""
+    scale = 10**precision
+    v, v_err = pi_scaled(precision)
+    base = _fixed_mul(v, v_err, v, v_err, scale)
+    power = None
+    while True:
+        if n & 1:
+            power = base if power is None else _fixed_mul(*power, *base, scale)
+        n >>= 1
+        if not n:
+            return power
+        base = _fixed_mul(*base, *base, scale)
 
 
 def render_decimal(value: ZetaEvenValue, d: int) -> str:
     """Decimal expansion of q_n * pi^(2n), truncated to d correct digits.
 
-    Same guard policy as pi_digits: the fixed-point result carries a proven
-    error bound in last-place units (pi's own bound, amplified by the 2n-th
-    power, plus one floor), and the truncation is accepted only when the
-    discarded guard block clears that bound on both sides.  zeta(2n) * 10^d
-    is irrational, so the widening retry terminates.
+    Same guard policy as pi_digits.  pi^(2n) is built in fixed point at
+    precision P = d + guard + 20 by binary powering of pi^2, and every
+    product floor(A*B / 10^P) carries the proven bound
+
+        |floor(A*B / 10^P) - a*b * 10^P| <= ceil((A*eB + B*eA + eA*eB) / 10^P) + 1
+
+    for operands |A - a*10^P| <= eA and |B - b*10^P| <= eB, starting from
+    pi's own bound.  With q_n = p/q and the power Y +- eY, the result
+    S = floor(p*Y / (q * 10^(P-d-guard))) is within ceil(p*eY / (q * 10^(P-d-guard))) + 1
+    last-place units of zeta(2n) * 10^(d+guard), and the truncation is
+    accepted only when the discarded guard block clears that bound on both
+    sides.  zeta(2n) * 10^d is irrational, so the widening retry terminates.
     """
     if not isinstance(d, int) or isinstance(d, bool):
         raise ValueError("digit count must be an integer")
@@ -187,12 +274,10 @@ def render_decimal(value: ZetaEvenValue, d: int) -> str:
     power_margin = 20
     while True:
         precision = d + guard + power_margin
-        v, pi_err = pi_scaled(precision)
-        # S approximates zeta(2n) * 10^(d+guard); relative error of v**(2n)
-        # is below 2n * (pi_err+1) * 10^-precision, and zeta(2n) < 2.
-        s_int = (p * v ** (2 * n)) // (q * 10 ** (2 * n * precision - d - guard))
-        margin = 10**power_margin
-        err = 2 + (4 * n * (pi_err + 1) + margin - 1) // margin
+        y, y_err = _pi_power_scaled(n, precision)
+        den = q * 10 ** (precision - d - guard)
+        s_int = p * y // den
+        err = -(-p * y_err // den) + 1
         block = 10**guard
         rem = s_int % block
         if 2 * err < block and err <= rem <= block - err:

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from mpmath import mp
-
 from .exact import gamma_int, zeta_even_recursive
 from .quadrature import (
     QuadratureResult,
@@ -174,6 +172,8 @@ def verify_eq5(tol: float = 1e-9, samples: int = 1000, seed: int = 53171) -> Ide
     Half the draws are uniform on (1e-6, 30), half log-uniform to exercise
     the small-t regime.
     """
+    from mpmath import mp  # imported here: every CLI process pays its ~25 ms load otherwise
+
     rng = random.Random(seed)
     log_hi = math.log10(30.0)
     worst = 0.0

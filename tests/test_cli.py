@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -53,10 +54,11 @@ def test_even_json_round_trip(capsys):
     assert json.dumps(doc, sort_keys=True) + "\n" == out
 
 
-def test_even_jobs_fanout_is_deterministic(capsys):
-    _, serial = run(capsys, ["even", "--n", "12", "--digits", "12"])
-    _, parallel = run(capsys, ["even", "--n", "12", "--digits", "12", "--jobs", "4"])
-    assert serial == parallel
+def test_coeff_str_past_int_digit_limit():
+    # q_858 and up have denominators past CPython's 4300-digit int-to-str cap
+    big = Fraction(3, 7 * 10**4400 + 1)
+    assert cli._coeff_str(big) == "3/7" + "0" * 4399 + "1"
+    assert cli._coeff_str(Fraction(1, 945)) == str(Fraction(1, 945))
 
 
 @pytest.mark.parametrize("argv", [

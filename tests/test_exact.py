@@ -3,8 +3,10 @@ import random
 import threading
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from zeta_recur import exact
 from zeta_recur.exact import (
     AlphaCoeff,
     Rational,
@@ -84,6 +86,12 @@ def test_even_bernoulli_sign_pattern():
         assert (-1) ** (n + 1) * bernoulli(2 * n) > 0
 
 
+def test_bernoulli_defining_recurrence_through_200():
+    # sum_{k=0}^{m} C(m+1, k) B_k = 0, the definition the tangent-number route must meet
+    for m in range(1, 201):
+        assert sum(math.comb(m + 1, k) * bernoulli(k) for k in range(m + 1)) == 0
+
+
 def test_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
         bernoulli(-1)
@@ -137,6 +145,26 @@ def test_recursion_first_steps_by_hand():
 def test_recursion_equals_euler_through_50():
     for n in range(1, 51):
         assert zeta_even_recursive(n).coeff == zeta_even_euler(n).coeff
+
+
+def test_recursion_equals_euler_through_200():
+    for n in range(1, 201):
+        assert zeta_even_recursive(n).coeff == zeta_even_euler(n).coeff
+
+
+def test_recursion_touches_no_bernoulli_or_tangent_numbers(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the contour recursion must stay independent of Euler's route")
+
+    monkeypatch.setattr(exact, "bernoulli", forbidden)
+    monkeypatch.setattr(exact, "_tangent_numbers", forbidden)
+    b: list[Fraction] = []
+    for _ in range(30):
+        b.append(exact._next_b(b))
+    monkeypatch.undo()
+    # b_m = 2^(1-2m) (2m)! q_m, checked against the unpatched Euler values
+    assert all(bm == Fraction(math.factorial(2 * m), 2 ** (2 * m - 1)) * zeta_even_euler(m).coeff
+               for m, bm in enumerate(b, start=1))
 
 
 def test_coefficients_positive_and_strictly_decreasing():
@@ -230,6 +258,49 @@ def test_render_matches_series_to_1e15_for_first_five():
 def test_render_decimal_handles_near_one_values():
     # zeta(100) = 1 + 7.9e-31: a long zero run after the point
     assert render_decimal(zeta_even_recursive(50), 10) == "1.0000000000"
+
+
+@pytest.mark.parametrize("d", [10, 200])
+def test_render_decimal_matches_mpmath_floor_through_80(d):
+    # zeta(2n) - 1 ~ 4^-n, so past n ~ 20 at d = 10 the first guard block is
+    # (nearly) all zeros and render_decimal has to widen its guard.
+    retried = 0
+    for n in range(1, 81):
+        with mpmath.workdps(d + n + 40):
+            scaled = mpmath.zeta(2 * n) * mpmath.mpf(10) ** d
+            expected = int(mpmath.floor(scaled))
+            guard_block = int(mpmath.floor(scaled * 10**12)) % 10**12
+        text = render_decimal(zeta_even_recursive(n), d)
+        assert text == f"{str(expected)[0]}.{str(expected)[1:]}", n
+        retried += guard_block < 3 or guard_block > 10**12 - 3
+    if d == 10:
+        assert retried > 40
+
+
+def test_fixed_point_product_error_bound_randomized():
+    rng = random.Random(20120217)
+
+    def operand(scale):
+        """(x, a, e): an exact x >= 0, a perturbed fixed-point a >= 0, and e >= |a - x*scale|."""
+        x = Fraction(rng.randint(0, 10 ** rng.randint(1, 30)), rng.randint(1, 10 ** rng.randint(1, 30)))
+        spread = 10 ** rng.randint(0, 6)
+        a = max(0, math.floor(x * scale) + rng.randint(-spread, spread))
+        return x, a, math.ceil(abs(a - x * scale)) + rng.choice([0, 0, 1, 5])
+
+    for _ in range(2000):
+        scale = 10 ** rng.randint(1, 40)
+        (x, a, a_err), (y, b, b_err) = operand(scale), operand(scale)
+        c, c_err = exact._fixed_mul(a, a_err, b, b_err, scale)
+        assert abs(c - x * y * scale) <= c_err
+
+
+@pytest.mark.parametrize("n,precision", [(1, 5), (2, 30), (7, 25), (64, 60), (300, 40)])
+def test_pi_power_error_bound_holds(n, precision):
+    y, y_err = exact._pi_power_scaled(n, precision)
+    with mpmath.workdps(precision + 2 * n + 40):
+        truth = mpmath.pi ** (2 * n) * mpmath.mpf(10) ** precision
+        assert abs(y - truth) <= y_err
+    assert y_err * 10 ** (precision // 2) < y  # and the bound is not vacuous
 
 
 def test_render_decimal_validation():
