@@ -7,7 +7,7 @@
 
 Defaults: --tol 1e-9, --radius 30, --format plain.  Exit codes: 0 success,
 1 verification failure, 2 usage error.  ZETA_RECUR_EVAL_BUDGET overrides
-the quadrature evaluation budget for the whole invocation.
+the quadrature evaluation budget for this invocation only.
 
 Output is deterministic: identical argv yields byte-identical stdout.
 """
@@ -20,9 +20,10 @@ import os
 import sys
 from fractions import Fraction
 
-from . import identities, quadrature
+from . import identities
 from .exact import bernoulli, render_decimal, zeta_even_euler, zeta_even_recursive
 from .machin import decimal_str
+from .quadrature import DEFAULT_EVAL_BUDGET
 
 IDENTITIES = ("eq2", "eq5", "eq7", "closure", "eq9", "s2", "log2", "eq10", "odd")
 
@@ -129,37 +130,33 @@ def _contour_fields(report: identities.ContourReport, tol: float) -> list[tuple[
     return fields
 
 
-def cmd_verify(identity: str, s: int, tol: float, radius: float, fmt: str) -> int:
-    if identity == "closure":
-        report = identities.contour_closure(s, radius, tol)
-        fields = _contour_fields(report, tol)
-        _emit_record(fields, fmt, "verify")
-        return 0 if fields[-1][1] else 1
+# identity -> report of (s, tol, budget); each verifier is looked up on
+# `identities` at call time, so rebinding it there (as a tracer does) takes effect
+_VERIFIERS = {
+    "eq2": lambda s, tol, budget: identities.verify_bose_integral(s, tol, budget),
+    "eq5": lambda s, tol, budget: identities.verify_eq5(tol),
+    "eq7": lambda s, tol, budget: identities.verify_fermi_integral(s, tol, budget),
+    "eq9": lambda s, tol, budget: identities.verify_eq9(s, tol, budget),
+    "s2": lambda s, tol, budget: identities.verify_zeta2(tol, budget),
+    "log2": lambda s, tol, budget: identities.verify_log2_identity(tol, budget),
+    "eq10": lambda s, tol, budget: identities.expanded_real_identity(s, tol, budget),
+    "odd": lambda s, tol, budget: identities.verify_odd_zeta(s, tol, budget),
+}
 
-    if identity == "eq2":
-        rep = identities.verify_bose_integral(s, tol)
-    elif identity == "eq5":
-        rep = identities.verify_eq5(tol)
-    elif identity == "eq7":
-        rep = identities.verify_fermi_integral(s, tol)
-    elif identity == "eq9":
-        rep = identities.verify_eq9(s, tol)
-    elif identity == "s2":
-        rep = identities.verify_zeta2(tol)
-    elif identity == "log2":
-        rep = identities.verify_log2_identity(tol)
-    elif identity == "eq10":
-        rep = identities.expanded_real_identity(s, tol)
-    else:  # odd; membership enforced by argparse choices
-        rep = identities.verify_odd_zeta(s, tol)
+
+def cmd_verify(identity: str, s: int, tol: float, radius: float, fmt: str, budget: int) -> int:
+    if identity == "closure":
+        return cmd_contour(s, radius, tol, fmt, budget, command="verify")
+    rep = _VERIFIERS[identity](s, tol, budget)
     _emit_record(_report_fields(rep), fmt, "verify")
     return 0 if rep.passed else 1
 
 
-def cmd_contour(s: int, radius: float, tol: float, fmt: str) -> int:
-    report = identities.contour_closure(s, radius, tol)
+def cmd_contour(s: int, radius: float, tol: float, fmt: str, budget: int,
+                command: str = "contour") -> int:
+    report = identities.contour_closure(s, radius, tol, budget)
     fields = _contour_fields(report, tol)
-    _emit_record(fields, fmt, "contour")
+    _emit_record(fields, fmt, command)
     return 0 if fields[-1][1] else 1
 
 
@@ -206,6 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     raw_budget = os.environ.get("ZETA_RECUR_EVAL_BUDGET")
+    budget = DEFAULT_EVAL_BUDGET
     if raw_budget is not None:
         try:
             budget = int(raw_budget)
@@ -213,7 +211,6 @@ def main(argv: list[str] | None = None) -> int:
             budget = -1
         if budget < 100:
             parser.error(f"ZETA_RECUR_EVAL_BUDGET must be an integer >= 100, got {raw_budget!r}")
-        quadrature.set_eval_budget(budget)
 
     if args.command == "even":
         if not 1 <= args.n <= MAX_N:
@@ -227,26 +224,21 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--n must be in 0..{MAX_BERNOULLI}")
         return cmd_bernoulli(args.n, args.format)
 
-    if args.command == "verify":
-        if not args.tol > 0.0:
-            parser.error("--tol must be positive")
-        if not args.radius > 0.0:
-            parser.error("--radius must be positive")
-        if args.identity == "odd":
-            if args.s < 3 or args.s % 2 == 0:
-                parser.error("identity 'odd' requires an odd --s >= 3")
-        elif args.identity in ("eq2", "eq7", "closure", "eq9", "eq10") and args.s < 2:
-            parser.error(f"identity '{args.identity}' requires --s >= 2")
-        return cmd_verify(args.identity, args.s, args.tol, args.radius, args.format)
-
-    # contour
+    # verify and contour
     if not args.tol > 0.0:
         parser.error("--tol must be positive")
     if not args.radius > 0.0:
         parser.error("--radius must be positive")
-    if args.s < 2:
-        parser.error("--s must be >= 2")
-    return cmd_contour(args.s, args.radius, args.tol, args.format)
+    if args.command == "contour":
+        if args.s < 2:
+            parser.error("--s must be >= 2")
+        return cmd_contour(args.s, args.radius, args.tol, args.format, budget)
+    if args.identity == "odd":
+        if args.s < 3 or args.s % 2 == 0:
+            parser.error("identity 'odd' requires an odd --s >= 3")
+    elif args.identity in ("eq2", "eq7", "closure", "eq9", "eq10") and args.s < 2:
+        parser.error(f"identity '{args.identity}' requires --s >= 2")
+    return cmd_verify(args.identity, args.s, args.tol, args.radius, args.format, budget)
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 from .exact import gamma_int, zeta_even_recursive
 from .quadrature import (
+    DEFAULT_EVAL_BUDGET,
     QuadratureResult,
     Segment,
     bose_integrand,
@@ -63,8 +64,8 @@ __all__ = [
 
 LN2 = math.log(2.0)
 
-# real parts of the powers of i, indexed by exponent mod 4
-_RE_I_POW = (1.0, 0.0, -1.0, 0.0)
+# the powers of i, indexed by exponent mod 4
+_I_POW = (1, 1j, -1, -1j)
 
 
 class IdentityId(str, enum.Enum):
@@ -144,7 +145,8 @@ def _zeta_numeric(m: int) -> float:
     return zeta_series(m, 1e-13)
 
 
-def verify_bose_integral(s: int, tol: float = 1e-9, budget: int | None = None) -> IdentityReport:
+def verify_bose_integral(s: int, tol: float = 1e-9,
+                         budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
     """EQ2: quadrature of x^(s-1)/(e^x-1) against Gamma(s) * zeta_series(s)."""
     if s < 2:
         raise ValueError("verify_bose_integral requires s >= 2")
@@ -153,7 +155,8 @@ def verify_bose_integral(s: int, tol: float = 1e-9, budget: int | None = None) -
     return IdentityReport.from_sides(IdentityId.EQ2, s, quad.value, rhs, tol, quad.converged)
 
 
-def verify_fermi_integral(s: int, tol: float = 1e-9, budget: int | None = None) -> IdentityReport:
+def verify_fermi_integral(s: int, tol: float = 1e-9,
+                          budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
     """EQ7: quadrature of x^(s-1)/(e^x+1) against (1-2^(1-s)) Gamma(s) zeta_series(s)."""
     if s < 2:
         raise ValueError("verify_fermi_integral requires s >= 2")
@@ -199,7 +202,7 @@ def right_side_bound(s: int, R: float) -> float:
 
 
 def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9,
-                    budget: int | None = None) -> ContourReport:
+                    budget: int = DEFAULT_EVAL_BUDGET) -> ContourReport:
     """EQ8: the four side integrals, counterclockwise, and their sum."""
     if s < 2:
         raise ValueError("contour_closure requires s >= 2")
@@ -242,7 +245,7 @@ class LimitComponents(NamedTuple):
         return abs(self.a - self.b - self.c)
 
 
-def eq9_components(s: int, tol: float = 1e-9, budget: int | None = None) -> LimitComponents:
+def eq9_components(s: int, tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -> LimitComponents:
     """EQ9: A = int_0^inf x^(s-1)/(e^x-1); B = int_0^inf (x+i pi)^(s-1)/(e^(x+i pi)-1);
     C = i int_0^pi (iy)^(s-1)/(e^(iy)-1).
 
@@ -261,8 +264,7 @@ def eq9_components(s: int, tol: float = 1e-9, budget: int | None = None) -> Limi
     converged = a_quad.converged
 
     terms = []
-    for j in range(s):
-        coef = math.comb(s - 1, j) * (1j * math.pi) ** j
+    for j, coef, i_pow in _binomial_terms(s):
         if j == s - 1:
             f_j = LN2
         else:
@@ -270,13 +272,13 @@ def eq9_components(s: int, tol: float = 1e-9, budget: int | None = None) -> Limi
             # allocation below the roundoff floor of an integral of size
             # Gamma(m) is infeasible in doubles; clamp the request there and
             # let the reported error estimate carry the truth
-            f_tol = max(part / (s * max(1.0, abs(coef))), 5e-15 * gamma_int(m))
+            f_tol = max(part / (s * max(1.0, coef)), 5e-15 * gamma_int(m))
             f_quad = integrate_semi_infinite(
                 lambda x, m=m: fermi_integrand(x, m), m, f_tol, budget=budget)
             f_j = f_quad.value
-            err += abs(coef) * f_quad.error_estimate
+            err += coef * f_quad.error_estimate
             converged = converged and f_quad.converged
-        terms.append(coef * f_j)
+        terms.append(i_pow * (coef * f_j))
     b = -complex(
         math.fsum(t.real for t in terms),
         math.fsum(t.imag for t in terms),
@@ -288,19 +290,19 @@ def eq9_components(s: int, tol: float = 1e-9, budget: int | None = None) -> Limi
                            converged and c_quad.converged)
 
 
-def verify_eq9(s: int, tol: float = 1e-8, budget: int | None = None) -> IdentityReport:
+def verify_eq9(s: int, tol: float = 1e-8, budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
     comp = eq9_components(s, tol, budget)
     return IdentityReport.from_sides(IdentityId.EQ9, s, comp.a - comp.b, comp.c,
                                      tol, comp.converged)
 
 
-def zeta2_from_contour(tol: float = 1e-9, budget: int | None = None) -> float:
+def zeta2_from_contour(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -> float:
     """zeta(2) solved from the real part at s = 2: (3/2) zeta(2) = Re C = pi^2/4."""
     comp = eq9_components(2, tol, budget)
     return comp.c.real * 2.0 / 3.0
 
 
-def verify_log2_identity(tol: float = 1e-9, budget: int | None = None) -> IdentityReport:
+def verify_log2_identity(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
     """S2_IMAG: pi * int_0^inf dx/(e^x+1) against (1/2) int_0^pi y sin y/(1-cos y) dy.
 
     The right-hand integrand equals y * cot(y/2) (removable limit 2 at 0)
@@ -317,9 +319,20 @@ def verify_log2_identity(tol: float = 1e-9, budget: int | None = None) -> Identi
     )
 
 
-def cot_power_integral(s: int, tol: float = 1e-10, budget: int | None = None) -> QuadratureResult:
+def cot_power_integral(s: int, tol: float = 1e-10,
+                       budget: int = DEFAULT_EVAL_BUDGET) -> QuadratureResult:
     """K(s) = int_0^pi y^(s-1) cot(y/2) dy, the transcendental piece of EQ10."""
     return integrate_finite(lambda y: cot_kernel(y, s), 0.0, math.pi, tol, budget)
+
+
+def _binomial_terms(s: int):
+    """(j, C(s-1,j) pi^j, i^j) for j = 0..s-1: the expansion of (x + i pi)^(s-1).
+
+    The one place EQ9's bottom side is expanded.  For even j, i^j is the
+    integer +-1, so coef * i^j is the real part with an exact sign.
+    """
+    for j in range(s):
+        yield j, math.comb(s - 1, j) * math.pi**j, _I_POW[j % 4]
 
 
 def _f_weight(s: int, j: int) -> float:
@@ -336,11 +349,12 @@ def expanded_alpha_term(s: int, k: int) -> float:
     j = 2 * k
     if not 0 <= j <= s - 2:
         raise ValueError("term index out of range")
-    sign = -1.0 if k % 2 else 1.0
-    return math.comb(s - 1, j) * sign * math.pi**j * _f_weight(s, j)
+    _, coef, i_pow = list(_binomial_terms(s))[j]
+    return coef * i_pow * _f_weight(s, j)
 
 
-def expanded_real_identity(s: int, tol: float = 1e-9, budget: int | None = None) -> IdentityReport:
+def expanded_real_identity(s: int, tol: float = 1e-9,
+                           budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
     """EQ10_NUMERIC: the real part of EQ9 expanded into zeta values and K(s).
 
         Gamma(s) zeta(s) + sum_{j even} C(s-1,j) Re((i pi)^j) F(j)
@@ -354,15 +368,14 @@ def expanded_real_identity(s: int, tol: float = 1e-9, budget: int | None = None)
     if s < 2:
         raise ValueError("expanded_real_identity requires s >= 2")
     lhs_terms = [gamma_int(s) * _zeta_numeric(s)]
-    for j in range(0, s, 2):
-        sign = -1.0 if (j // 2) % 2 else 1.0
-        coef = math.comb(s - 1, j) * sign * math.pi**j
-        f_j = LN2 if j == s - 1 else _f_weight(s, j) * _zeta_numeric(s - j)
-        lhs_terms.append(coef * f_j)
+    for j, coef, i_pow in _binomial_terms(s):
+        if j % 2 == 0:
+            f_j = LN2 if j == s - 1 else _f_weight(s, j) * _zeta_numeric(s - j)
+            lhs_terms.append(coef * i_pow * f_j)
     lhs = math.fsum(lhs_terms)
 
-    rhs = -_RE_I_POW[s % 4] * math.pi**s / (2 * s)
-    k_coef = -0.5 * _RE_I_POW[(s + 1) % 4]
+    rhs = -_I_POW[s % 4].real * math.pi**s / (2 * s)
+    k_coef = -0.5 * _I_POW[(s + 1) % 4].real
     converged = True
     if k_coef:
         k_quad = cot_power_integral(s, 0.5 * tol / abs(k_coef), budget)
@@ -371,7 +384,8 @@ def expanded_real_identity(s: int, tol: float = 1e-9, budget: int | None = None)
     return IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, s, lhs, rhs, tol, converged)
 
 
-def odd_zeta_from_contour(s: int, tol: float = 1e-8, budget: int | None = None) -> float:
+def odd_zeta_from_contour(s: int, tol: float = 1e-8,
+                          budget: int = DEFAULT_EVAL_BUDGET) -> float:
     """zeta(s) for odd s solved out of the expanded real part of EQ9.
 
     For odd s the even-j terms hold zeta at odd arguments; the j = 0 term
@@ -390,28 +404,29 @@ def odd_zeta_from_contour(s: int, tol: float = 1e-8, budget: int | None = None) 
     for m in range(3, s + 1, 2):
         divisor = gamma_int(m) * float(2 - Fraction(1, 2 ** (m - 1)))
         known_terms = []
-        for j in range(2, m - 2, 2):
-            sign = -1.0 if (j // 2) % 2 else 1.0
-            coef = math.comb(m - 1, j) * sign * math.pi**j
-            known_terms.append(coef * _f_weight(m, j) * extracted[m - j])
-        ln2_sign = -1.0 if ((m - 1) // 2) % 2 else 1.0
-        known_terms.append(ln2_sign * math.pi ** (m - 1) * LN2)
+        for j, coef, i_pow in _binomial_terms(m):
+            if j == m - 1:
+                known_terms.append(coef * i_pow * LN2)
+            elif j and j % 2 == 0:
+                known_terms.append(coef * i_pow * _f_weight(m, j) * extracted[m - j])
         known = math.fsum(known_terms)
-        k_coef = -0.5 * _RE_I_POW[(m + 1) % 4]
+        k_coef = -0.5 * _I_POW[(m + 1) % 4].real
         k_val = cot_power_integral(m, min(0.5 * tol, 1e-10), budget).value
         extracted[m] = (k_coef * k_val - known) / divisor
     return extracted[s]
 
 
-def verify_odd_zeta(s: int, tol: float = 1e-8, budget: int | None = None) -> IdentityReport:
+def verify_odd_zeta(s: int, tol: float = 1e-8,
+                    budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
     """ODD_ZETA: extracted zeta(s) against the series oracle."""
     lhs = odd_zeta_from_contour(s, tol, budget)
     rhs = zeta_series(s, min(0.1 * tol, 1e-12))
     return IdentityReport.from_sides(IdentityId.ODD_ZETA, s, lhs, rhs, tol)
 
 
-def verify_zeta2(tol: float = 1e-9, budget: int | None = None) -> IdentityReport:
+def verify_zeta2(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
     """S2_REAL: zeta(2) extracted from the contour against the series oracle."""
-    lhs = zeta2_from_contour(tol, budget)
+    comp = eq9_components(2, tol, budget)
+    lhs = comp.c.real * 2.0 / 3.0  # as in zeta2_from_contour, keeping comp.converged
     rhs = zeta_series(2, min(0.1 * tol, 1e-12))
-    return IdentityReport.from_sides(IdentityId.S2_REAL, 2, lhs, rhs, tol)
+    return IdentityReport.from_sides(IdentityId.S2_REAL, 2, lhs, rhs, tol, comp.converged)

@@ -17,8 +17,8 @@ at a point X chosen from the analytic tail bound
 which majorizes both integrand families; the bound is added to the
 reported error estimate.
 
-All functions are pure.  The only module state is the default evaluation
-budget, intended to be set once at process start (see set_eval_budget).
+All functions are pure and the module holds no mutable state: every
+integrator takes its evaluation budget as an argument.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ __all__ = [
     "QuadratureResult",
     "Segment",
     "DEFAULT_EVAL_BUDGET",
-    "set_eval_budget",
-    "get_eval_budget",
     "bose_integrand",
     "fermi_integrand",
     "cot_kernel",
@@ -44,21 +42,8 @@ __all__ = [
 ]
 
 DEFAULT_EVAL_BUDGET = 1_000_000
-_eval_budget = DEFAULT_EVAL_BUDGET
 
 _EPS = 2.220446049250313e-16
-
-
-def set_eval_budget(budget: int) -> None:
-    """Override the default per-integral evaluation budget."""
-    global _eval_budget
-    if not isinstance(budget, int) or budget < 100:
-        raise ValueError("evaluation budget must be an integer >= 100")
-    _eval_budget = budget
-
-
-def get_eval_budget() -> int:
-    return _eval_budget
 
 
 @dataclass(frozen=True)
@@ -211,7 +196,8 @@ def _gk15(f, a: float, b: float):
     return value, err, False
 
 
-def integrate_finite(f, a: float, b: float, tol: float, budget: int | None = None) -> QuadratureResult:
+def integrate_finite(f, a: float, b: float, tol: float,
+                     budget: int = DEFAULT_EVAL_BUDGET) -> QuadratureResult:
     """Adaptive integral of f over [a, b] to absolute tolerance tol.
 
     f may return float or complex; only interior points are ever evaluated.
@@ -221,8 +207,6 @@ def integrate_finite(f, a: float, b: float, tol: float, budget: int | None = Non
         raise ValueError("integration bounds must be finite with a < b")
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    if budget is None:
-        budget = _eval_budget
 
     value, err, at_floor = _gk15(f, a, b)
     intervals = [(a, b, value, err, at_floor)]
@@ -300,7 +284,7 @@ def truncation_point(s: int, tail_tol: float) -> float:
 
 
 def integrate_semi_infinite(f, s: int, tol: float, upper: float | None = None,
-                            budget: int | None = None) -> QuadratureResult:
+                            budget: int = DEFAULT_EVAL_BUDGET) -> QuadratureResult:
     """Integral of f over [0, inf) for integrands decaying like x^(s-1) e^-x.
 
     Truncates at a point X with tail bound <= tol/2, integrates [0, X] to
@@ -341,13 +325,14 @@ def _segment_pole_distance(seg: Segment) -> float:
     return best
 
 
-def integrate_segment(s: int, seg: Segment, tol: float, budget: int | None = None) -> QuadratureResult:
+def integrate_segment(s: int, seg: Segment, tol: float,
+                      budget: int = DEFAULT_EVAL_BUDGET) -> QuadratureResult:
     """Line integral of z^(s-1)/(e^z - 1) along a straight segment.
 
     The parameterized integrand f(z(t)) * (end - start) is integrated over
-    t in [0, 1], real and imaginary parts separately.  Segments passing
-    within 1e-9 of a pole 2*pi*i*k (k != 0) are rejected; z = 0 is removable
-    for s >= 2 and handled by the integrand's analytic limit.
+    t in [0, 1] in one complex pass, so the error estimate bounds the modulus.
+    Segments passing within 1e-9 of a pole 2*pi*i*k (k != 0) are rejected;
+    z = 0 is removable for s >= 2 and handled by the integrand's analytic limit.
     """
     if s < 2:
         raise ValueError("integrate_segment requires s >= 2")
@@ -358,11 +343,4 @@ def integrate_segment(s: int, seg: Segment, tol: float, budget: int | None = Non
     def directed(t: float) -> complex:
         return _pole_ratio_integrand(seg.start + t * delta, s) * delta
 
-    re_part = integrate_finite(lambda t: directed(t).real, 0.0, 1.0, 0.5 * tol, budget)
-    im_part = integrate_finite(lambda t: directed(t).imag, 0.0, 1.0, 0.5 * tol, budget)
-    return QuadratureResult(
-        complex(re_part.value, im_part.value),
-        re_part.error_estimate + im_part.error_estimate,
-        re_part.evaluations + im_part.evaluations,
-        re_part.converged and im_part.converged,
-    )
+    return integrate_finite(directed, 0.0, 1.0, tol, budget)

@@ -3,14 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from zeta_recur import cli, quadrature
-
-
-@pytest.fixture(autouse=True)
-def _restore_budget():
-    saved = quadrature.get_eval_budget()
-    yield
-    quadrature.set_eval_budget(saved)
+from zeta_recur import cli
 
 
 def run(capsys, argv, env=None, monkeypatch=None):
@@ -164,6 +157,16 @@ def test_verify_failure_exit_code_on_starved_budget(capsys, monkeypatch):
                     monkeypatch=monkeypatch)
     assert code == 1
     assert "did not converge" in out
+
+
+def test_budget_env_applies_to_one_invocation_only(capsys, monkeypatch):
+    code, _ = run(capsys, ["verify", "eq2", "--s", "2"], env={"ZETA_RECUR_EVAL_BUDGET": "100"},
+                  monkeypatch=monkeypatch)
+    assert code == 1
+    monkeypatch.delenv("ZETA_RECUR_EVAL_BUDGET")
+    code, out = run(capsys, ["verify", "eq2", "--s", "2"])
+    assert code == 0, out
+    assert "did not converge" not in out
 
 
 def test_invalid_budget_env(capsys, monkeypatch):

@@ -184,6 +184,13 @@ def test_zeta2_report():
     assert verify_zeta2(1e-9).passed
 
 
+def test_zeta2_report_fails_when_quadrature_does_not_converge():
+    assert not eq9_components(2, 1e-9, 100).converged
+    report = verify_zeta2(1e-9, budget=100)
+    assert not report.passed
+    assert report.note == "quadrature did not converge"
+
+
 def test_log2_identity():
     report = verify_log2_identity(1e-9)
     assert report.passed

@@ -257,7 +257,16 @@ def test_segment_validation():
         integrate_segment(1, Segment(complex(0.0), complex(1.0)), 1e-9)
 
 
-def test_segment_counts_both_parts():
-    r = integrate_segment(2, Segment(complex(0.0), complex(0.0, math.pi)), 1e-10)
-    assert r.evaluations >= 30
-    assert r.converged
+def test_segment_is_one_complex_pass():
+    # the segment integral is exactly one complex integrate_finite of the
+    # parameterized integrand: same value, evaluations and convergence
+    from zeta_recur.quadrature import _pole_ratio_integrand
+
+    start, end = complex(0.0), complex(0.0, math.pi)
+    r = integrate_segment(2, Segment(start, end), 1e-10)
+    direct = integrate_finite(
+        lambda t: _pole_ratio_integrand(start + t * (end - start), 2) * (end - start),
+        0.0, 1.0, 1e-10)
+    assert r == direct
+    assert isinstance(r.value, complex)
+    assert r.converged and r.error_estimate <= 1e-10
