@@ -32,46 +32,34 @@ Both routes produce the rational coefficient q_n with zeta(2n) = q_n * pi^(2n):
                              the factor 4^n - 1, which never vanishes.
 
 The two routes share no arithmetic: tangent numbers never enter the
-recursion.  All arithmetic is exact.  ``Rational`` is the standard-library
-Fraction, which keeps canonical form (positive denominator, gcd 1) after
-every operation and supports integer powers with negative exponents.
+recursion.  All arithmetic is exact.
 
-Concurrency: every returned value is immutable.  The Bernoulli and b_m memo
-tables are guarded by a module lock (single shared writer), so concurrent
-callers are safe and results are deterministic regardless of interleaving.
+Concurrency: every returned value is immutable.  The Bernoulli table, the
+tangent-number column it grows from and the b_m memo are guarded by a
+module lock (single shared writer), so concurrent callers are safe and
+results are deterministic regardless of interleaving.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .machin import MAX_DIGITS, decimal_str, pi_scaled
-
-Rational = Fraction
+from .machin import pi_scaled, truncated
 
 __all__ = [
-    "Rational",
     "ZetaEvenValue",
     "AlphaCoeff",
-    "binomial",
     "gamma_int",
     "bernoulli",
     "zeta_even_euler",
     "alpha_coeff",
     "zeta_even_recursive",
-    "recursion_divisor",
     "render_decimal",
 ]
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); zero when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial requires nonnegative arguments")
-    return math.comb(n, k)
 
 
 def gamma_int(m: int) -> int:
@@ -82,44 +70,46 @@ def gamma_int(m: int) -> int:
 
 
 _lock = threading.Lock()
-# B_0 .. B_(2K+1) for the K tangent numbers last computed
+# B_0 .. B_(2K+1) for the K tangent numbers computed so far
 _bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+# column K of Brent & Harvey's triangle: entry k-1 is T_K after passes 1..k
+_tangent_column: list[int] = []
 
 
-def _tangent_numbers(count: int) -> list[int]:
-    """T_1 .. T_count, where tan x = sum_k T_k x^(2k-1) / (2k-1)!.
+def _tangent_numbers(column: list[int], count: int) -> Iterator[int]:
+    """T_(K+1) .. T_count for K = len(column), where tan x = sum_k T_k x^(2k-1) / (2k-1)!.
 
-    Brent & Harvey's in-place recurrence: O(count^2) products of a small
-    integer by a big one, no division.
+    Brent & Harvey's triangle, grown one column at a time: column K+1 has
+    c[1] = K! and c[k] = (K+1-k) c_K[k] + (K+3-k) c[k-1] for k = 2..K+1
+    (1-based, so ``column[k-1]`` is c_K[k]), and its last entry is T_(K+1).
+    ``column`` is replaced by each new column before its T is yielded.  A
+    column costs O(K) products of a small integer by a big one, no division.
     """
-    t = [0, 1] + [0] * (count - 1)
-    for k in range(2, count + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, count + 1):
-        for j in range(k, count + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t[1:count + 1]
+    for size in range(len(column), count):
+        prev = column + [0]  # c_K[K+1] does not exist; its factor K+1-k is 0 there
+        nxt = [math.factorial(size)]
+        for k in range(1, size + 1):
+            nxt.append((size - k) * prev[k] + (size + 2 - k) * nxt[-1])
+        column[:] = nxt
+        yield nxt[-1]
 
 
 def bernoulli(m: int) -> Fraction:
     """Bernoulli number B_m (convention B_1 = -1/2), memoized.
 
     B_(2k) = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers;
-    odd indices above 1 vanish.  A request beyond the table recomputes it to
-    at least twice its size, so a growing sequence of requests costs a
-    bounded multiple of one computation at the final size.
+    odd indices above 1 vanish.  A request beyond the table grows the
+    tangent column just far enough for it, so the table never holds more
+    than B_(2K+1) for K = m // 2 of the largest m asked for.
     """
     if m < 0:
         raise ValueError("Bernoulli index must be nonnegative")
     with _lock:
-        if m >= len(_bernoulli_cache):
-            count = max(m // 2, len(_bernoulli_cache) - 2)
-            table = [Fraction(1), Fraction(-1, 2)]
-            for k, t in enumerate(_tangent_numbers(count), start=1):
-                four_k = 1 << (2 * k)
-                b = Fraction(2 * k * t, four_k * (four_k - 1))
-                table += [b if k % 2 else -b, Fraction(0)]
-            _bernoulli_cache[:] = table
+        start = len(_tangent_column) + 1
+        for k, t in enumerate(_tangent_numbers(_tangent_column, m // 2), start=start):
+            four_k = 1 << (2 * k)
+            b = Fraction(2 * k * t, four_k * (four_k - 1))
+            _bernoulli_cache.extend((b if k % 2 else -b, Fraction(0)))
         return _bernoulli_cache[m]
 
 
@@ -173,11 +163,6 @@ def alpha_coeff(n: int, k: int) -> AlphaCoeff:
     sign = -1 if k % 2 else 1
     coeff = (1 - two_pow) * sign * math.comb(2 * n - 1, 2 * k) * math.factorial(2 * n - 2 * k - 1)
     return AlphaCoeff(n, k, coeff)
-
-
-def recursion_divisor(n: int) -> Fraction:
-    """Gamma(2n) + a(n,0): the factor multiplying q_n once the k=0 term moves left."""
-    return gamma_int(2 * n) + alpha_coeff(n, 0).coeff
 
 
 # b_1, b_2, ... with b_m = 2^(1-2m) (2m)! q_m
@@ -250,37 +235,23 @@ def _pi_power_scaled(n: int, precision: int) -> tuple[int, int]:
 def render_decimal(value: ZetaEvenValue, d: int) -> str:
     """Decimal expansion of q_n * pi^(2n), truncated to d correct digits.
 
-    Same guard policy as pi_digits.  pi^(2n) is built in fixed point at
+    ``machin.truncated`` owns the guard policy; this supplies zeta(2n) at
+    precision d + guard.  pi^(2n) is built in fixed point at the wider
     precision P = d + guard + 20 by binary powering of pi^2, and every
     product floor(A*B / 10^P) carries the proven bound
 
         |floor(A*B / 10^P) - a*b * 10^P| <= ceil((A*eB + B*eA + eA*eB) / 10^P) + 1
 
     for operands |A - a*10^P| <= eA and |B - b*10^P| <= eB, starting from
-    pi's own bound.  With q_n = p/q and the power Y +- eY, the result
-    S = floor(p*Y / (q * 10^(P-d-guard))) is within ceil(p*eY / (q * 10^(P-d-guard))) + 1
-    last-place units of zeta(2n) * 10^(d+guard), and the truncation is
-    accepted only when the discarded guard block clears that bound on both
-    sides.  zeta(2n) * 10^d is irrational, so the widening retry terminates.
+    pi's own bound.  With q_n = p/q and the power Y +- eY, the value
+    S = floor(p*Y / (q * 10^20)) is within ceil(p*eY / (q * 10^20)) + 1
+    last-place units of zeta(2n) * 10^(d+guard).  zeta(2n) * 10^d is
+    irrational, so the guard retries terminate.
     """
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise ValueError("digit count must be an integer")
-    if not 1 <= d <= MAX_DIGITS:
-        raise ValueError(f"digit count must be in 1..{MAX_DIGITS}, got {d}")
+    p, den = value.coeff.numerator, value.coeff.denominator * 10**20
 
-    n = value.n
-    p, q = value.coeff.numerator, value.coeff.denominator
-    guard = 12
-    power_margin = 20
-    while True:
-        precision = d + guard + power_margin
-        y, y_err = _pi_power_scaled(n, precision)
-        den = q * 10 ** (precision - d - guard)
-        s_int = p * y // den
-        err = -(-p * y_err // den) + 1
-        block = 10**guard
-        rem = s_int % block
-        if 2 * err < block and err <= rem <= block - err:
-            text = decimal_str(s_int // block)  # 1 < zeta(2n) < 2, so d+1 characters
-            return text[0] + "." + text[1:]
-        guard += 16
+    def scaled(precision: int) -> tuple[int, int]:
+        y, y_err = _pi_power_scaled(value.n, precision + 20)
+        return p * y // den, -(-p * y_err // den) + 1
+
+    return truncated(scaled, d)

@@ -10,21 +10,23 @@ arithmetic, so the total error is provable: every floored term is short by
 less than one unit, truncating the alternating series costs less than one
 more unit, and the Machin coefficients scale those counts.
 
-Guard-digit policy for truncated decimal output: compute with ``guard``
-digits beyond the request and keep the proven error bound ``err`` in
-last-place units.  Accept the truncation only when the discarded guard
+Guard-digit policy for truncated decimal output, owned by ``truncated``
+and shared by ``pi_digits`` and ``exact.render_decimal``: compute with
+``guard`` digits beyond the request and keep the proven error bound ``err``
+in last-place units.  Accept the truncation only when the discarded guard
 block sits at least ``err`` units away from both the borrow and the carry
-boundary; otherwise retry with a longer guard block.  The retry loop
-terminates because pi * 10**d is irrational and therefore never lands
+boundary; otherwise retry with the guard doubled, starting from 12 digits.
+The retry loop terminates for an irrational value, which never lands
 exactly on a boundary.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 MAX_DIGITS = 100_000
 
 _GUARD_START = 12
-_GUARD_STEP = 12
 
 _CHUNK_DIGITS = 4000
 _CHUNK = 10**_CHUNK_DIGITS
@@ -78,8 +80,13 @@ def pi_scaled(precision: int) -> tuple[int, int]:
     return 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
 
 
-def pi_digits(d: int) -> str:
-    """Pi truncated (not rounded) to d digits after the decimal point."""
+def truncated(scaled: Callable[[int], tuple[int, int]], d: int) -> str:
+    """x truncated (not rounded) to d digits after the point, for irrational 1 < x < 10.
+
+    ``scaled(p)`` returns (v, err) with |v - x * 10**p| <= err.  It is asked
+    for p = d + guard with guard = 12, 24, 48, ... until the guard block
+    settles floor(x * 10**d).
+    """
     if not isinstance(d, int) or isinstance(d, bool):
         raise ValueError("digit count must be an integer")
     if not 1 <= d <= MAX_DIGITS:
@@ -87,10 +94,15 @@ def pi_digits(d: int) -> str:
 
     guard = _GUARD_START
     while True:
-        v, err = pi_scaled(d + guard)
+        v, err = scaled(d + guard)
         block = 10**guard
         rem = v % block
         if 2 * err < block and err <= rem <= block - err:
-            text = decimal_str(v // block)  # == floor(pi * 10**d)
+            text = decimal_str(v // block)  # == floor(x * 10**d), d+1 characters
             return text[0] + "." + text[1:]
-        guard += _GUARD_STEP
+        guard *= 2
+
+
+def pi_digits(d: int) -> str:
+    """Pi truncated (not rounded) to d digits after the decimal point."""
+    return truncated(pi_scaled, d)

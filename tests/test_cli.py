@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -210,3 +211,24 @@ def test_byte_identical_output(capsys, argv):
         outputs.append(capsys.readouterr().out)
         assert code == 0
     assert outputs[0] == outputs[1]
+
+
+# sha256 of the stdout of the exact-core commands; any change to the digits,
+# the coefficients or the layout of these tables changes these
+GOLDEN_STDOUT = [
+    (["even", "--n", "150", "--digits", "10", "--format", "json"],
+     "4115e4407ca7390a9e52f91565bec0bb80c50f7c08b253f512af72d631db32da"),
+    (["even", "--n", "60", "--digits", "1000"],
+     "272417b01070ac5d53b09284a9cb512629e8f533b8d3c7653289747df53e4b8d"),
+    (["even", "--n", "300", "--digits", "50", "--format", "csv"],
+     "970fc2ced17e3b391d6af5c191b5b8f2d99a67bd57f17ac38e91b7e6e2ca1fc0"),
+    (["bernoulli", "--n", "300"],
+     "c31e5d7a1bf6fa4ee958084788d6058f144994ef0770f5feb3cbae57e4375918"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT)
+def test_golden_stdout(capsys, argv, digest):
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

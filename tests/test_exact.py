@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import threading
 from fractions import Fraction
 
@@ -9,13 +10,10 @@ import pytest
 from zeta_recur import exact
 from zeta_recur.exact import (
     AlphaCoeff,
-    Rational,
     ZetaEvenValue,
     alpha_coeff,
     bernoulli,
-    binomial,
     gamma_int,
-    recursion_divisor,
     render_decimal,
     zeta_even_euler,
     zeta_even_recursive,
@@ -24,29 +22,7 @@ from zeta_recur.identities import zeta_series
 
 
 # ---------------------------------------------------------------------------
-# binomial / gamma
-
-def test_binomial_small_values():
-    assert binomial(4, 2) == 6
-    assert binomial(7, 0) == 1
-    assert binomial(5, 7) == 0  # k > n
-
-
-def test_binomial_against_pascal_recurrence():
-    # independent oracle: build Pascal's triangle row by row with additions only
-    row = [1]
-    for n in range(1, 61):
-        row = [1] + [row[i - 1] + row[i] for i in range(1, n)] + [1]
-    assert binomial(60, 30) == row[30]
-    assert binomial(60, 30) == binomial(59, 29) + binomial(59, 30)
-
-
-def test_binomial_rejects_negative():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial(3, -2)
-
+# gamma
 
 def test_gamma_int_values():
     assert gamma_int(1) == 1
@@ -92,6 +68,47 @@ def test_bernoulli_defining_recurrence_through_200():
         assert sum(math.comb(m + 1, k) * bernoulli(k) for k in range(m + 1)) == 0
 
 
+def test_bernoulli_table_grows_only_as_far_as_asked(monkeypatch):
+    # each request past the table adds just the tangent numbers it needs
+    monkeypatch.setattr(exact, "_bernoulli_cache", [Fraction(1), Fraction(-1, 2)])
+    monkeypatch.setattr(exact, "_tangent_column", [])
+    for m in range(301):
+        bernoulli(m)
+    assert len(exact._bernoulli_cache) == 302  # B_0 .. B_301
+    assert len(exact._tangent_column) == 150  # T_1 .. T_150
+    assert bernoulli(300) == Fraction(*mpmath.bernfrac(300))
+
+
+def test_bernoulli_table_consistent_under_concurrent_growth(monkeypatch):
+    # more threads than cores grow the shared table together, each in many
+    # small steps; a lost update would leave the column and the table out of step
+    monkeypatch.setattr(exact, "_bernoulli_cache", [Fraction(1), Fraction(-1, 2)])
+    monkeypatch.setattr(exact, "_tangent_column", [])
+    requests = [range(offset, 201, 2) for offset in range(8)]
+    start = threading.Barrier(len(requests))
+    seen: list[list[Fraction] | None] = [None] * len(requests)
+
+    def worker(i):
+        start.wait()
+        seen[i] = [bernoulli(m) for m in requests[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(requests))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(exact._tangent_column) == 100
+    assert len(exact._bernoulli_cache) == 202
+    for ms, values in zip(requests, seen):
+        assert values == [Fraction(*mpmath.bernfrac(m)) for m in ms]
+
+
 def test_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
         bernoulli(-1)
@@ -118,7 +135,7 @@ def test_alpha_matches_definition_on_grid():
             expected = (
                 (1 - Fraction(1, 2 ** (2 * n - 2 * k - 1)))
                 * (-1) ** k
-                * binomial(2 * n - 1, 2 * k)
+                * math.comb(2 * n - 1, 2 * k)
                 * gamma_int(2 * n - 2 * k)
             )
             assert alpha_coeff(n, k).coeff == expected
@@ -173,10 +190,6 @@ def test_coefficients_positive_and_strictly_decreasing():
     assert all(values[i + 1] < values[i] for i in range(len(values) - 1))
 
 
-def test_recursion_divisor_positive_through_1000():
-    assert all(recursion_divisor(n) > 0 for n in range(1, 1001))
-
-
 def test_zeta_even_value_validation():
     with pytest.raises(ValueError):
         ZetaEvenValue(0, Fraction(1, 6))
@@ -201,35 +214,6 @@ def test_memo_tables_are_thread_safe_and_deterministic():
         t.join()
     assert len(set(results)) == 1
     assert results[0] == zeta_even_euler(40).coeff
-
-
-# ---------------------------------------------------------------------------
-# Rational canonical form
-
-def test_rational_canonical_form_under_random_ops():
-    rng = random.Random(424242)
-    pool = [Rational(rng.randint(-50, 50), rng.randint(1, 50)) for _ in range(64)]
-    value = Rational(3, 7)
-    for _ in range(10_000):
-        other = rng.choice(pool)
-        op = rng.randrange(4)
-        if op == 0:
-            value = value + other
-        elif op == 1:
-            value = value - other
-        elif op == 2:
-            value = value * other
-        else:
-            value = value / other if other != 0 else value
-        assert value.denominator > 0
-        assert math.gcd(abs(value.numerator), value.denominator) == 1
-        if abs(value.numerator) > 10**40:  # keep sizes bounded, not a correctness issue
-            value = Rational(value.numerator % 997, 1 + value.denominator % 997)
-
-
-def test_rational_integer_powers_with_negative_exponent():
-    assert Rational(2) ** -3 == Rational(1, 8)
-    assert Rational(-3, 4) ** -2 == Rational(16, 9)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import pytest
 
-from zeta_recur.machin import decimal_str, pi_digits, pi_scaled
+from zeta_recur.machin import decimal_str, pi_digits, pi_scaled, truncated
 
 PI_30 = "3.141592653589793238462643383279"
 
@@ -61,3 +62,21 @@ def test_pi_digits_large_request():
     text = pi_digits(6000)
     assert len(text) == 6002
     assert text.startswith(PI_30)
+
+
+@pytest.mark.parametrize("x,offset,expected", [
+    # x * 10**p sits 10**(p-40) above an integer: the furthest value the
+    # 3-unit bound allows lies 2 below it, so a short guard block reads as a borrow
+    (1 + Fraction(1, 10**40), -2, "1.0000000000"),
+    # x * 10**p sits 10**(p-40) below an integer: 3 above its floor wraps to a carry
+    (2 - Fraction(1, 10**40), 3, "1.9999999999"),
+])
+def test_truncated_guard_clears_both_boundaries(x, offset, expected):
+    requested = []
+
+    def scaled(p):
+        requested.append(p)
+        return math.floor(x * 10**p) + offset, 3
+
+    assert truncated(scaled, 10) == expected
+    assert requested == [22, 34, 58]  # guard 12, doubled until 10**(p-40) clears the bound
