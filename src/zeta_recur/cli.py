@@ -7,7 +7,9 @@
 
 Defaults: --tol 1e-9, --radius 30, --format plain.  Exit codes: 0 success,
 1 verification failure, 2 usage error.  ZETA_RECUR_EVAL_BUDGET overrides
-the quadrature evaluation budget for this invocation only.
+the quadrature evaluation budget for this invocation only.  The argument
+parser is built once, at import, and shared by every `main` call in the
+process; parsing leaves no state in it.
 
 Output is deterministic: identical argv yields byte-identical stdout.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -198,8 +201,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser = _PARSER
     args = parser.parse_args(argv)
 
     raw_budget = os.environ.get("ZETA_RECUR_EVAL_BUDGET")
@@ -225,10 +231,9 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_bernoulli(args.n, args.format)
 
     # verify and contour
-    if not args.tol > 0.0:
-        parser.error("--tol must be positive")
-    if not args.radius > 0.0:
-        parser.error("--radius must be positive")
+    for flag, value in (("--tol", args.tol), ("--radius", args.radius)):
+        if not 0.0 < value < math.inf:
+            parser.error(f"{flag} must be finite and > 0, got {value!r}")
     if args.command == "contour":
         if args.s < 2:
             parser.error("--s must be >= 2")

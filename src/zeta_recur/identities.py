@@ -22,7 +22,8 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -364,6 +365,10 @@ def expanded_real_identity(s: int, tol: float = 1e-9,
     the series oracle.  For even s the K(s) coefficient vanishes and the
     identity is the numeric shadow of the exact recursion; for odd s it
     carries zeta(s) information (see odd_zeta_from_contour).
+
+    A failed report's note gives the residual and the roundoff floor of
+    the summed terms, eps * sum |term| over both sides, and says when that
+    floor exceeds tol.
     """
     if s < 2:
         raise ValueError("expanded_real_identity requires s >= 2")
@@ -375,13 +380,24 @@ def expanded_real_identity(s: int, tol: float = 1e-9,
     lhs = math.fsum(lhs_terms)
 
     rhs = -_I_POW[s % 4].real * math.pi**s / (2 * s)
+    rhs_abs = abs(rhs)
     k_coef = -0.5 * _I_POW[(s + 1) % 4].real
     converged = True
     if k_coef:
         k_quad = cot_power_integral(s, 0.5 * tol / abs(k_coef), budget)
-        rhs += k_coef * k_quad.value
+        k_term = k_coef * k_quad.value
+        rhs += k_term
+        rhs_abs += abs(k_term)
         converged = k_quad.converged
-    return IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, s, lhs, rhs, tol, converged)
+    report = IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, s, lhs, rhs, tol, converged)
+    if report.passed:
+        return report
+    floor = sys.float_info.epsilon * (math.fsum(abs(t) for t in lhs_terms) + rhs_abs)
+    reasons = [report.note] if report.note else []
+    if floor > tol:
+        reasons.append("tolerance below roundoff floor")
+    reasons.append(f"residual {report.residual:.3g}, roundoff floor {floor:.3g}")
+    return replace(report, note="; ".join(reasons))
 
 
 def odd_zeta_from_contour(s: int, tol: float = 1e-8,

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -146,6 +149,8 @@ def test_verify_odd_extraction_value(capsys):
     ["verify", "eq2", "--s", "1"],
     ["verify", "eq2", "--tol", "0"],
     ["verify", "closure", "--radius", "-5"],
+    ["verify", "eq2", "--s", "3", "--tol", "inf"],
+    ["contour", "--s", "2", "--radius", "inf"],
 ])
 def test_verify_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -168,6 +173,36 @@ def test_budget_env_applies_to_one_invocation_only(capsys, monkeypatch):
     code, out = run(capsys, ["verify", "eq2", "--s", "2"])
     assert code == 0, out
     assert "did not converge" not in out
+
+
+def test_nonfinite_bound_is_named(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["contour", "--s", "2", "--radius", "nan"])
+    assert "--radius must be finite and > 0, got nan" in capsys.readouterr().err
+
+
+def test_parser_reuse_leaks_nothing_between_calls(capsys, monkeypatch):
+    # the parser is built once per process, so a first call is one in a fresh process
+    argv = ["verify", "eq2"]
+    env = {k: v for k, v in os.environ.items() if k != "ZETA_RECUR_EVAL_BUDGET"}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    fresh = subprocess.run([sys.executable, "-m", "zeta_recur.cli", *argv],
+                           capture_output=True, env=env, timeout=120)
+    assert fresh.returncode == 0
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "eq2", "--tol", "banana"])
+    assert exc.value.code == 2
+    monkeypatch.setenv("ZETA_RECUR_EVAL_BUDGET", "banana")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    monkeypatch.delenv("ZETA_RECUR_EVAL_BUDGET")
+    code, _ = run(capsys, ["verify", "eq2", "--s", "5", "--tol", "1e-6"])
+    assert code == 0
+    code, out = run(capsys, argv)
+    assert (code, out) == (0, fresh.stdout.decode())
 
 
 def test_invalid_budget_env(capsys, monkeypatch):

@@ -235,6 +235,25 @@ def test_expanded_terms_match_recursion_coefficients():
             assert abs(numeric - exact) <= 8 * math.ulp(abs(exact))
 
 
+def test_expanded_identity_failure_always_carries_a_reason():
+    # from s ~ 5 on eq10 fails at these tolerances, some below the roundoff
+    # floor of its summed terms; every failure must say why, never leave note empty
+    seen = set()
+    for s in range(2, 25):
+        for tol in (1e-8, 1e-12):
+            report = expanded_real_identity(s, tol)
+            if report.passed:
+                assert report.note == ""
+                continue
+            assert report.note, report
+            assert f"residual {report.residual:.3g}, roundoff floor " in report.note
+            seen.add("tolerance below roundoff floor" in report.note)
+    assert seen == {True, False}
+    starved = expanded_real_identity(5, 1e-12, budget=30)
+    assert not starved.passed
+    assert starved.note.startswith("quadrature did not converge; ")
+
+
 def test_expanded_identity_rejects_small_s():
     with pytest.raises(ValueError):
         expanded_real_identity(1, 1e-9)

@@ -4,6 +4,7 @@ import random
 import mpmath as mp
 import pytest
 
+from zeta_recur import quadrature
 from zeta_recur.quadrature import (
     QuadratureResult,
     Segment,
@@ -173,6 +174,123 @@ def test_invalid_inputs_rejected():
         integrate_finite(lambda x: x, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         QuadratureResult(1.0, 0.1, 0, True)
+
+
+# ---------------------------------------------------------------------------
+# the written-out panel against the loop it replaced
+
+# (node, gauss weight, kronrod weight), the QK15 table in the kernel's node order
+_GK15_TABLE = (
+    (+0.991455371120812639206854697526329, 0.0, 0.022935322010529224963732008058970),
+    (-0.991455371120812639206854697526329, 0.0, 0.022935322010529224963732008058970),
+    (+0.949107912342758524526189684047851, 0.129484966168869693270611432679082, 0.063092092629978553290700663189204),
+    (-0.949107912342758524526189684047851, 0.129484966168869693270611432679082, 0.063092092629978553290700663189204),
+    (+0.864864423359769072789712788640926, 0.0, 0.104790010322250183839876322541518),
+    (-0.864864423359769072789712788640926, 0.0, 0.104790010322250183839876322541518),
+    (+0.741531185599394439863864773280788, 0.279705391489276667901467771423780, 0.140653259715525918745189590510238),
+    (-0.741531185599394439863864773280788, 0.279705391489276667901467771423780, 0.140653259715525918745189590510238),
+    (+0.586087235467691130294144838258730, 0.0, 0.169004726639267902826583426598550),
+    (-0.586087235467691130294144838258730, 0.0, 0.169004726639267902826583426598550),
+    (+0.405845151377397166906606412076961, 0.381830050505118944950369775488975, 0.190350578064785409913256402421014),
+    (-0.405845151377397166906606412076961, 0.381830050505118944950369775488975, 0.190350578064785409913256402421014),
+    (+0.207784955007898467600689403773245, 0.0, 0.204432940075298892414161999234649),
+    (-0.207784955007898467600689403773245, 0.0, 0.204432940075298892414161999234649),
+    (0.0, 0.417959183673469387755102040816327, 0.209482141084727828012999174891714),
+)
+
+
+def _gk15_loop(f, a, b):
+    """The reference panel: one loop over the node table."""
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    resg = 0.0
+    resk = 0.0
+    resabs = 0.0
+    values = []
+    for node, wg, wk in _GK15_TABLE:
+        fx = f(center + half * node)
+        values.append((fx, wk))
+        if wg:
+            resg += wg * fx
+        resk += wk * fx
+        resabs += wk * abs(fx)
+    mean = resk / 2.0
+    resasc = 0.0
+    for fx, wk in values:
+        resasc += wk * abs(fx - mean)
+    value = resk * half
+    err = abs(resk - resg) * half
+    resasc *= half
+    resabs *= half
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    floor = 2.0 * quadrature._EPS * resabs
+    if err < floor:
+        return value, floor, True
+    return value, err, False
+
+
+def _same_panel(f, a, b):
+    kernel = quadrature._gk15(f, a, b)
+    assert repr(kernel) == repr(_gk15_loop(f, a, b)), (a, b)
+    return kernel
+
+
+def test_panel_bit_for_bit_on_random_float_panels():
+    rng = random.Random(2024)
+    for _ in range(300):
+        s = rng.randint(1, 24)
+        c = rng.uniform(-3.0, 3.0)
+        a = rng.uniform(0.0, 50.0)
+        b = a + 10.0 ** rng.uniform(-12.0, 2.0)
+        _same_panel(lambda x: fermi_integrand(x, s), a, b)
+        _same_panel(lambda x: math.sin(c * x) * math.exp(-x) - c, a, b)
+        _same_panel(lambda x: cot_kernel(x, max(s, 2)), 0.0, rng.uniform(1e-9, math.pi))
+
+
+def test_panel_bit_for_bit_on_segment_integrands(monkeypatch):
+    # capture the integrand integrate_segment hands to integrate_finite
+    captured = []
+    monkeypatch.setattr(quadrature, "integrate_finite",
+                        lambda f, a, b, tol, budget: captured.append(f))
+    rng = random.Random(99)
+    for _ in range(60):
+        s = rng.randint(2, 24)
+        R = rng.uniform(1.0, 60.0)
+        for start, end in ((0.0, R), (R, R + math.pi * 1j), (R + math.pi * 1j, math.pi * 1j),
+                           (math.pi * 1j, 0.0), (rng.uniform(-R, R), rng.uniform(-R, R) + 3j)):
+            integrate_segment(s, Segment(complex(start), complex(end)), 1e-10)
+            f = captured.pop()
+            lo = rng.uniform(0.0, 0.9)
+            for a, b in ((0.0, 1.0), (lo, lo + 10.0 ** rng.uniform(-10.0, -1.0))):
+                value, _, _ = _same_panel(f, a, b)
+                assert isinstance(value, complex)
+
+
+def test_panel_bit_for_bit_on_zero_integrands():
+    # repr tells 0.0 from -0.0, so the sign of every zero part must match too
+    for zero in (0.0, -0.0, complex(0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0)):
+        value, err, _ = _same_panel(lambda x: zero, -1.0, 2.0)
+        assert value == 0 and err == 0.0
+
+
+def test_panel_bit_for_bit_at_extreme_bounds():
+    # the centre node is center + half * 0.0, as in the loop: -0.0 there becomes
+    # 0.0, and an infinite half makes it nan
+    _same_panel(lambda x: math.copysign(1.0, x), -5e-324, 0.0)
+    _same_panel(lambda x: x, -1.5e308, 1.5e308)
+
+
+def test_panel_bit_for_bit_at_the_roundoff_floor():
+    floors = 0
+    for f, a, b in ((lambda x: 1.0, 0.0, 1.0),
+                    (lambda x: 3.0 * x - 2.0, -4.0, 7.0),
+                    (lambda x: x**7 - x, 0.5, 2.0),
+                    (lambda x: 1e300, 1e-3, 2e-3),
+                    (lambda x: complex(x, -x), 0.0, 1.0),
+                    (lambda x: math.exp(-x), 10.0, 10.0 + 1e-9)):
+        floors += _same_panel(f, a, b)[2]
+    assert floors == 6
 
 
 # ---------------------------------------------------------------------------
