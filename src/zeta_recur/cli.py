@@ -6,10 +6,10 @@
     zeta-recur contour   --s 2 --radius 30             rectangle side integrals
 
 Defaults: --tol 1e-9, --radius 30, --format plain.  Exit codes: 0 success,
-1 verification failure, 2 usage error.  ZETA_RECUR_EVAL_BUDGET overrides
-the quadrature evaluation budget for this invocation only.  The argument
-parser is built once, at import, and shared by every `main` call in the
-process; parsing leaves no state in it.
+1 verification failure, 2 usage error or an input `identities` refuses.
+ZETA_RECUR_EVAL_BUDGET overrides the quadrature evaluation budget for this
+invocation only.  The argument parser is built once, at import, and shared
+by every `main` call in the process; parsing leaves no state in it.
 
 Output is deterministic: identical argv yields byte-identical stdout.
 """
@@ -116,7 +116,7 @@ def _report_fields(report: identities.IdentityReport) -> list[tuple[str, object]
     ]
 
 
-def _contour_fields(report: identities.ContourReport, tol: float) -> list[tuple[str, object]]:
+def _contour_fields(report: identities.ContourReport) -> list[tuple[str, object]]:
     names = ("bottom", "right", "top", "left")
     fields: list[tuple[str, object]] = [("s", report.s), ("radius", report.R)]
     fields += list(zip(names, report.side_values))
@@ -127,40 +127,25 @@ def _contour_fields(report: identities.ContourReport, tol: float) -> list[tuple[
         ("error_estimate", report.error_estimate),
         ("evaluations", report.evaluations),
         ("converged", report.converged),
-        ("tolerance", tol),
-        ("passed", report.converged and abs(report.closure) <= tol),
+        ("tolerance", report.tolerance),
+        ("passed", report.passed),
     ]
     return fields
 
 
-# identity -> report of (s, tol, budget); each verifier is looked up on
+# identity -> report of (s, tol, radius, budget); each check is looked up on
 # `identities` at call time, so rebinding it there (as a tracer does) takes effect
 _VERIFIERS = {
-    "eq2": lambda s, tol, budget: identities.verify_bose_integral(s, tol, budget),
-    "eq5": lambda s, tol, budget: identities.verify_eq5(tol),
-    "eq7": lambda s, tol, budget: identities.verify_fermi_integral(s, tol, budget),
-    "eq9": lambda s, tol, budget: identities.verify_eq9(s, tol, budget),
-    "s2": lambda s, tol, budget: identities.verify_zeta2(tol, budget),
-    "log2": lambda s, tol, budget: identities.verify_log2_identity(tol, budget),
-    "eq10": lambda s, tol, budget: identities.expanded_real_identity(s, tol, budget),
-    "odd": lambda s, tol, budget: identities.verify_odd_zeta(s, tol, budget),
+    "eq2": lambda s, tol, radius, budget: identities.verify_bose_integral(s, tol, budget),
+    "eq5": lambda s, tol, radius, budget: identities.verify_eq5(tol),
+    "eq7": lambda s, tol, radius, budget: identities.verify_fermi_integral(s, tol, budget),
+    "closure": lambda s, tol, radius, budget: identities.contour_closure(s, radius, tol, budget),
+    "eq9": lambda s, tol, radius, budget: identities.verify_eq9(s, tol, budget),
+    "s2": lambda s, tol, radius, budget: identities.verify_zeta2(tol, budget),
+    "log2": lambda s, tol, radius, budget: identities.verify_log2_identity(tol, budget),
+    "eq10": lambda s, tol, radius, budget: identities.expanded_real_identity(s, tol, budget),
+    "odd": lambda s, tol, radius, budget: identities.verify_odd_zeta(s, tol, budget),
 }
-
-
-def cmd_verify(identity: str, s: int, tol: float, radius: float, fmt: str, budget: int) -> int:
-    if identity == "closure":
-        return cmd_contour(s, radius, tol, fmt, budget, command="verify")
-    rep = _VERIFIERS[identity](s, tol, budget)
-    _emit_record(_report_fields(rep), fmt, "verify")
-    return 0 if rep.passed else 1
-
-
-def cmd_contour(s: int, radius: float, tol: float, fmt: str, budget: int,
-                command: str = "contour") -> int:
-    report = identities.contour_closure(s, radius, tol, budget)
-    fields = _contour_fields(report, tol)
-    _emit_record(fields, fmt, command)
-    return 0 if fields[-1][1] else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -230,20 +215,18 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--n must be in 0..{MAX_BERNOULLI}")
         return cmd_bernoulli(args.n, args.format)
 
-    # verify and contour
+    # verify and contour (the closure check); `identities` decides what it accepts
     for flag, value in (("--tol", args.tol), ("--radius", args.radius)):
         if not 0.0 < value < math.inf:
             parser.error(f"{flag} must be finite and > 0, got {value!r}")
-    if args.command == "contour":
-        if args.s < 2:
-            parser.error("--s must be >= 2")
-        return cmd_contour(args.s, args.radius, args.tol, args.format, budget)
-    if args.identity == "odd":
-        if args.s < 3 or args.s % 2 == 0:
-            parser.error("identity 'odd' requires an odd --s >= 3")
-    elif args.identity in ("eq2", "eq7", "closure", "eq9", "eq10") and args.s < 2:
-        parser.error(f"identity '{args.identity}' requires --s >= 2")
-    return cmd_verify(args.identity, args.s, args.tol, args.radius, args.format, budget)
+    identity = "closure" if args.command == "contour" else args.identity
+    try:
+        report = _VERIFIERS[identity](args.s, args.tol, args.radius, budget)
+    except identities.Refused as exc:
+        parser.error(str(exc))
+    fields = _contour_fields(report) if identity == "closure" else _report_fields(report)
+    _emit_record(fields, args.format, args.command)
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

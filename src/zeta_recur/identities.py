@@ -15,6 +15,9 @@ Identity tags name the numbered equations of docs/derivation.md:
 ``zeta_series`` is the independent oracle: direct summation with an
 Euler-Maclaurin tail, touching none of the quadrature or exact-arithmetic
 paths it is used to check.
+
+This module alone decides what each check accepts (``Refused``, raised
+before any quadrature, names the bound), whether it passed and why not.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import enum
 import math
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -41,6 +44,7 @@ from .quadrature import (
 )
 
 __all__ = [
+    "Refused",
     "IdentityId",
     "IdentityReport",
     "ContourReport",
@@ -53,7 +57,6 @@ __all__ = [
     "right_side_bound",
     "eq9_components",
     "verify_eq9",
-    "zeta2_from_contour",
     "verify_zeta2",
     "verify_log2_identity",
     "cot_power_integral",
@@ -67,6 +70,24 @@ LN2 = math.log(2.0)
 
 # the powers of i, indexed by exponent mod 4
 _I_POW = (1, 1j, -1, -1j)
+
+_LN_MAX = math.log(sys.float_info.max)
+# (largest s, why) of the checks whose float terms overflow past it: the
+# semi-infinite integrands take x^(s-1) up to truncation_point's cap x = 750,
+# where it overflows from s = 109; Gamma(s) = (s-1)! overflows from s = 172
+_REAL_AXIS_S = (108, "x^(s-1) must fit a double for x <= 750")
+_GAMMA_S = (171, "Gamma(s) must fit a double")
+
+
+class Refused(ValueError):
+    """An input a check cannot evaluate in doubles, refused before any quadrature."""
+
+
+def _require_s(name: str, s: int, s_max: int, why: str, odd: bool = False) -> None:
+    """Refuse s outside 2..s_max (odd s in 3..s_max with odd=True)."""
+    if not (3 if odd else 2) <= s <= s_max or (odd and s % 2 == 0):
+        kind = "an odd s in 3" if odd else "s in 2"
+        raise Refused(f"{name} requires {kind}..{s_max} ({why}), got s = {s}")
 
 
 class IdentityId(str, enum.Enum):
@@ -93,11 +114,20 @@ class IdentityReport:
     note: str = ""
 
     @classmethod
-    def from_sides(cls, identity_id, s, lhs, rhs, tolerance, converged=True, note=""):
+    def from_sides(cls, identity_id, s, lhs, rhs, tolerance, converged=True, note="",
+                   floor=None):
+        """The verdict and failure note of lhs against rhs; given the roundoff
+        floor of the compared values, a failure names its residual and that floor."""
         residual = abs(lhs - rhs)
         passed = bool(converged) and residual <= tolerance
         if not converged and not note:
             note = "quadrature did not converge"
+        if floor is not None and not passed:
+            reasons = [note] if note else []
+            if floor > tolerance:
+                reasons.append("tolerance below roundoff floor")
+            reasons.append(f"residual {residual:.3g}, roundoff floor {floor:.3g}")
+            note = "; ".join(reasons)
         return cls(identity_id, s, lhs, rhs, residual, tolerance, passed, note)
 
 
@@ -113,6 +143,8 @@ class ContourReport:
     error_estimate: float
     evaluations: int
     converged: bool
+    tolerance: float
+    passed: bool  # converged and |closure| <= tolerance
 
 
 def zeta_series(s: int, tol: float, n_terms: int | None = None) -> float:
@@ -138,32 +170,41 @@ def zeta_series(s: int, tol: float, n_terms: int | None = None) -> float:
     return head + tail
 
 
+def _oracle(s: int, tol: float, factor: float = 1) -> float:
+    """factor * zeta(s) from the series oracle, to a tenth of tol and at most 1e-12;
+    the series tolerance is that over factor, clamped at 1e-17, below which more
+    terms no longer change a double zeta(s) near 1."""
+    return factor * zeta_series(s, max(min(0.1 * tol, 1e-12) / factor, 1e-17))
+
+
 def _zeta_numeric(m: int) -> float:
     """zeta(m) for the expanded identity: exact coefficient path for even m,
-    series oracle for odd m."""
+    series oracle (to 1e-13) for odd m."""
     if m % 2 == 0:
         return zeta_even_recursive(m // 2).approx()
-    return zeta_series(m, 1e-13)
+    return _oracle(m, 1e-12)
+
+
+def _fermi_weight(m: int) -> float:
+    """(1 - 2^(1-m)) Gamma(m): int_0^inf x^(m-1)/(e^x+1) dx = _fermi_weight(m) zeta(m)."""
+    return float(1 - Fraction(1, 2 ** (m - 1))) * gamma_int(m)
 
 
 def verify_bose_integral(s: int, tol: float = 1e-9,
                          budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
     """EQ2: quadrature of x^(s-1)/(e^x-1) against Gamma(s) * zeta_series(s)."""
-    if s < 2:
-        raise ValueError("verify_bose_integral requires s >= 2")
+    _require_s("verify_bose_integral", s, *_REAL_AXIS_S)
     quad = integrate_semi_infinite(lambda x: bose_integrand(x, s), s, 0.5 * tol, budget=budget)
-    rhs = gamma_int(s) * zeta_series(s, min(0.1 * tol, 1e-12))
+    rhs = _oracle(s, tol, gamma_int(s))
     return IdentityReport.from_sides(IdentityId.EQ2, s, quad.value, rhs, tol, quad.converged)
 
 
 def verify_fermi_integral(s: int, tol: float = 1e-9,
                           budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
     """EQ7: quadrature of x^(s-1)/(e^x+1) against (1-2^(1-s)) Gamma(s) zeta_series(s)."""
-    if s < 2:
-        raise ValueError("verify_fermi_integral requires s >= 2")
+    _require_s("verify_fermi_integral", s, *_REAL_AXIS_S)
     quad = integrate_semi_infinite(lambda x: fermi_integrand(x, s), s, 0.5 * tol, budget=budget)
-    weight = float(1 - Fraction(1, 2 ** (s - 1)))
-    rhs = weight * gamma_int(s) * zeta_series(s, min(0.1 * tol, 1e-12))
+    rhs = _oracle(s, tol, _fermi_weight(s))
     return IdentityReport.from_sides(IdentityId.EQ7, s, quad.value, rhs, tol, quad.converged)
 
 
@@ -204,11 +245,14 @@ def right_side_bound(s: int, R: float) -> float:
 
 def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9,
                     budget: int = DEFAULT_EVAL_BUDGET) -> ContourReport:
-    """EQ8: the four side integrals, counterclockwise, and their sum."""
-    if s < 2:
-        raise ValueError("contour_closure requires s >= 2")
-    if not R > 0.0:
-        raise ValueError("R must be positive")
+    """EQ8: the four side integrals, counterclockwise, their sum and its verdict.
+
+    pi |R + i pi|^(s-1), the size of the integrand times a side's length, must fit a double."""
+    if not 0.0 < R <= _LN_MAX:
+        raise Refused(f"contour_closure requires 0 < R <= {_LN_MAX:.2f} "
+                      f"(e^R must fit a double), got R = {R!r}")
+    s_max = 1 + int((_LN_MAX - math.log(math.pi)) / math.log(abs(complex(R, math.pi))))
+    _require_s("contour_closure", s, s_max, f"pi |R + i pi|^(s-1) must fit a double at R = {R!r}")
     top = complex(R, math.pi)
     corner = complex(0.0, math.pi)
     sides = (
@@ -220,6 +264,7 @@ def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9,
     results = [integrate_segment(s, seg, 0.25 * tol, budget) for seg in sides]
     values = tuple(r.value for r in results)
     closure = values[0] + values[1] + values[2] + values[3]
+    converged = all(r.converged for r in results)
     return ContourReport(
         s=s,
         R=R,
@@ -228,7 +273,9 @@ def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9,
         right_side_magnitude=abs(values[1]),
         error_estimate=math.fsum(r.error_estimate for r in results),
         evaluations=sum(r.evaluations for r in results),
-        converged=all(r.converged for r in results),
+        converged=converged,
+        tolerance=tol,
+        passed=converged and abs(closure) <= tol,
     )
 
 
@@ -255,8 +302,7 @@ def eq9_components(s: int, tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET)
     each F from quadrature except the closed form F(s-1) = ln 2.
     C reuses the segment integral from 0 to i*pi (same parameterization).
     """
-    if s < 2:
-        raise ValueError("eq9_components requires s >= 2")
+    _require_s("eq9_components", s, *_REAL_AXIS_S)
     part = 0.25 * tol
 
     a_quad = integrate_semi_infinite(lambda x: bose_integrand(x, s), s, part, budget=budget)
@@ -297,12 +343,6 @@ def verify_eq9(s: int, tol: float = 1e-8, budget: int = DEFAULT_EVAL_BUDGET) -> 
                                      tol, comp.converged)
 
 
-def zeta2_from_contour(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -> float:
-    """zeta(2) solved from the real part at s = 2: (3/2) zeta(2) = Re C = pi^2/4."""
-    comp = eq9_components(2, tol, budget)
-    return comp.c.real * 2.0 / 3.0
-
-
 def verify_log2_identity(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
     """S2_IMAG: pi * int_0^inf dx/(e^x+1) against (1/2) int_0^pi y sin y/(1-cos y) dy.
 
@@ -336,9 +376,18 @@ def _binomial_terms(s: int):
         yield j, math.comb(s - 1, j) * math.pi**j, _I_POW[j % 4]
 
 
-def _f_weight(s: int, j: int) -> float:
-    """(1 - 2^(1-(s-j))) Gamma(s-j): the closed-form factor in F(j) for j < s-1."""
-    return float(1 - Fraction(1, 2 ** (s - j - 1))) * gamma_int(s - j)
+def _real_part_terms(s: int, zeta, first_j: int = 0):
+    """The even-j terms C(s-1,j) Re((i pi)^j) F(j), j >= first_j, of EQ10's left side,
+    with F(s-1) = ln 2 and F(j) = _fermi_weight(s-j) zeta(s-j) from the callable zeta."""
+    for j, coef, i_pow in _binomial_terms(s):
+        if j % 2 == 0 and j >= first_j:
+            f_j = LN2 if j == s - 1 else _fermi_weight(s - j) * zeta(s - j)
+            yield coef * i_pow * f_j
+
+
+def _k_coef(s: int) -> float:
+    """Re(-i^(s+1)/2), the coefficient of K(s) in EQ10: 0 for even s, +-1/2 for odd s."""
+    return -0.5 * _I_POW[(s + 1) % 4].real
 
 
 def expanded_alpha_term(s: int, k: int) -> float:
@@ -351,7 +400,7 @@ def expanded_alpha_term(s: int, k: int) -> float:
     if not 0 <= j <= s - 2:
         raise ValueError("term index out of range")
     _, coef, i_pow = list(_binomial_terms(s))[j]
-    return coef * i_pow * _f_weight(s, j)
+    return coef * i_pow * _fermi_weight(s - j)
 
 
 def expanded_real_identity(s: int, tol: float = 1e-9,
@@ -366,22 +415,16 @@ def expanded_real_identity(s: int, tol: float = 1e-9,
     identity is the numeric shadow of the exact recursion; for odd s it
     carries zeta(s) information (see odd_zeta_from_contour).
 
-    A failed report's note gives the residual and the roundoff floor of
-    the summed terms, eps * sum |term| over both sides, and says when that
-    floor exceeds tol.
+    The roundoff floor passed to the report is that of the summed terms,
+    eps * sum |term| over both sides.
     """
-    if s < 2:
-        raise ValueError("expanded_real_identity requires s >= 2")
-    lhs_terms = [gamma_int(s) * _zeta_numeric(s)]
-    for j, coef, i_pow in _binomial_terms(s):
-        if j % 2 == 0:
-            f_j = LN2 if j == s - 1 else _f_weight(s, j) * _zeta_numeric(s - j)
-            lhs_terms.append(coef * i_pow * f_j)
+    _require_s("expanded_real_identity", s, *_GAMMA_S)
+    lhs_terms = [gamma_int(s) * _zeta_numeric(s), *_real_part_terms(s, _zeta_numeric)]
     lhs = math.fsum(lhs_terms)
 
     rhs = -_I_POW[s % 4].real * math.pi**s / (2 * s)
     rhs_abs = abs(rhs)
-    k_coef = -0.5 * _I_POW[(s + 1) % 4].real
+    k_coef = _k_coef(s)
     converged = True
     if k_coef:
         k_quad = cot_power_integral(s, 0.5 * tol / abs(k_coef), budget)
@@ -389,46 +432,31 @@ def expanded_real_identity(s: int, tol: float = 1e-9,
         rhs += k_term
         rhs_abs += abs(k_term)
         converged = k_quad.converged
-    report = IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, s, lhs, rhs, tol, converged)
-    if report.passed:
-        return report
     floor = sys.float_info.epsilon * (math.fsum(abs(t) for t in lhs_terms) + rhs_abs)
-    reasons = [report.note] if report.note else []
-    if floor > tol:
-        reasons.append("tolerance below roundoff floor")
-    reasons.append(f"residual {report.residual:.3g}, roundoff floor {floor:.3g}")
-    return replace(report, note="; ".join(reasons))
+    return IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, s, lhs, rhs, tol, converged,
+                                     floor=floor)
 
 
 def odd_zeta_from_contour(s: int, tol: float = 1e-8,
                           budget: int = DEFAULT_EVAL_BUDGET) -> float:
-    """zeta(s) for odd s solved out of the expanded real part of EQ9.
+    """zeta(s) for odd s: EQ10 solved for its j = 0 term.
 
-    For odd s the even-j terms hold zeta at odd arguments; the j = 0 term
-    carries zeta(s) itself with weight (1-2^(1-s)) Gamma(s), so
+    For odd s the pi^s term of EQ10 vanishes, and the Gamma(s) zeta(s) and
+    j = 0 terms carry zeta(s) with total weight Gamma(s) (2 - 2^(1-s)), so
 
         zeta(s) = (Re(-i^(s+1)/2) K(s) - known) / (Gamma(s) (2 - 2^(1-s)))
 
-    where `known` collects the lower odd zetas (extracted recursively by
-    this same identity, keeping the whole chain independent of the series
-    oracle) and the (i pi)^(s-1) ln 2 term.  At s = 3 this reduces to
-    zeta(3) = (2 pi^2 ln 2 - K(3)) / 7.
+    where `known` sums EQ10's terms from j = 2 on: the lower odd zetas (extracted
+    recursively, keeping the chain independent of the series oracle) and the
+    (i pi)^(s-1) ln 2 term.  At s = 3, zeta(3) = (2 pi^2 ln 2 - K(3)) / 7.
     """
-    if s < 3 or s % 2 == 0:
-        raise ValueError("odd_zeta_from_contour requires odd s >= 3")
+    _require_s("odd_zeta_from_contour", s, *_GAMMA_S, odd=True)
     extracted: dict[int, float] = {}
     for m in range(3, s + 1, 2):
         divisor = gamma_int(m) * float(2 - Fraction(1, 2 ** (m - 1)))
-        known_terms = []
-        for j, coef, i_pow in _binomial_terms(m):
-            if j == m - 1:
-                known_terms.append(coef * i_pow * LN2)
-            elif j and j % 2 == 0:
-                known_terms.append(coef * i_pow * _f_weight(m, j) * extracted[m - j])
-        known = math.fsum(known_terms)
-        k_coef = -0.5 * _I_POW[(m + 1) % 4].real
+        known = math.fsum(_real_part_terms(m, extracted.__getitem__, first_j=2))
         k_val = cot_power_integral(m, min(0.5 * tol, 1e-10), budget).value
-        extracted[m] = (k_coef * k_val - known) / divisor
+        extracted[m] = (_k_coef(m) * k_val - known) / divisor
     return extracted[s]
 
 
@@ -436,13 +464,13 @@ def verify_odd_zeta(s: int, tol: float = 1e-8,
                     budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
     """ODD_ZETA: extracted zeta(s) against the series oracle."""
     lhs = odd_zeta_from_contour(s, tol, budget)
-    rhs = zeta_series(s, min(0.1 * tol, 1e-12))
+    rhs = _oracle(s, tol)
     return IdentityReport.from_sides(IdentityId.ODD_ZETA, s, lhs, rhs, tol)
 
 
 def verify_zeta2(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
     """S2_REAL: zeta(2) extracted from the contour against the series oracle."""
     comp = eq9_components(2, tol, budget)
-    lhs = comp.c.real * 2.0 / 3.0  # as in zeta2_from_contour, keeping comp.converged
-    rhs = zeta_series(2, min(0.1 * tol, 1e-12))
+    lhs = comp.c.real * 2.0 / 3.0  # (3/2) zeta(2) = Re C
+    rhs = _oracle(2, tol)
     return IdentityReport.from_sides(IdentityId.S2_REAL, 2, lhs, rhs, tol, comp.converged)

@@ -73,9 +73,6 @@ class Segment:
         if self.start == self.end:
             raise ValueError("segment endpoints must differ")
 
-    def reversed(self) -> "Segment":
-        return Segment(self.end, self.start)
-
 
 # ---------------------------------------------------------------------------
 # integrands
@@ -325,7 +322,7 @@ def truncation_point(s: int, tail_tol: float) -> float:
     return x
 
 
-def integrate_semi_infinite(f, s: int, tol: float, upper: float | None = None,
+def integrate_semi_infinite(f, s: int, tol: float,
                             budget: int = DEFAULT_EVAL_BUDGET) -> QuadratureResult:
     """Integral of f over [0, inf) for integrands decaying like x^(s-1) e^-x.
 
@@ -336,7 +333,7 @@ def integrate_semi_infinite(f, s: int, tol: float, upper: float | None = None,
         raise ValueError("integrate_semi_infinite requires s >= 1")
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    x_max = truncation_point(s, 0.5 * tol) if upper is None else float(upper)
+    x_max = truncation_point(s, 0.5 * tol)
     tail = tail_bound(s, x_max)
     base = integrate_finite(f, 0.0, x_max, 0.5 * tol, budget)
     err = base.error_estimate + tail

@@ -20,7 +20,7 @@ from zeta_recur.identities import (
     verify_eq5,
     verify_fermi_integral,
     verify_log2_identity,
-    zeta2_from_contour,
+    verify_zeta2,
     zeta_series,
 )
 from zeta_recur.quadrature import Segment, integrate_segment
@@ -48,7 +48,7 @@ def test_a01_exact_equivalence_through_50():
 def test_a02_basel_three_ways():
     exact_ok = zeta_even_recursive(1).coeff == Fraction(1, 6)
     quad = verify_bose_integral(2, 1e-10)
-    contour = zeta2_from_contour(1e-9)
+    contour = verify_zeta2(1e-9).lhs
     contour_res = abs(contour - zeta_series(2, 1e-12))
     ok = exact_ok and quad.passed and quad.residual < 1e-10 and contour_res < 1e-9
     _report(

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from zeta_recur import cli
+from zeta_recur import cli, identities
 
 
 def run(capsys, argv, env=None, monkeypatch=None):
@@ -156,6 +156,85 @@ def test_verify_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+# (argv, largest accepted s, smallest refused s) where the float terms overflow
+OVERFLOW_BOUNDS = [
+    (["verify", "eq2"], 108, 109),
+    (["verify", "eq7"], 108, 109),
+    (["verify", "eq9"], 108, 109),
+    (["verify", "eq10"], 171, 172),
+    (["verify", "odd"], 171, 173),
+    (["verify", "closure", "--radius", "30"], 209, 210),
+    (["contour", "--radius", "30"], 209, 210),
+    (["verify", "closure", "--radius", "60"], 174, 175),
+    (["contour", "--radius", "60"], 174, 175),
+    # near R = 0 the left side's integrand times its length, up to pi^s / 2, overflows first
+    (["contour", "--radius", "0.01"], 620, 621),
+]
+
+
+@pytest.mark.parametrize("argv,s_ok,s_refused", OVERFLOW_BOUNDS)
+def test_overflow_bound_from_both_sides(capsys, argv, s_ok, s_refused):
+    code, out = run(capsys, argv + ["--s", str(s_ok)])
+    assert code in (0, 1)
+    assert "passed" in out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--s", str(s_refused)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"..{s_ok} (" in err and f"got s = {s_refused}" in err
+
+
+def test_radius_overflow_bound_from_both_sides(capsys):
+    code, _ = run(capsys, ["contour", "--s", "2", "--radius", "709"])
+    assert code in (0, 1)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["contour", "--s", "2", "--radius", "711"])
+    assert exc.value.code == 2
+    assert "R <= 709.78" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "eq2", "--s", "1"],
+    ["verify", "eq2", "--s", "109"],
+    ["verify", "eq7", "--s", "1"],
+    ["verify", "eq7", "--s", "109"],
+    ["verify", "eq9", "--s", "1"],
+    ["verify", "eq9", "--s", "109"],
+    ["verify", "eq10", "--s", "1"],
+    ["verify", "eq10", "--s", "172"],
+    ["verify", "odd", "--s", "1"],
+    ["verify", "odd", "--s", "4"],
+    ["verify", "odd", "--s", "173"],
+    ["verify", "closure", "--s", "1"],
+    ["verify", "closure", "--s", "210"],
+    ["contour", "--s", "1"],
+    ["contour", "--s", "210"],
+    ["contour", "--s", "2", "--radius", "800"],
+])
+def test_refusal_runs_before_any_quadrature(capsys, monkeypatch, argv):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    for name in ("integrate_finite", "integrate_semi_infinite", "integrate_segment"):
+        monkeypatch.setattr(identities, name, no_quadrature)
+    with pytest.raises(AssertionError):  # the patch is on the path the checks take
+        cli.main(["verify", "odd" if "odd" in argv else "eq9", "--s", "3"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+def test_tolerance_past_the_double_floor_finishes():
+    env = {k: v for k, v in os.environ.items() if k != "ZETA_RECUR_EVAL_BUDGET"}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "zeta_recur.cli", "verify", "eq2",
+                           "--s", "2", "--tol", "1e-300"], capture_output=True, env=env,
+                          timeout=30)
+    assert done.returncode == 1
+    assert b"did not converge" in done.stdout
 
 
 def test_verify_failure_exit_code_on_starved_budget(capsys, monkeypatch):

@@ -22,7 +22,6 @@ from zeta_recur.identities import (
     verify_log2_identity,
     verify_odd_zeta,
     verify_zeta2,
-    zeta2_from_contour,
     zeta_series,
 )
 from zeta_recur.quadrature import integrate_finite
@@ -117,6 +116,14 @@ def test_right_side_decreasing_and_bounded(s):
         assert mag < right_side_bound(s, radius)
 
 
+@pytest.mark.parametrize("budget", [100, 1_000_000])
+def test_contour_verdict_is_the_reports(budget):
+    report = contour_closure(3, 30.0, 1e-9, budget)
+    assert report.tolerance == 1e-9
+    assert report.passed == (report.converged and abs(report.closure) <= 1e-9)
+    assert report.passed is (budget > 100)
+
+
 def test_contour_rejects_bad_arguments():
     with pytest.raises(ValueError):
         contour_closure(1, 30.0, 1e-9)
@@ -168,7 +175,7 @@ def test_shifted_integral_two_evaluation_paths(s):
 # s = 2 extractions
 
 def test_zeta2_extraction():
-    extracted = zeta2_from_contour(1e-10)
+    extracted = verify_zeta2(1e-10).lhs
     assert abs(extracted - zeta_series(2, 1e-13)) < 1e-9
     assert abs(extracted * 6.0 / math.pi**2 - 1.0) < 1e-9
 
@@ -176,7 +183,7 @@ def test_zeta2_extraction():
 def test_zeta2_extraction_matches_exact_decimal():
     from zeta_recur.exact import render_decimal
 
-    extracted = zeta2_from_contour(1e-10)
+    extracted = verify_zeta2(1e-10).lhs
     assert abs(extracted - float(render_decimal(zeta_even_recursive(1), 9))) < 1e-9
 
 
@@ -299,6 +306,25 @@ def test_report_invariants_hold_on_random_sides():
         report = IdentityReport.from_sides(IdentityId.EQ2, 2, lhs, rhs, tol)
         assert report.residual == abs(lhs - rhs)
         assert report.passed == (report.residual <= report.tolerance)
+
+
+def test_report_floor_writes_both_reasons():
+    report = IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, 3, 1.0, 1.5, 1e-9, floor=1.5e-9)
+    assert not report.passed
+    assert report.note == "tolerance below roundoff floor; residual 0.5, roundoff floor 1.5e-09"
+    report = IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, 3, 1.0, 1.5, 1e-9, False, floor=1e-10)
+    assert report.note == "quadrature did not converge; residual 0.5, roundoff floor 1e-10"
+    assert IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, 3, 1.0, 1.0, 1e-9, floor=1.0).note == ""
+
+
+def test_oracle_tolerance_scales_with_the_weight():
+    import mpmath as mp
+
+    report = verify_fermi_integral(8, 1.41e-11)
+    assert report.passed, report
+    with mp.workdps(30):
+        exact = (1 - mp.mpf(2) ** -7) * mp.gamma(8) * mp.zeta(8)
+        assert abs(report.rhs - exact) < 1.41e-12
 
 
 def test_report_unconverged_never_passes():
