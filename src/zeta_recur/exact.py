@@ -31,13 +31,27 @@ Both routes produce the rational coefficient q_n with zeta(2n) = q_n * pi^(2n):
                              The k = 0 term, which carries q_n itself, became
                              the factor 4^n - 1, which never vanishes.
 
+                             The sum comes out of a Pascal-type triangle
+                             (docs/derivation.md, "Exact computation").  With
+                             y_(2m) = (2^(2m-1) - 1) b_m, y_0 = 0, and c_N[j]
+                             the sum over t = N, N-2, ... of
+                             C(j,t) (-1)^((N-t)/2) y_(N-t), each anti-diagonal
+                             is the prefix sum of the one before,
+
+                                 c_N[j+1] = c_N[j] + c_(N-1)[j],
+
+                             and row n's sum is (-1)^n c_(2n)[2n] taken with
+                             y_(2n) = 0.  One more b costs additions only.
+
 The two routes share no arithmetic: tangent numbers never enter the
 recursion.  All arithmetic is exact.
 
 Concurrency: every returned value is immutable.  The Bernoulli table, the
-tangent-number column it grows from and the b_m memo are guarded by a
-module lock (single shared writer), so concurrent callers are safe and
-results are deterministic regardless of interleaving.
+tangent-number column it grows from, the b_m memo and the triangle's last
+diagonal with its common denominator are guarded by a module lock (single
+shared writer), so concurrent callers are safe and results are
+deterministic regardless of interleaving.  The pi that ``render_decimal``
+powers comes from ``machin.pi_scaled``, which keeps its own lock-free memo.
 """
 
 from __future__ import annotations
@@ -47,6 +61,7 @@ import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .machin import pi_scaled, truncated
 
@@ -127,8 +142,16 @@ class ZetaEvenValue:
             raise ValueError("zeta(2n) coefficient must be positive")
 
     def approx(self) -> float:
-        """Double-precision value of q_n * pi^(2n)."""
-        return float(self.coeff) * math.pi ** (2 * self.n)
+        """Double-precision value of q_n * pi^(2n).
+
+        Through n = 310 this is float(q_n) * math.pi ** (2n).  From n = 311 on
+        pi^(2n) overflows a double (and q_n underflows one soon after), so the
+        value is read from the exact expansion truncated to 17 digits, which
+        float() rounds to within one unit in the last place.
+        """
+        if self.n <= 310:
+            return float(self.coeff) * math.pi ** (2 * self.n)
+        return float(render_decimal(self, 17))
 
 
 @dataclass(frozen=True)
@@ -167,31 +190,32 @@ def alpha_coeff(n: int, k: int) -> AlphaCoeff:
 
 # b_1, b_2, ... with b_m = 2^(1-2m) (2m)! q_m
 _b_cache: list[Fraction] = []
+# the triangle's anti-diagonal 2m for m = len(_b_cache), scaled by _scale
+_diagonal: list[int] = [0]
+# common denominator L of the diagonal, a multiple of every b_m's denominator
+_scale = 1
 
 
-def _next_b(b: list[Fraction]) -> Fraction:
-    """b_n for n = len(b) + 1 from the integer-coefficient recursion.
+def _grow_b(n: int) -> None:
+    """Extend ``_b_cache`` to b_1 .. b_n along the triangle; the caller holds ``_lock``.
 
-    The right side is summed as one integer numerator over ``den``, a common
-    multiple of the denominators seen so far, so the only gcd between two
-    big numbers is the single reduction of b_n itself.
+    Row m takes two prefix sums of the stored diagonal (additions only) and one
+    ``Fraction``: the odd diagonal c_(2m-1) from c_(2m-2), then (11') solved for
+    b_m with y_(2m) = 0, then c_(2m) with L (-1)^m y_(2m) added to every entry.
+    L widens, and the odd diagonal with it, only when b_m's denominator needs it.
     """
-    n = len(b) + 1
-    num, den = (1 if n % 2 else -1), 2
-    binom = 1  # C(2n, 2k), stepped from C(2n, 2k-2); math.comb per term costs more than the sum
-    for k in range(1, n):
-        m = n - k
-        binom = binom * (2 * m + 2) * (2 * m + 1) // ((2 * k - 1) * (2 * k))
-        bm = b[m - 1]
-        d = bm.denominator
-        widen = d // math.gcd(den, d)
+    global _scale
+    for m in range(len(_b_cache) + 1, n + 1):
+        odd = list(accumulate(_diagonal, initial=0))
+        num = _scale + 2 * sum(odd)  # L (1 + 2 c_(2m)[2m]) with y_(2m) = 0
+        b = Fraction(num if m % 2 else -num, 2 * _scale * ((1 << (2 * m)) - 1))
+        widen = b.denominator // math.gcd(_scale, b.denominator)
         if widen > 1:
-            num *= widen
-            den *= widen
-        x = binom * (bm.numerator * (den // d))
-        term = (x << (2 * m - 1)) - x  # times 2^(2m-1) - 1, by shift instead of a product
-        num = num + term if k % 2 else num - term
-    return Fraction(num, den * ((1 << (2 * n)) - 1))
+            _scale *= widen
+            odd = [widen * c for c in odd]
+        y = b.numerator * (_scale // b.denominator) * ((1 << (2 * m - 1)) - 1)
+        _diagonal[:] = accumulate(odd, initial=-y if m % 2 else y)
+        _b_cache.append(b)
 
 
 def zeta_even_recursive(n: int) -> ZetaEvenValue:
@@ -199,8 +223,7 @@ def zeta_even_recursive(n: int) -> ZetaEvenValue:
     if n < 1:
         raise ValueError("n must be >= 1")
     with _lock:
-        while len(_b_cache) < n:
-            _b_cache.append(_next_b(_b_cache))
+        _grow_b(n)
         b = _b_cache[n - 1]
     return ZetaEvenValue(n, Fraction(b.numerator << (2 * n - 1),
                                      b.denominator * math.factorial(2 * n)))

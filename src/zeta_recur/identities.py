@@ -115,13 +115,16 @@ class IdentityReport:
 
     @classmethod
     def from_sides(cls, identity_id, s, lhs, rhs, tolerance, converged=True, note="",
-                   floor=None):
-        """The verdict and failure note of lhs against rhs; given the roundoff
-        floor of the compared values, a failure names its residual and that floor."""
+                   floor=None, reason=""):
+        """The verdict and failure note of lhs against rhs.  ``reason``, why a
+        quadrature stopped short of its tolerance, makes the report unconverged,
+        and the note names it; given the roundoff floor of the compared values,
+        a failure names its residual and that floor."""
         residual = abs(lhs - rhs)
+        converged = converged and not reason
         passed = bool(converged) and residual <= tolerance
         if not converged and not note:
-            note = "quadrature did not converge"
+            note = "; ".join(filter(None, ("quadrature did not converge", reason)))
         if floor is not None and not passed:
             reasons = [note] if note else []
             if floor > tolerance:
@@ -185,6 +188,11 @@ def _zeta_numeric(m: int) -> float:
     return _oracle(m, 1e-12)
 
 
+def _stop_reason(quads) -> str:
+    """The distinct reasons, in order, why any of these quadratures stopped short."""
+    return "; ".join(dict.fromkeys(q.reason for q in quads if q.reason))
+
+
 def _fermi_weight(m: int) -> float:
     """(1 - 2^(1-m)) Gamma(m): int_0^inf x^(m-1)/(e^x+1) dx = _fermi_weight(m) zeta(m)."""
     return float(1 - Fraction(1, 2 ** (m - 1))) * gamma_int(m)
@@ -196,7 +204,7 @@ def verify_bose_integral(s: int, tol: float = 1e-9,
     _require_s("verify_bose_integral", s, *_REAL_AXIS_S)
     quad = integrate_semi_infinite(lambda x: bose_integrand(x, s), s, 0.5 * tol, budget=budget)
     rhs = _oracle(s, tol, gamma_int(s))
-    return IdentityReport.from_sides(IdentityId.EQ2, s, quad.value, rhs, tol, quad.converged)
+    return IdentityReport.from_sides(IdentityId.EQ2, s, quad.value, rhs, tol, reason=quad.reason)
 
 
 def verify_fermi_integral(s: int, tol: float = 1e-9,
@@ -205,7 +213,7 @@ def verify_fermi_integral(s: int, tol: float = 1e-9,
     _require_s("verify_fermi_integral", s, *_REAL_AXIS_S)
     quad = integrate_semi_infinite(lambda x: fermi_integrand(x, s), s, 0.5 * tol, budget=budget)
     rhs = _oracle(s, tol, _fermi_weight(s))
-    return IdentityReport.from_sides(IdentityId.EQ7, s, quad.value, rhs, tol, quad.converged)
+    return IdentityReport.from_sides(IdentityId.EQ7, s, quad.value, rhs, tol, reason=quad.reason)
 
 
 def verify_eq5(tol: float = 1e-9, samples: int = 1000, seed: int = 53171) -> IdentityReport:
@@ -287,6 +295,7 @@ class LimitComponents(NamedTuple):
     c: complex
     error_estimate: float
     converged: bool
+    reason: str = ""  # why the quadratures that fell short stopped
 
     @property
     def residual(self) -> float:
@@ -308,7 +317,7 @@ def eq9_components(s: int, tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET)
     a_quad = integrate_semi_infinite(lambda x: bose_integrand(x, s), s, part, budget=budget)
     a = complex(a_quad.value)
     err = a_quad.error_estimate
-    converged = a_quad.converged
+    quads = [a_quad]
 
     terms = []
     for j, coef, i_pow in _binomial_terms(s):
@@ -324,7 +333,7 @@ def eq9_components(s: int, tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET)
                 lambda x, m=m: fermi_integrand(x, m), m, f_tol, budget=budget)
             f_j = f_quad.value
             err += coef * f_quad.error_estimate
-            converged = converged and f_quad.converged
+            quads.append(f_quad)
         terms.append(i_pow * (coef * f_j))
     b = -complex(
         math.fsum(t.real for t in terms),
@@ -332,15 +341,15 @@ def eq9_components(s: int, tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET)
     )
 
     c_quad = integrate_segment(s, Segment(complex(0.0), complex(0.0, math.pi)), part, budget)
-    return LimitComponents(a, b, c_quad.value,
-                           err + c_quad.error_estimate,
-                           converged and c_quad.converged)
+    quads.append(c_quad)
+    reason = _stop_reason(quads)
+    return LimitComponents(a, b, c_quad.value, err + c_quad.error_estimate, not reason, reason)
 
 
 def verify_eq9(s: int, tol: float = 1e-8, budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
     comp = eq9_components(s, tol, budget)
     return IdentityReport.from_sides(IdentityId.EQ9, s, comp.a - comp.b, comp.c,
-                                     tol, comp.converged)
+                                     tol, reason=comp.reason)
 
 
 def verify_log2_identity(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
@@ -356,7 +365,7 @@ def verify_log2_identity(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -
         math.pi * lhs_quad.value,
         0.5 * rhs_quad.value,
         tol,
-        lhs_quad.converged and rhs_quad.converged,
+        reason=_stop_reason((lhs_quad, rhs_quad)),
     )
 
 
@@ -425,16 +434,16 @@ def expanded_real_identity(s: int, tol: float = 1e-9,
     rhs = -_I_POW[s % 4].real * math.pi**s / (2 * s)
     rhs_abs = abs(rhs)
     k_coef = _k_coef(s)
-    converged = True
+    reason = ""
     if k_coef:
         k_quad = cot_power_integral(s, 0.5 * tol / abs(k_coef), budget)
         k_term = k_coef * k_quad.value
         rhs += k_term
         rhs_abs += abs(k_term)
-        converged = k_quad.converged
+        reason = k_quad.reason
     floor = sys.float_info.epsilon * (math.fsum(abs(t) for t in lhs_terms) + rhs_abs)
-    return IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, s, lhs, rhs, tol, converged,
-                                     floor=floor)
+    return IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, s, lhs, rhs, tol,
+                                     floor=floor, reason=reason)
 
 
 def odd_zeta_from_contour(s: int, tol: float = 1e-8,
@@ -473,4 +482,4 @@ def verify_zeta2(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -> Identi
     comp = eq9_components(2, tol, budget)
     lhs = comp.c.real * 2.0 / 3.0  # (3/2) zeta(2) = Re C
     rhs = _oracle(2, tol)
-    return IdentityReport.from_sides(IdentityId.S2_REAL, 2, lhs, rhs, tol, comp.converged)
+    return IdentityReport.from_sides(IdentityId.S2_REAL, 2, lhs, rhs, tol, reason=comp.reason)

@@ -18,10 +18,18 @@ block sits at least ``err`` units away from both the borrow and the carry
 boundary; otherwise retry with the guard doubled, starting from 12 digits.
 The retry loop terminates for an irrational value, which never lands
 exactly on a boundary.
+
+Pi is computed once per process at each new widest precision: ``pi_scaled``
+keeps the widest ``(precision, v, err)`` it has computed as one immutable
+tuple and cuts every narrower request from it.  Readers take the tuple
+without a lock, since it is replaced whole and every tuple holds its bound;
+only the replacement, a check-then-set that must never narrow the memo,
+takes ``_pi_lock``.  Two callers widening it at once may both run the series.
 """
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Callable
 
 MAX_DIGITS = 100_000
@@ -72,12 +80,34 @@ def _arctan_recip_scaled(x: int, scale: int) -> tuple[int, int]:
     return total, terms + 1
 
 
+# (precision, v, err) of the widest pi computed so far
+_pi_widest = (-1, 0, 0)
+_pi_lock = threading.Lock()
+
+
 def pi_scaled(precision: int) -> tuple[int, int]:
-    """Return (v, err) with |v - pi * 10**precision| <= err."""
+    """Return (v, err) with |v - pi * 10**precision| <= err.
+
+    The Machin series runs only for a precision wider than any before; a
+    narrower p is cut from the widest (W, V, E) with k = W - p as
+    (V // 10**k, ceil(E / 10**k) + 1), since |V / 10**k - pi * 10**p| <= E / 10**k
+    and the floor moves it by less than one unit.
+    """
+    global _pi_widest
+    widest, v, err = _pi_widest
+    if precision == widest:
+        return v, err
+    if precision < widest:
+        block = 10 ** (widest - precision)
+        return v // block, -(-err // block) + 1
     scale = 10**precision
     a5, e5 = _arctan_recip_scaled(5, scale)
     a239, e239 = _arctan_recip_scaled(239, scale)
-    return 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
+    v, err = 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
+    with _pi_lock:
+        if precision > _pi_widest[0]:
+            _pi_widest = (precision, v, err)
+    return v, err
 
 
 def truncated(scaled: Callable[[int], tuple[int, int]], d: int) -> str:

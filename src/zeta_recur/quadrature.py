@@ -7,8 +7,10 @@ standard Kronrod estimator ((200 |K-G| / resasc)^1.5 scaling) with a
 two-epsilon-of-resabs floor so the reported estimate never claims better
 than roundoff.  Each panel sums its 15 terms in one fixed order: the nodes
 +x1, -x1, ..., +x7, -x7, 0, left to right from 0.0.  Convergence means the
-summed estimates fell below the requested tolerance; running out of budget
-is reported, never raised.
+summed estimates fell below the requested tolerance.  Stopping short of it
+is reported, never raised, with the reason: the evaluation budget ran out,
+the worst subinterval already sits at its roundoff floor, or it can no
+longer be bisected in doubles.
 
 Semi-infinite integrals of the Bose/Fermi-weight integrands are truncated
 at a point X chosen from the analytic tail bound
@@ -33,6 +35,9 @@ __all__ = [
     "QuadratureResult",
     "Segment",
     "DEFAULT_EVAL_BUDGET",
+    "BUDGET_EXHAUSTED",
+    "ROUNDOFF_FLOOR",
+    "FLOAT_EXHAUSTION",
     "bose_integrand",
     "fermi_integrand",
     "cot_kernel",
@@ -47,19 +52,29 @@ DEFAULT_EVAL_BUDGET = 1_000_000
 
 _EPS = 2.220446049250313e-16
 
+# why an integral stopped short of its tolerance (QuadratureResult.reason)
+BUDGET_EXHAUSTED = "evaluation budget exhausted"
+ROUNDOFF_FLOOR = "roundoff floor"
+FLOAT_EXHAUSTION = "float exhaustion"
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """An integral, its error estimate and, when it did not converge, why not."""
+
     value: float | complex
     error_estimate: float
     evaluations: int
     converged: bool
+    reason: str = ""
 
     def __post_init__(self) -> None:
         if self.evaluations <= 0:
             raise ValueError("evaluations must be positive")
         if self.error_estimate < 0:
             raise ValueError("error estimate must be nonnegative")
+        if self.converged == bool(self.reason):
+            raise ValueError("a result names a reason exactly when it did not converge")
 
 
 @dataclass(frozen=True)
@@ -240,7 +255,8 @@ def integrate_finite(f, a: float, b: float, tol: float,
     """Adaptive integral of f over [a, b] to absolute tolerance tol.
 
     f may return float or complex; only interior points are ever evaluated.
-    On budget exhaustion the best estimate is returned with converged=False.
+    Stopping short of tol returns the best estimate with converged=False and
+    the reason: BUDGET_EXHAUSTED, ROUNDOFF_FLOOR or FLOAT_EXHAUSTION.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("integration bounds must be finite with a < b")
@@ -250,13 +266,13 @@ def integrate_finite(f, a: float, b: float, tol: float,
     value, err, at_floor = _gk15(f, a, b)
     intervals = [(a, b, value, err, at_floor)]
     evaluations = 15
-    converged = True
+    reason = ""
     while True:
         total_err = math.fsum(item[3] for item in intervals)
         if total_err <= tol:
             break
         if evaluations + 30 > budget:
-            converged = False
+            reason = BUDGET_EXHAUSTED
             break
         worst = 0
         for i in range(1, len(intervals)):
@@ -268,11 +284,11 @@ def integrate_finite(f, a: float, b: float, tol: float,
         if intervals[worst][4]:
             # worst interval already reports its roundoff floor; bisection
             # conserves the floor sum, so no further progress is possible
-            converged = False
+            reason = ROUNDOFF_FLOOR
             break
         mid = 0.5 * (wa + wb)
         if not wa < mid < wb:
-            converged = False  # float exhaustion; cannot refine further
+            reason = FLOAT_EXHAUSTION  # cannot refine further
             break
         left = _gk15(f, wa, mid)
         right = _gk15(f, mid, wb)
@@ -288,7 +304,7 @@ def integrate_finite(f, a: float, b: float, tol: float,
         )
     else:
         total = math.fsum(item[2] for item in intervals)
-    return QuadratureResult(total, total_err, evaluations, converged and total_err <= tol)
+    return QuadratureResult(total, total_err, evaluations, not reason, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +343,10 @@ def integrate_semi_infinite(f, s: int, tol: float,
     """Integral of f over [0, inf) for integrands decaying like x^(s-1) e^-x.
 
     Truncates at a point X with tail bound <= tol/2, integrates [0, X] to
-    tol/2, and reports quadrature estimate plus tail bound as the error.
+    tol/2, and reports quadrature estimate plus tail bound as the error.  The
+    scan always finds such an X, since e^-x underflows to 0 by x = 750 (for
+    any s whose tail_bound fits a double), so the result converges within tol
+    exactly when [0, X] does, and stops for the same reason otherwise.
     """
     if s < 1:
         raise ValueError("integrate_semi_infinite requires s >= 1")
@@ -337,7 +356,7 @@ def integrate_semi_infinite(f, s: int, tol: float,
     tail = tail_bound(s, x_max)
     base = integrate_finite(f, 0.0, x_max, 0.5 * tol, budget)
     err = base.error_estimate + tail
-    return QuadratureResult(base.value, err, base.evaluations, base.converged and err <= tol)
+    return QuadratureResult(base.value, err, base.evaluations, base.converged, base.reason)
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,21 @@ def test_verify_failure_exit_code_on_starved_budget(capsys, monkeypatch):
     assert "did not converge" in out
 
 
+@pytest.mark.parametrize("argv,env,reason", [
+    # 375 evaluations reach the double floor long before the default budget
+    (["verify", "eq2", "--s", "2", "--tol", "1e-300"], {}, "roundoff floor"),
+    (["verify", "eq2", "--s", "2"], {"ZETA_RECUR_EVAL_BUDGET": "100"},
+     "evaluation budget exhausted"),
+    (["verify", "eq9", "--s", "5"], {"ZETA_RECUR_EVAL_BUDGET": "100"},
+     "evaluation budget exhausted"),
+])
+def test_failure_note_says_why_quadrature_stopped(capsys, monkeypatch, argv, env, reason):
+    monkeypatch.delenv("ZETA_RECUR_EVAL_BUDGET", raising=False)
+    code, out = run(capsys, argv + ["--format", "json"], env=env, monkeypatch=monkeypatch)
+    assert code == 1
+    assert json.loads(out)["note"] == f"quadrature did not converge; {reason}"
+
+
 def test_budget_env_applies_to_one_invocation_only(capsys, monkeypatch):
     code, _ = run(capsys, ["verify", "eq2", "--s", "2"], env={"ZETA_RECUR_EVAL_BUDGET": "100"},
                   monkeypatch=monkeypatch)

@@ -169,25 +169,94 @@ def test_recursion_equals_euler_through_200():
         assert zeta_even_recursive(n).coeff == zeta_even_euler(n).coeff
 
 
+def _reference_b(count: int) -> list[Fraction]:
+    """b_1 .. b_count term by term from (11'), the integer-coefficient recursion:
+    (4^n - 1) b_n = (-1)^(n-1)/2 - sum_{k=1}^{n-1} (-1)^k C(2n,2k) (2^(2(n-k)-1) - 1) b_(n-k)."""
+    b: list[Fraction] = []
+    for n in range(1, count + 1):
+        rhs = Fraction((-1) ** (n - 1), 2) - sum(
+            (-1) ** k * math.comb(2 * n, 2 * k) * ((1 << (2 * (n - k) - 1)) - 1) * b[n - k - 1]
+            for k in range(1, n))
+        b.append(rhs / ((1 << (2 * n)) - 1))
+    return b
+
+
+def _fresh_recursion_state(monkeypatch):
+    monkeypatch.setattr(exact, "_b_cache", [])
+    monkeypatch.setattr(exact, "_diagonal", [0])
+    monkeypatch.setattr(exact, "_scale", 1)
+
+
+def test_triangle_equals_the_term_by_term_recursion_through_200(monkeypatch):
+    _fresh_recursion_state(monkeypatch)
+    zeta_even_recursive(200)
+    assert exact._b_cache == _reference_b(200)
+
+
+def test_triangle_consistent_under_concurrent_growth(monkeypatch):
+    # more threads than cores grow the shared triangle in small interleaved
+    # steps; a lost update would leave a b_m or the diagonal out of step
+    _fresh_recursion_state(monkeypatch)
+    requests = [range(offset, 121, 8) for offset in range(1, 9)]
+    start = threading.Barrier(len(requests))
+    seen: list[list[Fraction] | None] = [None] * len(requests)
+
+    def worker(i):
+        start.wait()
+        seen[i] = [zeta_even_recursive(n).coeff for n in requests[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(requests))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert exact._b_cache == _reference_b(len(exact._b_cache))
+    assert len(exact._diagonal) == 2 * len(exact._b_cache) + 1
+    for ns, values in zip(requests, seen):
+        assert values == [zeta_even_euler(n).coeff for n in ns]
+
+
 def test_recursion_touches_no_bernoulli_or_tangent_numbers(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the contour recursion must stay independent of Euler's route")
 
+    _fresh_recursion_state(monkeypatch)
     monkeypatch.setattr(exact, "bernoulli", forbidden)
     monkeypatch.setattr(exact, "_tangent_numbers", forbidden)
-    b: list[Fraction] = []
-    for _ in range(30):
-        b.append(exact._next_b(b))
+    coeffs = [zeta_even_recursive(n).coeff for n in range(1, 31)]
     monkeypatch.undo()
-    # b_m = 2^(1-2m) (2m)! q_m, checked against the unpatched Euler values
-    assert all(bm == Fraction(math.factorial(2 * m), 2 ** (2 * m - 1)) * zeta_even_euler(m).coeff
-               for m, bm in enumerate(b, start=1))
+    # checked against the unpatched Euler values
+    assert coeffs == [zeta_even_euler(n).coeff for n in range(1, 31)]
 
 
 def test_coefficients_positive_and_strictly_decreasing():
     values = [zeta_even_recursive(n).coeff for n in range(1, 51)]
     assert all(q > 0 for q in values)
     assert all(values[i + 1] < values[i] for i in range(len(values) - 1))
+
+
+def test_approx_is_finite_for_every_n():
+    def value(n):
+        # q_n = 4^n |B_2n| / (2 (2n)!) from mpmath's Bernoulli numbers
+        num, den = mpmath.bernfrac(2 * n)
+        return ZetaEvenValue(n, Fraction(abs(num) << (2 * n), 2 * den * math.factorial(2 * n)))
+
+    for n in (1, 310):
+        # bit for bit the double-precision product, which eq10 prints through its terms
+        v = value(n)
+        assert v.approx() == float(v.coeff) * math.pi ** (2 * n)
+    assert value(1).approx() == pytest.approx(math.pi**2 / 6, rel=1e-15)
+    for n in (311, 1000):
+        # pi^(2n) overflows a double here; zeta(2n) - 1 < 4^-n rounds to exactly 1
+        with pytest.raises(OverflowError):
+            math.pi ** (2 * n)
+        assert value(n).approx() == 1.0
 
 
 def test_zeta_even_value_validation():

@@ -195,7 +195,7 @@ def test_zeta2_report_fails_when_quadrature_does_not_converge():
     assert not eq9_components(2, 1e-9, 100).converged
     report = verify_zeta2(1e-9, budget=100)
     assert not report.passed
-    assert report.note == "quadrature did not converge"
+    assert report.note == "quadrature did not converge; evaluation budget exhausted"
 
 
 def test_log2_identity():

@@ -159,6 +159,26 @@ def test_budget_exhaustion_is_reported_not_raised():
     assert r.error_estimate > 1e-300
 
 
+@pytest.mark.parametrize("f,a,b,tol,budget,reason", [
+    (lambda x: math.sin(50.0 * x), 0.0, 20.0, 1e-300, 600, quadrature.BUDGET_EXHAUSTED),
+    (lambda x: math.exp(-x) * x, 0.0, 10.0, 1e-300, 10**6, quadrature.ROUNDOFF_FLOOR),
+    # one ulp has no midpoint, and the panel's nodes round to both sides of the step
+    (lambda x: float(x >= 1.0), 1.0, 1.0 + math.ulp(1.0), 1e-40, 10**6,
+     quadrature.FLOAT_EXHAUSTION),
+])
+def test_each_stop_short_of_tol_names_its_reason(f, a, b, tol, budget, reason):
+    r = integrate_finite(f, a, b, tol, budget)
+    assert (r.converged, r.reason) == (False, reason)
+
+
+def test_converged_result_names_no_reason():
+    assert integrate_finite(math.exp, 0.0, 1.0, 1e-10).reason == ""
+    with pytest.raises(ValueError):
+        QuadratureResult(1.0, 0.1, 15, False)
+    with pytest.raises(ValueError):
+        QuadratureResult(1.0, 0.1, 15, True, quadrature.ROUNDOFF_FLOOR)
+
+
 def test_converged_implies_estimate_below_tolerance():
     r = integrate_finite(lambda x: math.exp(-x) * x, 0.0, 10.0, 1e-10)
     assert r.converged and r.error_estimate <= 1e-10
@@ -318,6 +338,14 @@ def test_truncation_point_satisfies_bound():
     for s in range(1, 11):
         x = truncation_point(s, 5e-11)
         assert tail_bound(s, x) <= 5e-11
+
+
+def test_truncation_always_meets_the_tail_tolerance():
+    # e^-x underflows to 0 by the scan's cap x = 750, so no tolerance is too
+    # small: the semi-infinite result converges exactly when [0, X] does
+    for s in [*range(1, 172, 10), 171]:
+        x = truncation_point(s, 5e-324)
+        assert tail_bound(s, x) <= 5e-324, s
 
 
 def test_tail_bound_honesty():
