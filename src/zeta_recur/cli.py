@@ -128,7 +128,8 @@ def _contour_fields(report: identities.ContourReport) -> list[tuple[str, object]
         ("evaluations", report.evaluations),
         ("converged", report.converged),
         ("tolerance", report.tolerance),
-        ("passed", report.passed),
+        ("note", report.note),
+        ("passed", report.passed),  # the verdict stays the record's last line
     ]
     return fields
 

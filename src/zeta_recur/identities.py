@@ -41,6 +41,7 @@ from .quadrature import (
     integrate_finite,
     integrate_segment,
     integrate_semi_infinite,
+    truncation_point,
 )
 
 __all__ = [
@@ -67,6 +68,7 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+_EPS = sys.float_info.epsilon
 
 # the powers of i, indexed by exponent mod 4
 _I_POW = (1, 1j, -1, -1j)
@@ -88,6 +90,61 @@ def _require_s(name: str, s: int, s_max: int, why: str, odd: bool = False) -> No
     if not (3 if odd else 2) <= s <= s_max or (odd and s % 2 == 0):
         kind = "an odd s in 3" if odd else "s in 2"
         raise Refused(f"{name} requires {kind}..{s_max} ({why}), got s = {s}")
+
+
+# relative shave that keeps a bound computed in doubles below the true value:
+# far more than the rounding of the few hundred operations behind it
+_SHAVE = 1.0 - 1e-10
+
+
+def _lower_gamma(s: int, x: float) -> float:
+    """A lower bound on gamma(s, x) = int_0^x t^(s-1) e^-t dt, for x > 0.
+
+    Below x = s: x^(s-1) e^-x times x sum_k x^k / (s (s+1) ... (s+k)), positive
+    terms summed until they stop moving the sum, so the cut sum is short of the
+    series.  From x = s on: (s-1)! (1 - e^-x sum_{k<s} x^k/k!), where the
+    subtracted Poisson probability is below 1/2, so nothing cancels.
+    """
+    if x < s:
+        term = total = 1.0 / s
+        k = s
+        while term > 1e-17 * total:
+            k += 1
+            term *= x / k
+            total += term
+        return _SHAVE * math.exp((s - 1) * math.log(x) - x) * (x * total)
+    term = partial = math.exp(-x)
+    for k in range(1, s):
+        term *= x / k
+        partial += term
+    return _SHAVE * float(gamma_int(s)) * (1.0 - partial)
+
+
+def _pi_side_bound(s: int) -> float:
+    """A lower bound on int_0^pi y^(s-1) / |e^(iy) - 1| dy, the |f| of the side from 0
+    to i*pi: |e^(iy) - 1| = 2 sin(y/2) <= y, so the integrand is at least y^(s-2)."""
+    return _SHAVE * math.pi ** (s - 1) / (s - 1)
+
+
+def _refuse_below_floor(name: str, s: int, tol: float, requests) -> None:
+    """Refuse tol when a quadrature a check runs cannot converge in doubles.
+
+    Each request (share, bound) is one integral the check runs at share * tol,
+    with bound a proven lower bound on the integral of |f| over its range.
+    Every GK15 panel reports at least 2 eps times its integral of |f|, so the
+    estimates of all panels sum to about 2 eps * bound: share * tol below
+    eps * bound can never be met, and the quadrature would run into its
+    roundoff floor.  The floor named is the smallest tol every request meets.
+    """
+    floor = max(_EPS * bound / share for share, bound in requests)
+    if tol < floor:
+        raise Refused(f"{name} requires tol >= {floor:.3g} at s = {s} (eps times a lower "
+                      f"bound on the integral of |f| it must resolve), got tol = {tol!r}")
+
+
+def _unconverged_note(reason: str) -> str:
+    """The failure note of a check whose quadratures stopped short, for that reason."""
+    return "; ".join(filter(None, ("quadrature did not converge", reason)))
 
 
 class IdentityId(str, enum.Enum):
@@ -119,18 +176,21 @@ class IdentityReport:
         """The verdict and failure note of lhs against rhs.  ``reason``, why a
         quadrature stopped short of its tolerance, makes the report unconverged,
         and the note names it; given the roundoff floor of the compared values,
-        a failure names its residual and that floor."""
+        a failure names its residual and that floor.  Any other failure names
+        its residual against the tolerance."""
         residual = abs(lhs - rhs)
         converged = converged and not reason
         passed = bool(converged) and residual <= tolerance
         if not converged and not note:
-            note = "; ".join(filter(None, ("quadrature did not converge", reason)))
+            note = _unconverged_note(reason)
         if floor is not None and not passed:
             reasons = [note] if note else []
             if floor > tolerance:
                 reasons.append("tolerance below roundoff floor")
             reasons.append(f"residual {residual:.3g}, roundoff floor {floor:.3g}")
             note = "; ".join(reasons)
+        elif not passed and not note:
+            note = f"residual {residual:.3g} above tolerance {tolerance:.3g}"
         return cls(identity_id, s, lhs, rhs, residual, tolerance, passed, note)
 
 
@@ -148,6 +208,7 @@ class ContourReport:
     converged: bool
     tolerance: float
     passed: bool  # converged and |closure| <= tolerance
+    note: str = ""  # why it failed: the sides' stop reasons, or |closure| against tolerance
 
 
 def zeta_series(s: int, tol: float, n_terms: int | None = None) -> float:
@@ -255,12 +316,22 @@ def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9,
                     budget: int = DEFAULT_EVAL_BUDGET) -> ContourReport:
     """EQ8: the four side integrals, counterclockwise, their sum and its verdict.
 
-    pi |R + i pi|^(s-1), the size of the integrand times a side's length, must fit a double."""
+    pi |R + i pi|^(s-1), the size of the integrand times a side's length, must fit
+    a double.  Each side runs at tol/4, and tol is refused below the floor of
+    these lower bounds on a side's integral of |f|:
+      bottom  gamma(s, R), since 1/(e^x - 1) >= e^-x;
+      top     gamma(s, R)/2, since |e^(x + i pi) - 1| = e^x + 1 <= 2 e^x, so
+              its floor never exceeds the bottom's and it is left out;
+      left    pi^(s-1)/(s-1), since |e^(iy) - 1| = 2 sin(y/2) <= y;
+      right   none needed.
+    """
     if not 0.0 < R <= _LN_MAX:
         raise Refused(f"contour_closure requires 0 < R <= {_LN_MAX:.2f} "
                       f"(e^R must fit a double), got R = {R!r}")
     s_max = 1 + int((_LN_MAX - math.log(math.pi)) / math.log(abs(complex(R, math.pi))))
     _require_s("contour_closure", s, s_max, f"pi |R + i pi|^(s-1) must fit a double at R = {R!r}")
+    _refuse_below_floor("contour_closure", s, tol,
+                        ((0.25, _lower_gamma(s, R)), (0.25, _pi_side_bound(s))))
     top = complex(R, math.pi)
     corner = complex(0.0, math.pi)
     sides = (
@@ -272,7 +343,14 @@ def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9,
     results = [integrate_segment(s, seg, 0.25 * tol, budget) for seg in sides]
     values = tuple(r.value for r in results)
     closure = values[0] + values[1] + values[2] + values[3]
-    converged = all(r.converged for r in results)
+    reason = _stop_reason(results)
+    passed = not reason and abs(closure) <= tol
+    if reason:
+        note = _unconverged_note(reason)
+    elif not passed:
+        note = f"closure magnitude {abs(closure):.3g} above tolerance {tol:.3g}"
+    else:
+        note = ""
     return ContourReport(
         s=s,
         R=R,
@@ -281,9 +359,10 @@ def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9,
         right_side_magnitude=abs(values[1]),
         error_estimate=math.fsum(r.error_estimate for r in results),
         evaluations=sum(r.evaluations for r in results),
-        converged=converged,
+        converged=not reason,
         tolerance=tol,
-        passed=converged and abs(closure) <= tol,
+        passed=passed,
+        note=note,
     )
 
 
@@ -310,9 +389,18 @@ def eq9_components(s: int, tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET)
     -sum_j C(s-1,j) (i pi)^j F(j) with F(j) = int_0^inf x^(s-1-j)/(e^x+1) dx,
     each F from quadrature except the closed form F(s-1) = ln 2.
     C reuses the segment integral from 0 to i*pi (same parameterization).
+
+    tol is refused below the floor of these lower bounds on an integral of |f|:
+      A on [0, X] at tol/8, X = truncation_point(s, tol/8): gamma(s, X), since
+        1/(e^x - 1) >= e^-x;
+      C at tol/4: pi^(s-1)/(s-1), since |e^(iy) - 1| = 2 sin(y/2) <= y.
+    The F(j) requests are clamped above their own floor and need no bound.
     """
     _require_s("eq9_components", s, *_REAL_AXIS_S)
     part = 0.25 * tol
+    _refuse_below_floor("eq9_components", s, tol,
+                        ((0.125, _lower_gamma(s, truncation_point(s, 0.125 * tol))),
+                         (0.25, _pi_side_bound(s))))
 
     a_quad = integrate_semi_infinite(lambda x: bose_integrand(x, s), s, part, budget=budget)
     a = complex(a_quad.value)
@@ -441,7 +529,7 @@ def expanded_real_identity(s: int, tol: float = 1e-9,
         rhs += k_term
         rhs_abs += abs(k_term)
         reason = k_quad.reason
-    floor = sys.float_info.epsilon * (math.fsum(abs(t) for t in lhs_terms) + rhs_abs)
+    floor = _EPS * (math.fsum(abs(t) for t in lhs_terms) + rhs_abs)
     return IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, s, lhs, rhs, tol,
                                      floor=floor, reason=reason)
 

@@ -9,8 +9,8 @@ than roundoff.  Each panel sums its 15 terms in one fixed order: the nodes
 +x1, -x1, ..., +x7, -x7, 0, left to right from 0.0.  Convergence means the
 summed estimates fell below the requested tolerance.  Stopping short of it
 is reported, never raised, with the reason: the evaluation budget ran out,
-the worst subinterval already sits at its roundoff floor, or it can no
-longer be bisected in doubles.
+the worst subinterval already sits at its roundoff floor, or its halves
+would be too narrow in doubles for every node to fall strictly inside.
 
 Semi-infinite integrals of the Bose/Fermi-weight integrands are truncated
 at a point X chosen from the analytic tail bound
@@ -69,8 +69,8 @@ class QuadratureResult:
     reason: str = ""
 
     def __post_init__(self) -> None:
-        if self.evaluations <= 0:
-            raise ValueError("evaluations must be positive")
+        if self.evaluations < 0 or (self.converged and not self.evaluations):
+            raise ValueError("evaluations must be nonnegative, and positive when converged")
         if self.error_estimate < 0:
             raise ValueError("error estimate must be nonnegative")
         if self.converged == bool(self.reason):
@@ -250,18 +250,30 @@ def _gk15(f, a: float, b: float):
     return value, err, False
 
 
+def _nodes_interior(a: float, b: float) -> bool:
+    """Whether _gk15's outermost nodes on [a, b], rounded as it rounds them, lie
+    strictly inside; every other node, the center included, lies between them."""
+    center = 0.5 * (a + b)
+    d1 = 0.5 * (b - a) * _X1
+    return a < center - d1 and center + d1 < b
+
+
 def integrate_finite(f, a: float, b: float, tol: float,
                      budget: int = DEFAULT_EVAL_BUDGET) -> QuadratureResult:
     """Adaptive integral of f over [a, b] to absolute tolerance tol.
 
     f may return float or complex; only interior points are ever evaluated.
     Stopping short of tol returns the best estimate with converged=False and
-    the reason: BUDGET_EXHAUSTED, ROUNDOFF_FLOOR or FLOAT_EXHAUSTION.
+    the reason: BUDGET_EXHAUSTED, ROUNDOFF_FLOOR or FLOAT_EXHAUSTION.  A panel
+    whose nodes would round onto or past its ends is never made; when [a, b]
+    itself is that narrow, nothing is evaluated and the estimate is infinite.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("integration bounds must be finite with a < b")
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
+    if not _nodes_interior(a, b):
+        return QuadratureResult(0.0, math.inf, 0, False, FLOAT_EXHAUSTION)
 
     value, err, at_floor = _gk15(f, a, b)
     intervals = [(a, b, value, err, at_floor)]
@@ -287,7 +299,7 @@ def integrate_finite(f, a: float, b: float, tol: float,
             reason = ROUNDOFF_FLOOR
             break
         mid = 0.5 * (wa + wb)
-        if not wa < mid < wb:
+        if not (_nodes_interior(wa, mid) and _nodes_interior(mid, wb)):
             reason = FLOAT_EXHAUSTION  # cannot refine further
             break
         left = _gk15(f, wa, mid)

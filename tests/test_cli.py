@@ -158,19 +158,20 @@ def test_verify_usage_errors(capsys, argv):
     assert exc.value.code == 2
 
 
-# (argv, largest accepted s, smallest refused s) where the float terms overflow
+# (argv, largest accepted s, smallest refused s) where the float terms overflow;
+# eq9 and the contour get a --tol above their roundoff floor at the largest s
 OVERFLOW_BOUNDS = [
     (["verify", "eq2"], 108, 109),
     (["verify", "eq7"], 108, 109),
-    (["verify", "eq9"], 108, 109),
+    (["verify", "eq9", "--tol", "1e300"], 108, 109),
     (["verify", "eq10"], 171, 172),
     (["verify", "odd"], 171, 173),
-    (["verify", "closure", "--radius", "30"], 209, 210),
-    (["contour", "--radius", "30"], 209, 210),
-    (["verify", "closure", "--radius", "60"], 174, 175),
-    (["contour", "--radius", "60"], 174, 175),
+    (["verify", "closure", "--radius", "30", "--tol", "1e300"], 209, 210),
+    (["contour", "--radius", "30", "--tol", "1e300"], 209, 210),
+    (["verify", "closure", "--radius", "60", "--tol", "1e300"], 174, 175),
+    (["contour", "--radius", "60", "--tol", "1e300"], 174, 175),
     # near R = 0 the left side's integrand times its length, up to pi^s / 2, overflows first
-    (["contour", "--radius", "0.01"], 620, 621),
+    (["contour", "--radius", "0.01", "--tol", "1e300"], 620, 621),
 ]
 
 
@@ -212,6 +213,12 @@ def test_radius_overflow_bound_from_both_sides(capsys):
     ["contour", "--s", "1"],
     ["contour", "--s", "210"],
     ["contour", "--s", "2", "--radius", "800"],
+    # tolerances below the roundoff floor of a quadrature the check runs
+    ["verify", "eq9", "--s", "20", "--tol", "1e-10"],
+    ["verify", "s2", "--tol", "1e-16"],
+    ["verify", "closure", "--s", "20", "--tol", "1e-10"],
+    ["contour", "--s", "20", "--radius", "30", "--tol", "1e-10"],
+    ["contour", "--s", "2", "--radius", "0.01", "--tol", "1e-17"],  # the left side's floor
 ])
 def test_refusal_runs_before_any_quadrature(capsys, monkeypatch, argv):
     def no_quadrature(*args, **kwargs):
@@ -224,6 +231,20 @@ def test_refusal_runs_before_any_quadrature(capsys, monkeypatch, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["verify", "eq9", "--s", "20", "--tol", "1e-10"], "eq9_components"),
+    (["contour", "--s", "20", "--radius", "30", "--tol", "1e-10"], "contour_closure"),
+])
+def test_sub_floor_refusal_names_check_s_tol_and_floor(capsys, argv, name):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{name} requires tol >= " in captured.err
+    assert "at s = 20 " in captured.err and captured.err.rstrip().endswith("got tol = 1e-10")
 
 
 def test_tolerance_past_the_double_floor_finishes():
@@ -322,6 +343,16 @@ def test_contour_json_sides(capsys):
     doc = json.loads(out)
     for side in ("bottom", "right", "top", "left"):
         assert set(doc[side]) == {"re", "im"}
+    assert doc["note"] == ""
+
+
+@pytest.mark.parametrize("argv", [["contour", "--s", "3"], ["verify", "closure", "--s", "3"]])
+def test_contour_failure_note_says_why(capsys, monkeypatch, argv):
+    monkeypatch.delenv("ZETA_RECUR_EVAL_BUDGET", raising=False)
+    code, out = run(capsys, argv + ["--format", "json"], env={"ZETA_RECUR_EVAL_BUDGET": "100"},
+                    monkeypatch=monkeypatch)
+    assert code == 1
+    assert json.loads(out)["note"] == "quadrature did not converge; evaluation budget exhausted"
 
 
 # ---------------------------------------------------------------------------

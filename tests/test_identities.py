@@ -24,7 +24,8 @@ from zeta_recur.identities import (
     verify_zeta2,
     zeta_series,
 )
-from zeta_recur.quadrature import integrate_finite
+from zeta_recur import identities
+from zeta_recur.quadrature import QuadratureResult, integrate_finite
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +123,20 @@ def test_contour_verdict_is_the_reports(budget):
     assert report.tolerance == 1e-9
     assert report.passed == (report.converged and abs(report.closure) <= 1e-9)
     assert report.passed is (budget > 100)
+
+
+def test_contour_note_names_why_it_failed(monkeypatch):
+    assert contour_closure(3, 30.0, 1e-9).note == ""
+    starved = contour_closure(3, 30.0, 1e-9, budget=100)
+    assert starved.note == "quadrature did not converge; evaluation budget exhausted"
+
+    def offset_side(s, seg, tol, budget):
+        return QuadratureResult(1.0, 0.0, 15, True)
+
+    monkeypatch.setattr(identities, "integrate_segment", offset_side)
+    report = contour_closure(3, 30.0, 1e-9)
+    assert (report.converged, report.passed) == (True, False)
+    assert report.note == "closure magnitude 4 above tolerance 1e-09"
 
 
 def test_contour_rejects_bad_arguments():
@@ -315,6 +330,15 @@ def test_report_floor_writes_both_reasons():
     report = IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, 3, 1.0, 1.5, 1e-9, False, floor=1e-10)
     assert report.note == "quadrature did not converge; residual 0.5, roundoff floor 1e-10"
     assert IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, 3, 1.0, 1.0, 1e-9, floor=1.0).note == ""
+
+
+def test_converged_failure_names_its_residual():
+    report = IdentityReport.from_sides(IdentityId.EQ9, 3, 1.0, 1.5, 1e-9)
+    assert report.note == "residual 0.5 above tolerance 1e-09"
+    # eq9's F(j) requests are clamped above their floor, so converged pieces
+    # can still leave a residual above tol
+    report = verify_eq9(14, 3.3e-5)
+    assert not report.passed and report.note.startswith("residual ")
 
 
 def test_oracle_tolerance_scales_with_the_weight():

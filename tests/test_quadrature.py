@@ -162,13 +162,33 @@ def test_budget_exhaustion_is_reported_not_raised():
 @pytest.mark.parametrize("f,a,b,tol,budget,reason", [
     (lambda x: math.sin(50.0 * x), 0.0, 20.0, 1e-300, 600, quadrature.BUDGET_EXHAUSTED),
     (lambda x: math.exp(-x) * x, 0.0, 10.0, 1e-300, 10**6, quadrature.ROUNDOFF_FLOOR),
-    # one ulp has no midpoint, and the panel's nodes round to both sides of the step
+    # one ulp has no interior double, so no panel fits and nothing is evaluated
     (lambda x: float(x >= 1.0), 1.0, 1.0 + math.ulp(1.0), 1e-40, 10**6,
      quadrature.FLOAT_EXHAUSTION),
 ])
 def test_each_stop_short_of_tol_names_its_reason(f, a, b, tol, budget, reason):
     r = integrate_finite(f, a, b, tol, budget)
     assert (r.converged, r.reason) == (False, reason)
+
+
+@pytest.mark.parametrize("ulps", [1, 2, 64, 2**10, 2**40])
+def test_only_interior_points_are_evaluated(ulps):
+    # the step keeps its panel's estimate up until panels can no longer be made
+    a = 1.0
+    b = a + ulps * math.ulp(a)
+    cut = a + 0.3 * (b - a)
+    seen = []
+
+    def step(x):
+        seen.append(x)
+        return float(x >= cut)
+
+    r = integrate_finite(step, a, b, 1e-300)
+    assert (r.converged, r.reason) == (False, quadrature.FLOAT_EXHAUSTION)
+    assert all(a < x < b for x in seen), [x for x in seen if not a < x < b]
+    assert r.evaluations == len(seen)
+    if ulps == 1:
+        assert (seen, r.evaluations, r.error_estimate) == ([], 0, math.inf)
 
 
 def test_converged_result_names_no_reason():

@@ -1,0 +1,145 @@
+"""Refusal of tolerances below the double-precision floor of a check's quadratures.
+
+A check refuses tol when some integral it runs at share * tol has a proven lower
+bound L on the integral of |f| with share * tol < eps * L: every GK15 panel
+reports at least 2 eps times its own integral of |f|, so such a request can
+only end at the roundoff floor.
+"""
+
+import math
+
+import mpmath as mp
+import pytest
+
+from zeta_recur import identities
+from zeta_recur.identities import Refused, contour_closure, verify_eq9, verify_zeta2
+from zeta_recur.quadrature import (
+    ROUNDOFF_FLOOR,
+    Segment,
+    bose_integrand,
+    integrate_segment,
+    integrate_semi_infinite,
+    truncation_point,
+)
+
+EPS = 2.220446049250313e-16
+RADII = (0.01, 10.0, 30.0, 60.0)
+PI2 = mp.pi**2
+
+
+# ---------------------------------------------------------------------------
+# the lower bounds against mpmath quadrature of |f| over the same range
+
+def _quad(f, a, b):
+    return mp.quad(f, [a, b], method="gauss-legendre")
+
+
+@pytest.mark.parametrize("radius", RADII)
+def test_real_axis_bounds_below_the_integrals_of_abs_f(radius):
+    # A on [0, X] and the bottom side on [0, R] share the integrand
+    # x^(s-1)/(e^x-1); the top side's |f| is |x + i pi|^(s-1)/(e^x+1)
+    for s in range(2, 109):
+        bound = identities._lower_gamma(s, radius)
+        bottom = _quad(lambda x: x ** (s - 1) / mp.expm1(x), 0, radius)
+        top = _quad(lambda x: (x * x + PI2) ** (mp.mpf(s - 1) / 2) / (mp.exp(x) + 1), 0, radius)
+        assert 0 < bound < bottom, (s, radius)
+        assert 0.5 * bound < top, (s, radius)
+
+
+def test_left_side_bound_below_the_integral_of_abs_f():
+    # C and the left side both run from 0 to i pi: |f| = y^(s-1) / (2 sin(y/2))
+    for s in range(2, 109):
+        exact = _quad(lambda y: y ** (s - 1) / (2 * mp.sin(y / 2)), 0, mp.pi)
+        assert 0 < identities._pi_side_bound(s) < exact, s
+
+
+@pytest.mark.parametrize("s,x", [(2, 750.0), (108, 750.0), (20, 19.999), (20, 20.0), (174, 60.0),
+                                 (143, 142.9), (209, 30.0)])
+def test_lower_gamma_at_its_branch_point_and_extremes(s, x):
+    exact = mp.gammainc(s, 0, x)
+    bound = identities._lower_gamma(s, x)
+    assert (1 - 1e-9) * exact < bound < exact, (s, x)
+
+
+def test_lower_gamma_underflows_to_zero():
+    assert identities._lower_gamma(620, 0.01) == 0.0  # gamma(620, 0.01) ~ 1.6e-1243
+
+
+# ---------------------------------------------------------------------------
+# where the floor sits
+
+def test_overflow_refusal_comes_first():
+    with pytest.raises(Refused, match="got s = 109"):
+        verify_eq9(109, 1e-300)
+    with pytest.raises(Refused, match="R <= 709.78"):
+        contour_closure(2, 800.0, 1e-300)
+
+
+def test_floor_is_the_boundary():
+    with pytest.raises(Refused) as exc:
+        verify_eq9(12, 1e-12)
+    floor = float(str(exc.value).split("tol >= ")[1].split()[0])
+    assert verify_eq9(12, 2 * floor).identity_id == identities.IdentityId.EQ9
+    with pytest.raises(Refused):
+        verify_eq9(12, 0.5 * floor)
+
+
+# ---------------------------------------------------------------------------
+# property: a refused input's sub-floor quadrature cannot converge, and
+# every input that is not refused passes or says why it failed
+
+def _requests(identity, s, tol, radius):
+    """(share, lower bound, the quadrature the check runs at share * tol)."""
+    i_pi = complex(0.0, math.pi)
+    left = identities._pi_side_bound(s)
+    if identity in ("eq9", "s2"):
+        a_bound = identities._lower_gamma(s, truncation_point(s, tol / 8))
+        return [
+            (1 / 8, a_bound,
+             lambda: integrate_semi_infinite(lambda x: bose_integrand(x, s), s, tol / 4)),
+            (1 / 4, left, lambda: integrate_segment(s, Segment(0j, i_pi), tol / 4)),
+        ]
+    bottom = identities._lower_gamma(s, radius)
+    top = complex(radius, math.pi)
+    return [
+        (1 / 4, bottom, lambda: integrate_segment(s, Segment(0j, complex(radius)), tol / 4)),
+        (1 / 4, 0.5 * bottom, lambda: integrate_segment(s, Segment(top, i_pi), tol / 4)),
+        (1 / 4, left, lambda: integrate_segment(s, Segment(i_pi, 0j), tol / 4)),
+    ]
+
+
+def _check(identity, s, tol, radius):
+    if identity == "eq9":
+        return verify_eq9(s, tol)
+    if identity == "s2":
+        return verify_zeta2(tol)
+    return contour_closure(s, radius, tol)
+
+
+def test_refusal_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # tol is drawn around eps * Gamma(s), the size of the floors being tested
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(identity=st.sampled_from(("eq9", "s2", "closure")),
+               s=st.integers(2, 174),
+               decades=st.floats(-4.0, 6.0),
+               radius=st.floats(0.01, 60.0))
+    def prop(identity, s, decades, radius):
+        s = 2 if identity == "s2" else min(s, 108) if identity == "eq9" else s
+        tol = 10.0 ** (decades + (math.lgamma(s) + math.log(EPS)) / math.log(10.0))
+        sub_floor = [run for share, bound, run in _requests(identity, s, tol, radius)
+                     if share * tol < EPS * bound]
+        try:
+            report = _check(identity, s, tol, radius)
+        except Refused:
+            assert sub_floor
+            for run in sub_floor:
+                result = run()
+                assert (result.converged, result.reason) == (False, ROUNDOFF_FLOOR)
+            return
+        assert not sub_floor
+        assert report.passed or report.note
+
+    prop()
