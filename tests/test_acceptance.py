@@ -161,7 +161,7 @@ def test_a08_recursion_numeric_shadow():
 
 
 def test_a09_partial_fraction_pointwise():
-    report = verify_eq5(1e-14, samples=1000)
+    report = verify_eq5(1e-14)
     _report(
         "A09",
         report.passed and report.lhs < 1e-14,

@@ -101,7 +101,7 @@ def test_bernoulli_range_error(capsys):
 # ---------------------------------------------------------------------------
 # verify
 
-@pytest.mark.parametrize("argv", [
+PASSING_VERIFY_ARGV = [
     ["verify", "eq2", "--s", "2"],
     ["verify", "eq5"],
     ["verify", "eq7", "--s", "3"],
@@ -111,11 +111,34 @@ def test_bernoulli_range_error(capsys):
     ["verify", "log2"],
     ["verify", "eq10", "--s", "4"],
     ["verify", "odd", "--s", "3", "--tol", "1e-8"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", PASSING_VERIFY_ARGV)
 def test_verify_passes(capsys, argv):
     code, out = run(capsys, argv)
     assert code == 0, out
     assert "passed" in out
+
+
+def test_every_command_runs_without_mpmath():
+    # the package needs only the standard library: mpmath is the tests' oracle
+    argvs = [*PASSING_VERIFY_ARGV, ["contour", "--s", "2"], ["even", "--n", "5"],
+             ["bernoulli", "--n", "5"]]
+    script = (
+        "import json, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from zeta_recur import cli\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps(codes), file=sys.stderr)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "ZETA_RECUR_EVAL_BUDGET"}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    assert json.loads(done.stderr.splitlines()[-1]) == [0] * len(argvs)
 
 
 def test_verify_eq2_report_content(capsys):

@@ -247,11 +247,11 @@ def test_approx_is_finite_for_every_n():
         num, den = mpmath.bernfrac(2 * n)
         return ZetaEvenValue(n, Fraction(abs(num) << (2 * n), 2 * den * math.factorial(2 * n)))
 
-    for n in (1, 310):
-        # bit for bit the double-precision product, which eq10 prints through its terms
-        v = value(n)
-        assert v.approx() == float(v.coeff) * math.pi ** (2 * n)
-    assert value(1).approx() == pytest.approx(math.pi**2 / 6, rel=1e-15)
+    with mpmath.workdps(40):
+        for n in range(1, 401):
+            # within one ulp of zeta(2n), where float(q_n) * math.pi ** (2n) drifts by 2n
+            got = value(n).approx()
+            assert abs(mpmath.mpf(got) - mpmath.zeta(2 * n)) <= math.ulp(got), n
     for n in (311, 1000):
         # pi^(2n) overflows a double here; zeta(2n) - 1 < 4^-n rounds to exactly 1
         with pytest.raises(OverflowError):

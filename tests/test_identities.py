@@ -25,7 +25,7 @@ from zeta_recur.identities import (
     zeta_series,
 )
 from zeta_recur import identities
-from zeta_recur.quadrature import QuadratureResult, integrate_finite
+from zeta_recur.quadrature import BUDGET_EXHAUSTED, QuadratureResult, integrate_finite
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_fermi_s2_is_half_basel():
 def test_partial_fraction_pointwise_at_40_digits():
     report = verify_eq5(1e-14)
     assert report.passed
-    assert report.lhs < 1e-14  # max residual over the sample set
+    assert report.lhs < 1e-30  # max residual over the sample set; out of reach of doubles
     assert report.residual == report.lhs
 
 
@@ -276,6 +276,20 @@ def test_expanded_identity_failure_always_carries_a_reason():
     assert starved.note.startswith("quadrature did not converge; ")
 
 
+def test_expanded_identity_below_its_floor_never_passes():
+    # a verify-sweep op whose residual lands within tol although the left side
+    # is 3.57e-10 from the closed form: its floor, 1e-9, is above tol
+    import mpmath as mp
+
+    tol = 3.547471682440628e-10
+    report = expanded_real_identity(10, tol)
+    assert report.residual <= tol
+    with mp.workdps(30):
+        assert abs(report.lhs - mp.pi**10 / 20) > tol
+    assert not report.passed
+    assert report.note.startswith("tolerance below roundoff floor; ")
+
+
 def test_expanded_identity_rejects_small_s():
     with pytest.raises(ValueError):
         expanded_real_identity(1, 1e-9)
@@ -327,9 +341,15 @@ def test_report_floor_writes_both_reasons():
     report = IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, 3, 1.0, 1.5, 1e-9, floor=1.5e-9)
     assert not report.passed
     assert report.note == "tolerance below roundoff floor; residual 0.5, roundoff floor 1.5e-09"
-    report = IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, 3, 1.0, 1.5, 1e-9, False, floor=1e-10)
-    assert report.note == "quadrature did not converge; residual 0.5, roundoff floor 1e-10"
-    assert IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, 3, 1.0, 1.0, 1e-9, floor=1.0).note == ""
+    report = IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, 3, 1.0, 1.5, 1e-9, floor=1e-10,
+                                       reason=BUDGET_EXHAUSTED)
+    assert report.note == ("quadrature did not converge; evaluation budget exhausted; "
+                           "residual 0.5, roundoff floor 1e-10")
+    assert IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, 3, 1.0, 1.0, 1e-9, floor=1e-10).note == ""
+    # a residual within a tolerance below the floor is luck, not a pass
+    report = IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, 3, 1.0, 1.0, 1e-9, floor=1.0)
+    assert not report.passed
+    assert report.note == "tolerance below roundoff floor; residual 0, roundoff floor 1"
 
 
 def test_converged_failure_names_its_residual():
@@ -352,6 +372,7 @@ def test_oracle_tolerance_scales_with_the_weight():
 
 
 def test_report_unconverged_never_passes():
-    report = IdentityReport.from_sides(IdentityId.EQ7, 2, 1.0, 1.0, 1e-9, converged=False)
+    report = IdentityReport.from_sides(IdentityId.EQ7, 2, 1.0, 1.0, 1e-9,
+                                       reason=BUDGET_EXHAUSTED)
     assert not report.passed
     assert report.note
