@@ -23,12 +23,12 @@ before any quadrature, names the bound), whether it passed and why not.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import random
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from fractions import Fraction
 from typing import NamedTuple
 
 from .exact import gamma_int, zeta_even_recursive
@@ -172,16 +172,23 @@ class IdentityReport:
     note: str = ""
 
     @classmethod
-    def from_sides(cls, identity_id, s, lhs, rhs, tolerance, note="", floor=None, reason=""):
+    def from_sides(cls, identity_id, s, lhs, rhs, tolerance, note="", floor=None, reason="",
+                   estimate=0.0):
         """The verdict and failure note of lhs against rhs.  ``reason``, why a
         quadrature stopped short of its tolerance, makes the report unconverged,
-        and the note names it.  Given the roundoff floor of the compared values, a
-        tolerance below it fails, and a failure names its residual and that floor.
-        Any other failure names its residual against the tolerance."""
+        and the note names it.  An error estimate of lhs above the tolerance fails,
+        and the note names it after any stop reason.  Given the roundoff floor of
+        the compared values, a tolerance below it fails, and a failure names its
+        residual and that floor.  Any other failure names its residual against
+        the tolerance."""
         residual = abs(lhs - rhs)
-        passed = not reason and residual <= tolerance and (floor is None or floor <= tolerance)
+        passed = (not reason and residual <= tolerance and estimate <= tolerance
+                  and (floor is None or floor <= tolerance))
         if reason and not note:
             note = _unconverged_note(reason)
+        if not estimate <= tolerance:
+            note = "; ".join(filter(None, (
+                note, f"error estimate {estimate:.3g} above tolerance {tolerance:.3g}")))
         if floor is not None and not passed:
             reasons = [note] if note else []
             if floor > tolerance:
@@ -240,9 +247,11 @@ def _oracle(s: int, tol: float, factor: float = 1) -> float:
     return factor * zeta_series(s, max(min(0.1 * tol, 1e-12) / factor, 1e-17))
 
 
+@functools.cache
 def _zeta_numeric(m: int) -> float:
     """zeta(m) for the expanded identity: exact coefficient path for even m,
-    series oracle (to 1e-13) for odd m."""
+    series oracle (to 1e-13) for odd m.  Memoized: eq10 refuses s above 171,
+    so at most 170 doubles are ever kept."""
     if m % 2 == 0:
         return zeta_even_recursive(m // 2).approx()
     return _oracle(m, 1e-12)
@@ -254,8 +263,16 @@ def _stop_reason(quads) -> str:
 
 
 def _fermi_weight(m: int) -> float:
-    """(1 - 2^(1-m)) Gamma(m): int_0^inf x^(m-1)/(e^x+1) dx = _fermi_weight(m) zeta(m)."""
-    return float(1 - Fraction(1, 2 ** (m - 1))) * gamma_int(m)
+    """(1 - 2^(1-m)) Gamma(m): int_0^inf x^(m-1)/(e^x+1) dx = _fermi_weight(m) zeta(m).
+
+    1.0 - 2.0^(1-m) is the correctly rounded 1 - 2^(1-m), so no Fraction is needed."""
+    return (1.0 - 2.0 ** (1 - m)) * gamma_int(m)
+
+
+def _odd_divisor(m: int) -> float:
+    """Gamma(m) (2 - 2^(1-m)), the weight of zeta(m) on EQ10's left side at odd m,
+    correctly rounded like _fermi_weight."""
+    return (2.0 - 2.0 ** (1 - m)) * gamma_int(m)
 
 
 def verify_bose_integral(s: int, tol: float = 1e-9,
@@ -475,13 +492,21 @@ def _binomial_terms(s: int):
         yield j, math.comb(s - 1, j) * math.pi**j, _I_POW[j % 4]
 
 
+@functools.cache
+def _real_part_row(s: int) -> tuple[tuple[int, float, float], ...]:
+    """(j, C(s-1,j) Re((i pi)^j), weight) for the even j = 0..s-1 of EQ10's left side,
+    where F(j) = weight zeta(s-j), weight = _fermi_weight(s-j), except weight = F(s-1)
+    = ln 2 itself.  Memoized per s; its callers refuse s above 171, which bounds it."""
+    return tuple((j, coef * i_pow, LN2 if j == s - 1 else _fermi_weight(s - j))
+                 for j, coef, i_pow in _binomial_terms(s) if j % 2 == 0)
+
+
 def _real_part_terms(s: int, zeta, first_j: int = 0):
     """The even-j terms C(s-1,j) Re((i pi)^j) F(j), j >= first_j, of EQ10's left side,
     with F(s-1) = ln 2 and F(j) = _fermi_weight(s-j) zeta(s-j) from the callable zeta."""
-    for j, coef, i_pow in _binomial_terms(s):
-        if j % 2 == 0 and j >= first_j:
-            f_j = LN2 if j == s - 1 else _fermi_weight(s - j) * zeta(s - j)
-            yield coef * i_pow * f_j
+    for j, ci, weight in _real_part_row(s):
+        if j >= first_j:
+            yield ci * (weight if j == s - 1 else weight * zeta(s - j))
 
 
 def _k_coef(s: int) -> float:
@@ -536,6 +561,51 @@ def expanded_real_identity(s: int, tol: float = 1e-9,
                                      floor=floor, reason=reason)
 
 
+def _odd_extraction(s: int, tol: float, budget: int) -> tuple[float, float, str]:
+    """(zeta(s), error estimate, stop reason) of the odd extraction; see
+    odd_zeta_from_contour.
+
+    zeta(m) = (k_m K(m) - known_m) / D_m for odd m = 3..s, with k_m = _k_coef(m),
+    D_m = Gamma(m) (2 - 2^(1-m)) and known_m built from the lower zeta(m - j).
+    One backward pass over the same rows gives adj[m] = d zeta(s) / d zeta(m):
+    adj[s] = 1, and each m hands -adj[m] C(m-1,j) Re((i pi)^j) _fermi_weight(m-j)
+    / D_m down to adj[m-j].  K(m) then moves zeta(s) by w_m = |adj[m] k_m / D_m|
+    per unit, so each of the n = (s-1)/2 integrals is asked for (tol/2) / (n w_m),
+    and one panel (tolerance inf) when w_m underflows to 0.  The estimate sums
+    w_m err_m and, for each numerator k_m K(m) - known_m, eps times the sum of
+    its terms' magnitudes, weighted by |adj[m] / D_m|.
+    """
+    _require_s("odd_zeta_from_contour", s, *_GAMMA_S, odd=True)
+    odd = range(3, s + 1, 2)
+    divisor = {m: _odd_divisor(m) for m in odd}
+    adj = dict.fromkeys(odd, 0.0)
+    adj[s] = 1.0
+    for m in reversed(odd):
+        scale = adj[m] / divisor[m]
+        for j, ci, weight in _real_part_row(m):
+            if 2 <= j < m - 1:
+                adj[m - j] -= scale * ci * weight
+    share = 0.5 * tol / len(odd)
+    extracted: dict[int, float] = {}
+    estimate = 0.0
+    quads = []
+    for m in odd:
+        gain = abs(adj[m] / divisor[m])
+        k_coef = _k_coef(m)
+        w = abs(k_coef) * gain
+        k_tol = share / w if w else math.inf
+        # a request that underflows to 0 lies far below the roundoff floor: ask
+        # for the least positive double, so K stops there and says so
+        k_quad = cot_power_integral(m, k_tol or math.ulp(0.0), budget)
+        known_terms = list(_real_part_terms(m, extracted.__getitem__, first_j=2))
+        k_term = k_coef * k_quad.value
+        extracted[m] = (k_term - math.fsum(known_terms)) / divisor[m]
+        estimate += (w * k_quad.error_estimate
+                     + gain * _EPS * (math.fsum(map(abs, known_terms)) + abs(k_term)))
+        quads.append(k_quad)
+    return extracted[s], estimate, _stop_reason(quads)
+
+
 def odd_zeta_from_contour(s: int, tol: float = 1e-8,
                           budget: int = DEFAULT_EVAL_BUDGET) -> float:
     """zeta(s) for odd s: EQ10 solved for its j = 0 term.
@@ -548,23 +618,29 @@ def odd_zeta_from_contour(s: int, tol: float = 1e-8,
     where `known` sums EQ10's terms from j = 2 on: the lower odd zetas (extracted
     recursively, keeping the chain independent of the series oracle) and the
     (i pi)^(s-1) ln 2 term.  At s = 3, zeta(3) = (2 pi^2 ln 2 - K(3)) / 7.
+
+    Each K(m) of the chain is asked only for the accuracy zeta(s) needs from
+    it: tol/2 split evenly over the K's and divided by the sensitivity of
+    zeta(s) to K(m), from one backward pass over the chain.  The propagated
+    error estimate, which verify_odd_zeta judges, stays within about tol/2
+    when every K converges.
     """
-    _require_s("odd_zeta_from_contour", s, *_GAMMA_S, odd=True)
-    extracted: dict[int, float] = {}
-    for m in range(3, s + 1, 2):
-        divisor = gamma_int(m) * float(2 - Fraction(1, 2 ** (m - 1)))
-        known = math.fsum(_real_part_terms(m, extracted.__getitem__, first_j=2))
-        k_val = cot_power_integral(m, min(0.5 * tol, 1e-10), budget).value
-        extracted[m] = (_k_coef(m) * k_val - known) / divisor
-    return extracted[s]
+    return _odd_extraction(s, tol, budget)[0]
 
 
 def verify_odd_zeta(s: int, tol: float = 1e-8,
                     budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
-    """ODD_ZETA: extracted zeta(s) against the series oracle."""
-    lhs = odd_zeta_from_contour(s, tol, budget)
+    """ODD_ZETA: extracted zeta(s) against the series oracle.
+
+    Passes only when the residual is within tol, every K(m) of the chain
+    converged, and the error estimate propagated through the chain is at most
+    tol.  A failure names the K stop reasons, then the estimate if it is above
+    tol; failing neither way, it names the residual.
+    """
+    lhs, estimate, reason = _odd_extraction(s, tol, budget)
     rhs = _oracle(s, tol)
-    return IdentityReport.from_sides(IdentityId.ODD_ZETA, s, lhs, rhs, tol)
+    return IdentityReport.from_sides(IdentityId.ODD_ZETA, s, lhs, rhs, tol,
+                                     reason=reason, estimate=estimate)
 
 
 def verify_zeta2(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:

@@ -323,6 +323,87 @@ def test_odd_zeta_rejects_bad_s():
         odd_zeta_from_contour(1, 1e-8)
 
 
+def test_fraction_free_weights_match_the_fraction_forms():
+    # 1 - 2^(1-m) and 2 - 2^(1-m) round once in doubles, so both are correctly
+    # rounded, as float() of the exact Fraction is
+    from fractions import Fraction
+
+    from zeta_recur.exact import gamma_int
+
+    for m in range(1, 172):
+        half = Fraction(1, 2 ** (m - 1))
+        assert repr(identities._fermi_weight(m)) == repr(float(1 - half) * gamma_int(m)), m
+        assert repr(identities._odd_divisor(m)) == repr(gamma_int(m) * float(2 - half)), m
+
+
+def test_budget_starved_odd_extraction_names_its_reason():
+    report = verify_odd_zeta(21, 1e-8, budget=15)
+    assert not report.passed
+    assert report.note.startswith("quadrature did not converge; evaluation budget exhausted")
+
+
+ODD_TOLS = (1e-8, 1e-9, 1e-10, 1e-11, 1e-12)
+
+
+def _odd_zeta_uniform_reference(s, tol):
+    """The extraction asking every K(m) for min(tol/2, 1e-10), with the Fraction
+    weights: the reference the sensitivity-weighted requests must match."""
+    from fractions import Fraction
+
+    from zeta_recur.exact import gamma_int
+
+    def fermi_weight(m):
+        return float(1 - Fraction(1, 2 ** (m - 1))) * gamma_int(m)
+
+    extracted = {}
+    for m in range(3, s + 1, 2):
+        divisor = gamma_int(m) * float(2 - Fraction(1, 2 ** (m - 1)))
+        terms = []
+        for j in range(2, m, 2):
+            coef = math.comb(m - 1, j) * math.pi**j
+            i_pow = (1, 1j, -1, -1j)[j % 4]
+            f_j = math.log(2.0) if j == m - 1 else fermi_weight(m - j) * extracted[m - j]
+            terms.append(coef * i_pow * f_j)
+        known = math.fsum(terms)
+        k_val = cot_power_integral(m, min(0.5 * tol, 1e-10)).value
+        extracted[m] = (identities._k_coef(m) * k_val - known) / divisor
+    return extracted[s]
+
+
+def test_odd_extraction_bit_for_bit_against_uniform_requests():
+    for s in range(3, 42, 2):
+        for tol in ODD_TOLS:
+            value = odd_zeta_from_contour(s, tol)
+            assert repr(value) == repr(_odd_zeta_uniform_reference(s, tol)), (s, tol)
+
+
+def test_odd_extraction_estimate_covers_the_error_within_tol():
+    import mpmath as mp
+
+    with mp.workdps(30):
+        for s in range(3, 42, 2):
+            exact = mp.zeta(s)
+            for tol in ODD_TOLS:
+                value, estimate, reason = identities._odd_extraction(s, tol, 1_000_000)
+                assert reason == "", (s, tol)
+                assert abs(mp.mpf(value) - exact) <= estimate <= tol, (s, tol)
+
+
+def test_odd_extraction_asks_each_k_only_for_what_zeta_s_needs(monkeypatch):
+    evaluations = []
+    original = identities.cot_power_integral
+
+    def counted(*args):
+        result = original(*args)
+        evaluations.append(result.evaluations)
+        return result
+
+    monkeypatch.setattr(identities, "cot_power_integral", counted)
+    odd_zeta_from_contour(41, 1e-10)
+    assert len(evaluations) == 20
+    assert sum(evaluations) <= 600
+
+
 # ---------------------------------------------------------------------------
 # report invariants
 

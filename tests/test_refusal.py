@@ -143,3 +143,19 @@ def test_refusal_property():
         assert report.passed or report.note
 
     prop()
+
+
+def test_odd_reports_pass_or_say_why():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # odd refuses no tol: below its floor, or on a starved budget, the report
+    # must fail with a note
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hyp.given(half=st.integers(1, 85), decades=st.floats(-17.0, -3.0),
+               budget=st.sampled_from((15, 100, 1_000_000)))
+    def prop(half, decades, budget):
+        report = identities.verify_odd_zeta(2 * half + 1, 10.0 ** decades, budget)
+        assert report.passed or report.note
+
+    prop()
