@@ -143,6 +143,13 @@ def _refuse_below_floor(name: str, s: int, tol: float, requests) -> None:
                       f"bound on the integral of |f| it must resolve), got tol = {tol!r}")
 
 
+def _share(k: float, tol: float) -> float:
+    """The share k * tol of a check's tolerance that one quadrature is asked for,
+    at least the least positive double: a subnormal tol must reach the
+    quadrature, stop at its roundoff floor and say so, not underflow to 0."""
+    return max(k * tol, math.ulp(0.0))
+
+
 def _unconverged_note(reason: str) -> str:
     """The failure note of a check whose quadratures stopped short, for that reason."""
     return "; ".join(filter(None, ("quadrature did not converge", reason)))
@@ -250,11 +257,12 @@ def _oracle(s: int, tol: float, factor: float = 1) -> float:
 @functools.cache
 def _zeta_numeric(m: int) -> float:
     """zeta(m) for the expanded identity: exact coefficient path for even m,
-    series oracle (to 1e-13) for odd m.  Memoized: eq10 refuses s above 171,
-    so at most 170 doubles are ever kept."""
+    series oracle at its tightest tolerance, 1e-17, for odd m, so that neither
+    adds an error the residual would count.  Memoized: eq10 refuses s above
+    171, so at most 170 doubles are ever kept."""
     if m % 2 == 0:
         return zeta_even_recursive(m // 2).approx()
-    return _oracle(m, 1e-12)
+    return zeta_series(m, 1e-17)
 
 
 def _stop_reason(quads) -> str:
@@ -279,7 +287,8 @@ def verify_bose_integral(s: int, tol: float = 1e-9,
                          budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
     """EQ2: quadrature of x^(s-1)/(e^x-1) against Gamma(s) * zeta_series(s)."""
     _require_s("verify_bose_integral", s, *_REAL_AXIS_S)
-    quad = integrate_semi_infinite(lambda x: bose_integrand(x, s), s, 0.5 * tol, budget=budget)
+    quad = integrate_semi_infinite(lambda x: bose_integrand(x, s), s, _share(0.5, tol),
+                                   budget=budget)
     rhs = _oracle(s, tol, gamma_int(s))
     return IdentityReport.from_sides(IdentityId.EQ2, s, quad.value, rhs, tol, reason=quad.reason)
 
@@ -288,7 +297,8 @@ def verify_fermi_integral(s: int, tol: float = 1e-9,
                           budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
     """EQ7: quadrature of x^(s-1)/(e^x+1) against (1-2^(1-s)) Gamma(s) zeta_series(s)."""
     _require_s("verify_fermi_integral", s, *_REAL_AXIS_S)
-    quad = integrate_semi_infinite(lambda x: fermi_integrand(x, s), s, 0.5 * tol, budget=budget)
+    quad = integrate_semi_infinite(lambda x: fermi_integrand(x, s), s, _share(0.5, tol),
+                                   budget=budget)
     rhs = _oracle(s, tol, _fermi_weight(s))
     return IdentityReport.from_sides(IdentityId.EQ7, s, quad.value, rhs, tol, reason=quad.reason)
 
@@ -447,10 +457,16 @@ def eq9_components(s: int, tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET)
         math.fsum(t.imag for t in terms),
     )
 
-    c_quad = integrate_segment(s, Segment(complex(0.0), complex(0.0, math.pi)), part, budget)
+    c_quad = _eq9_c(s, tol, budget)
     quads.append(c_quad)
     reason = _stop_reason(quads)
     return LimitComponents(a, b, c_quad.value, err + c_quad.error_estimate, not reason, reason)
+
+
+def _eq9_c(s: int, tol: float, budget: int) -> QuadratureResult:
+    """EQ9's C at tol/4: the segment integral of z^(s-1)/(e^z-1) from 0 to i pi,
+    which is C, as z = iy gives dz = i dy."""
+    return integrate_segment(s, Segment(complex(0.0), complex(0.0, math.pi)), 0.25 * tol, budget)
 
 
 def verify_eq9(s: int, tol: float = 1e-8, budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
@@ -465,8 +481,9 @@ def verify_log2_identity(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -
     The right-hand integrand equals y * cot(y/2) (removable limit 2 at 0)
     and both sides equal pi ln 2.
     """
-    lhs_quad = integrate_semi_infinite(lambda x: fermi_integrand(x, 1), 1, tol / 8.0, budget=budget)
-    rhs_quad = integrate_finite(lambda y: cot_kernel(y, 2), 0.0, math.pi, 0.25 * tol, budget)
+    lhs_quad = integrate_semi_infinite(lambda x: fermi_integrand(x, 1), 1, _share(0.125, tol),
+                                       budget=budget)
+    rhs_quad = integrate_finite(lambda y: cot_kernel(y, 2), 0.0, math.pi, _share(0.25, tol), budget)
     return IdentityReport.from_sides(
         IdentityId.S2_IMAG, 2,
         math.pi * lhs_quad.value,
@@ -551,7 +568,7 @@ def expanded_real_identity(s: int, tol: float = 1e-9,
     k_coef = _k_coef(s)
     reason = ""
     if k_coef:
-        k_quad = cot_power_integral(s, 0.5 * tol / abs(k_coef), budget)
+        k_quad = cot_power_integral(s, _share(0.5 / abs(k_coef), tol), budget)
         k_term = k_coef * k_quad.value
         rhs += k_term
         rhs_abs += abs(k_term)
@@ -585,7 +602,6 @@ def _odd_extraction(s: int, tol: float, budget: int) -> tuple[float, float, str]
         for j, ci, weight in _real_part_row(m):
             if 2 <= j < m - 1:
                 adj[m - j] -= scale * ci * weight
-    share = 0.5 * tol / len(odd)
     extracted: dict[int, float] = {}
     estimate = 0.0
     quads = []
@@ -593,10 +609,8 @@ def _odd_extraction(s: int, tol: float, budget: int) -> tuple[float, float, str]
         gain = abs(adj[m] / divisor[m])
         k_coef = _k_coef(m)
         w = abs(k_coef) * gain
-        k_tol = share / w if w else math.inf
-        # a request that underflows to 0 lies far below the roundoff floor: ask
-        # for the least positive double, so K stops there and says so
-        k_quad = cot_power_integral(m, k_tol or math.ulp(0.0), budget)
+        k_tol = _share(0.5 / len(odd) / w, tol) if w else math.inf
+        k_quad = cot_power_integral(m, k_tol, budget)
         known_terms = list(_real_part_terms(m, extracted.__getitem__, first_j=2))
         k_term = k_coef * k_quad.value
         extracted[m] = (k_term - math.fsum(known_terms)) / divisor[m]
@@ -644,8 +658,14 @@ def verify_odd_zeta(s: int, tol: float = 1e-8,
 
 
 def verify_zeta2(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
-    """S2_REAL: zeta(2) extracted from the contour against the series oracle."""
-    comp = eq9_components(2, tol, budget)
-    lhs = comp.c.real * 2.0 / 3.0  # (3/2) zeta(2) = Re C
+    """S2_REAL: zeta(2) extracted from the contour against the series oracle.
+
+    Re C = (3/2) zeta(2) at s = 2, so of eq9_components only C runs, at tol/4,
+    and tol is refused below the floor of C's lower bound pi on the integral
+    of |f|.  That bound also dominates A's in eq9_components at s = 2.
+    """
+    _refuse_below_floor("verify_zeta2", 2, tol, ((0.25, _pi_side_bound(2)),))
+    c_quad = _eq9_c(2, tol, budget)
+    lhs = c_quad.value.real * 2.0 / 3.0
     rhs = _oracle(2, tol)
-    return IdentityReport.from_sides(IdentityId.S2_REAL, 2, lhs, rhs, tol, reason=comp.reason)
+    return IdentityReport.from_sides(IdentityId.S2_REAL, 2, lhs, rhs, tol, reason=c_quad.reason)

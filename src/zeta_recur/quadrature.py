@@ -2,15 +2,18 @@
 
 The scheme is the nested (G7, K15) pair on each subinterval, with
 deterministic refinement: always bisect the subinterval with the largest
-error estimate, ties broken by the leftmost.  Per-interval errors use the
-standard Kronrod estimator ((200 |K-G| / resasc)^1.5 scaling) with a
-two-epsilon-of-resabs floor so the reported estimate never claims better
-than roundoff.  Each panel sums its 15 terms in one fixed order: the nodes
-+x1, -x1, ..., +x7, -x7, 0, left to right from 0.0.  Convergence means the
-summed estimates fell below the requested tolerance.  Stopping short of it
-is reported, never raised, with the reason: the evaluation budget ran out,
-the worst subinterval already sits at its roundoff floor, or its halves
-would be too narrow in doubles for every node to fall strictly inside.
+error estimate, ties broken by the leftmost, taken from a heap keyed
+(-error, left end).  Per-interval errors use the standard Kronrod estimator
+((200 |K-G| / resasc)^1.5 scaling) with a two-epsilon-of-resabs floor so the
+reported estimate never claims better than roundoff.  Each panel sums its
+15 terms in one fixed order: the nodes +x1, -x1, ..., +x7, -x7, 0, left to
+right from 0.0.  Convergence means the summed estimates fell below the
+requested tolerance.  Stopping short of it is reported, never raised, with
+the reason: the evaluation budget ran out; the roundoff floor, either
+because the panels' floors alone already exceed the tolerance (as QUADPACK's
+QAGS stops with ier = 2) or because the worst subinterval sits at its own
+floor; or its halves would be too narrow in doubles for every node to fall
+strictly inside.
 
 Semi-infinite integrals of the Bose/Fermi-weight integrands are truncated
 at a point X chosen from the analytic tail bound
@@ -28,6 +31,7 @@ integrator takes its evaluation budget as an argument.
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -186,7 +190,11 @@ _WK0 = 0.209482141084727828012999174891714
 
 
 def _gk15(f, a: float, b: float):
-    """One (G7, K15) application on [a, b]: (value, error_estimate, at_floor).
+    """One (G7, K15) application on [a, b]: (value, error_estimate, at_floor, floor).
+
+    floor = 2 eps resabs is the panel's roundoff floor, resabs its K15 estimate
+    of the integral of |f|; the error estimate is never below it, and at_floor
+    says it was raised to it.
 
     f is called at center+-half*_X1, ..., center+-half*_X7 (plus before
     minus) and then at the center.  Each of the four sums (Gauss, Kronrod,
@@ -246,8 +254,8 @@ def _gk15(f, a: float, b: float):
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     floor = 2.0 * _EPS * resabs
     if err < floor:
-        return value, floor, True
-    return value, err, False
+        return value, floor, True, floor
+    return value, err, False, floor
 
 
 def _nodes_interior(a: float, b: float) -> bool:
@@ -263,10 +271,20 @@ def integrate_finite(f, a: float, b: float, tol: float,
     """Adaptive integral of f over [a, b] to absolute tolerance tol.
 
     f may return float or complex; only interior points are ever evaluated.
-    Stopping short of tol returns the best estimate with converged=False and
-    the reason: BUDGET_EXHAUSTED, ROUNDOFF_FLOOR or FLOAT_EXHAUSTION.  A panel
+    Stopping short of tol returns the estimate reached with converged=False
+    and the reason: BUDGET_EXHAUSTED, ROUNDOFF_FLOOR or FLOAT_EXHAUSTION.  A panel
     whose nodes would round onto or past its ends is never made; when [a, b]
     itself is that narrow, nothing is evaluated and the estimate is infinite.
+
+    The roundoff floor stops the loop in two ways.  Either the worst panel
+    already sits at its own floor, or the floors of all panels alone exceed
+    tol: sum floor - 2 eps sum err = 2 eps (R - E) > tol, with R the panels'
+    K15 estimate of the integral of |f| and E their summed error estimate.
+    Any mesh reports about 2 eps times the integral of |f| at least, and for
+    a positive f that integral is at least R - E, so refining further cannot
+    reach tol; for a sign-changing or complex f, R - E is an estimate, like
+    each panel's own floor.  The worst panel comes from a heap keyed
+    (-err, a), and the errors and floors sit in per-panel lists for fsum.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("integration bounds must be finite with a < b")
@@ -275,25 +293,27 @@ def integrate_finite(f, a: float, b: float, tol: float,
     if not _nodes_interior(a, b):
         return QuadratureResult(0.0, math.inf, 0, False, FLOAT_EXHAUSTION)
 
-    value, err, at_floor = _gk15(f, a, b)
-    intervals = [(a, b, value, err, at_floor)]
+    value, err, at_floor, floor = _gk15(f, a, b)
+    # slot i holds one panel's values[i], errs[i] and floors[i]; its heap
+    # entry (-err, a, b, i, at_floor) says where it lies and when to bisect it
+    values = [value]
+    errs = [err]
+    floors = [floor]
+    heap = [(-err, a, b, 0, at_floor)]
     evaluations = 15
     reason = ""
     while True:
-        total_err = math.fsum(item[3] for item in intervals)
+        total_err = math.fsum(errs)
         if total_err <= tol:
+            break
+        if math.fsum(floors) - 2.0 * _EPS * total_err > tol:
+            reason = ROUNDOFF_FLOOR
             break
         if evaluations + 30 > budget:
             reason = BUDGET_EXHAUSTED
             break
-        worst = 0
-        for i in range(1, len(intervals)):
-            wa, werr = intervals[worst][0], intervals[worst][3]
-            ia, ierr = intervals[i][0], intervals[i][3]
-            if ierr > werr or (ierr == werr and ia < wa):
-                worst = i
-        wa, wb = intervals[worst][0], intervals[worst][1]
-        if intervals[worst][4]:
+        _, wa, wb, slot, at_floor = heap[0]
+        if at_floor:
             # worst interval already reports its roundoff floor; bisection
             # conserves the floor sum, so no further progress is possible
             reason = ROUNDOFF_FLOOR
@@ -302,20 +322,19 @@ def integrate_finite(f, a: float, b: float, tol: float,
         if not (_nodes_interior(wa, mid) and _nodes_interior(mid, wb)):
             reason = FLOAT_EXHAUSTION  # cannot refine further
             break
-        left = _gk15(f, wa, mid)
-        right = _gk15(f, mid, wb)
-        intervals[worst] = (wa, mid, *left)
-        intervals.append((mid, wb, *right))
+        values[slot], errs[slot], at_floor, floors[slot] = _gk15(f, wa, mid)
+        heapq.heapreplace(heap, (-errs[slot], wa, mid, slot, at_floor))
+        value, err, at_floor, floor = _gk15(f, mid, wb)
+        heapq.heappush(heap, (-err, mid, wb, len(values), at_floor))
+        values.append(value)
+        errs.append(err)
+        floors.append(floor)
         evaluations += 30
 
-    intervals.sort(key=lambda item: item[0])
-    if any(isinstance(item[2], complex) for item in intervals):
-        total = complex(
-            math.fsum(item[2].real for item in intervals),
-            math.fsum(item[2].imag for item in intervals),
-        )
+    if any(isinstance(v, complex) for v in values):
+        total = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
     else:
-        total = math.fsum(item[2] for item in intervals)
+        total = math.fsum(values)
     return QuadratureResult(total, total_err, evaluations, not reason, reason)
 
 
@@ -358,15 +377,17 @@ def integrate_semi_infinite(f, s: int, tol: float,
     tol/2, and reports quadrature estimate plus tail bound as the error.  The
     scan always finds such an X, since e^-x underflows to 0 by x = 750 (for
     any s whose tail_bound fits a double), so the result converges within tol
-    exactly when [0, X] does, and stops for the same reason otherwise.
+    exactly when [0, X] does, and stops for the same reason otherwise.  A
+    subnormal tol whose half underflows asks for the least positive double.
     """
     if s < 1:
         raise ValueError("integrate_semi_infinite requires s >= 1")
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    x_max = truncation_point(s, 0.5 * tol)
+    half = max(0.5 * tol, math.ulp(0.0))  # a subnormal tol halves to 0
+    x_max = truncation_point(s, half)
     tail = tail_bound(s, x_max)
-    base = integrate_finite(f, 0.0, x_max, 0.5 * tol, budget)
+    base = integrate_finite(f, 0.0, x_max, half, budget)
     err = base.error_estimate + tail
     return QuadratureResult(base.value, err, base.evaluations, base.converged, base.reason)
 

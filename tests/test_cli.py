@@ -270,6 +270,15 @@ def test_sub_floor_refusal_names_check_s_tol_and_floor(capsys, argv, name):
     assert "at s = 20 " in captured.err and captured.err.rstrip().endswith("got tol = 1e-10")
 
 
+def test_s2_refusal_names_its_own_check_and_bound(capsys):
+    # s2 runs only EQ9's C, whose floor, 4 pi eps, is the one it refuses below
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "s2", "--tol", "1e-16"])
+    assert exc.value.code == 2
+    assert "verify_zeta2 requires tol >= 2.79e-15 at s = 2 " in capsys.readouterr().err
+    assert run(capsys, ["verify", "s2", "--tol", "2.8e-15"])[0] in (0, 1)  # runs
+
+
 def test_tolerance_past_the_double_floor_finishes():
     env = {k: v for k, v in os.environ.items() if k != "ZETA_RECUR_EVAL_BUDGET"}
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -289,7 +298,7 @@ def test_verify_failure_exit_code_on_starved_budget(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv,env,reason", [
-    # 375 evaluations reach the double floor long before the default budget
+    # the panels' floors exceed tol after 165 evaluations, long before the default budget
     (["verify", "eq2", "--s", "2", "--tol", "1e-300"], {}, "roundoff floor"),
     (["verify", "eq2", "--s", "2"], {"ZETA_RECUR_EVAL_BUDGET": "100"},
      "evaluation budget exhausted"),

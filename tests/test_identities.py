@@ -91,6 +91,33 @@ def test_partial_fraction_pointwise_at_40_digits():
     assert report.residual == report.lhs
 
 
+def test_floor_stopped_eq2_and_eq7_values_lie_within_their_estimates():
+    # the floor-sum stop ends these integrals early: the value each reports must
+    # still lie within its error estimate of the closed form
+    import mpmath as mp
+
+    from zeta_recur.quadrature import (
+        ROUNDOFF_FLOOR,
+        bose_integrand,
+        fermi_integrand,
+        integrate_semi_infinite,
+    )
+
+    stopped = 0
+    with mp.workdps(30):
+        for s in range(2, 109):
+            bose = mp.gamma(s) * mp.zeta(s)
+            for f, exact in ((bose_integrand, bose),
+                             (fermi_integrand, (1 - mp.mpf(2) ** (1 - s)) * bose)):
+                for tol in (5e-324, 1e-300, 1e-16, 1e-12, 1e-10, 1e-8):
+                    # the request verify_bose_integral and verify_fermi_integral make
+                    quad = integrate_semi_infinite(lambda x: f(x, s), s, identities._share(0.5, tol))
+                    if quad.reason == ROUNDOFF_FLOOR:
+                        stopped += 1
+                        assert abs(quad.value - exact) <= quad.error_estimate, (f, s, tol)
+    assert stopped > 800
+
+
 # ---------------------------------------------------------------------------
 # contour closure
 
@@ -208,7 +235,8 @@ def test_zeta2_report():
 
 def test_zeta2_report_fails_when_quadrature_does_not_converge():
     assert not eq9_components(2, 1e-9, 100).converged
-    report = verify_zeta2(1e-9, budget=100)
+    # s2 runs only C, which meets 1e-9 in one panel: a tighter tol needs more
+    report = verify_zeta2(1e-12, budget=15)
     assert not report.passed
     assert report.note == "quadrature did not converge; evaluation budget exhausted"
 
@@ -270,10 +298,11 @@ def test_expanded_identity_failure_always_carries_a_reason():
             assert report.note, report
             assert f"residual {report.residual:.3g}, roundoff floor " in report.note
             seen.add("tolerance below roundoff floor" in report.note)
-    assert seen == {True, False}
     starved = expanded_real_identity(5, 1e-12, budget=30)
     assert not starved.passed
     assert starved.note.startswith("quadrature did not converge; ")
+    seen.add("tolerance below roundoff floor" in starved.note)
+    assert seen == {True, False}
 
 
 def test_expanded_identity_below_its_floor_never_passes():
@@ -288,6 +317,14 @@ def test_expanded_identity_below_its_floor_never_passes():
         assert abs(report.lhs - mp.pi**10 / 20) > tol
     assert not report.passed
     assert report.note.startswith("tolerance below roundoff floor; ")
+
+
+@pytest.mark.parametrize("s,tol", [(5, 1e-13), (7, 2e-12), (9, 1.2e-10)])
+def test_expanded_identity_odd_inputs_add_no_residual(s, tol):
+    # tol just above the floor of the summed terms (5.1e-14, 1.8e-12, 1.1e-10):
+    # odd zeta inputs taken to 1e-13 left residuals of 1.6e-12, 3.8e-11 and 2.9e-10
+    report = expanded_real_identity(s, tol)
+    assert report.passed, report
 
 
 def test_expanded_identity_rejects_small_s():

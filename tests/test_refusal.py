@@ -12,7 +12,16 @@ import mpmath as mp
 import pytest
 
 from zeta_recur import identities
-from zeta_recur.identities import Refused, contour_closure, verify_eq9, verify_zeta2
+from zeta_recur.identities import (
+    Refused,
+    contour_closure,
+    expanded_real_identity,
+    verify_bose_integral,
+    verify_eq9,
+    verify_fermi_integral,
+    verify_log2_identity,
+    verify_zeta2,
+)
 from zeta_recur.quadrature import (
     ROUNDOFF_FLOOR,
     Segment,
@@ -92,7 +101,9 @@ def _requests(identity, s, tol, radius):
     """(share, lower bound, the quadrature the check runs at share * tol)."""
     i_pi = complex(0.0, math.pi)
     left = identities._pi_side_bound(s)
-    if identity in ("eq9", "s2"):
+    if identity == "s2":
+        return [(1 / 4, left, lambda: integrate_segment(s, Segment(0j, i_pi), tol / 4))]
+    if identity == "eq9":
         a_bound = identities._lower_gamma(s, truncation_point(s, tol / 8))
         return [
             (1 / 8, a_bound,
@@ -156,6 +167,30 @@ def test_odd_reports_pass_or_say_why():
                budget=st.sampled_from((15, 100, 1_000_000)))
     def prop(half, decades, budget):
         report = identities.verify_odd_zeta(2 * half + 1, 10.0 ** decades, budget)
+        assert report.passed or report.note
+
+    prop()
+
+
+def test_real_axis_and_eq10_reports_pass_or_say_why():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # eq2, eq7, eq10 and log2 refuse no tol, down to the least positive double:
+    # below their floor the report must fail with a note, never raise
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(identity=st.sampled_from(("eq2", "eq7", "eq10", "log2")),
+               s=st.integers(2, 171),
+               tol=st.one_of(st.just(5e-324), st.floats(-323.0, -3.0).map(lambda d: 10.0 ** d)))
+    def prop(identity, s, tol):
+        if identity == "eq2":
+            report = verify_bose_integral(min(s, 108), tol)
+        elif identity == "eq7":
+            report = verify_fermi_integral(min(s, 108), tol)
+        elif identity == "eq10":
+            report = expanded_real_identity(s, tol)
+        else:
+            report = verify_log2_identity(tol)
         assert report.passed or report.note
 
     prop()
