@@ -1,95 +1,11 @@
 """Exact even-integer zeta values from a contour recursion, with numerical
 verification of every integral identity the derivation rests on.
 
+Import each name from the module that owns it (``zeta_recur.exact``,
+``zeta_recur.identities``, ...): the package itself imports none of them, so
+``zeta_recur.cli`` loads only the exact core until a check runs.
+
 See docs/derivation.md for the identity chain and README.md for usage.
 """
 
-from .exact import (
-    AlphaCoeff,
-    ZetaEvenValue,
-    alpha_coeff,
-    bernoulli,
-    gamma_int,
-    render_decimal,
-    zeta_even_euler,
-    zeta_even_recursive,
-)
-from .identities import (
-    ContourReport,
-    IdentityId,
-    IdentityReport,
-    LimitComponents,
-    Refused,
-    contour_closure,
-    cot_power_integral,
-    eq9_components,
-    expanded_alpha_term,
-    expanded_real_identity,
-    odd_zeta_from_contour,
-    right_side_bound,
-    verify_bose_integral,
-    verify_eq5,
-    verify_eq9,
-    verify_fermi_integral,
-    verify_log2_identity,
-    verify_odd_zeta,
-    verify_zeta2,
-    zeta_series,
-)
-from .machin import pi_digits
-from .quadrature import (
-    QuadratureResult,
-    Segment,
-    bose_integrand,
-    cot_kernel,
-    fermi_integrand,
-    integrate_finite,
-    integrate_segment,
-    integrate_semi_infinite,
-    tail_bound,
-    truncation_point,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlphaCoeff",
-    "ContourReport",
-    "IdentityId",
-    "IdentityReport",
-    "LimitComponents",
-    "QuadratureResult",
-    "Refused",
-    "Segment",
-    "ZetaEvenValue",
-    "alpha_coeff",
-    "bernoulli",
-    "bose_integrand",
-    "contour_closure",
-    "cot_kernel",
-    "cot_power_integral",
-    "eq9_components",
-    "expanded_alpha_term",
-    "expanded_real_identity",
-    "fermi_integrand",
-    "gamma_int",
-    "integrate_finite",
-    "integrate_segment",
-    "integrate_semi_infinite",
-    "odd_zeta_from_contour",
-    "pi_digits",
-    "render_decimal",
-    "right_side_bound",
-    "tail_bound",
-    "truncation_point",
-    "verify_bose_integral",
-    "verify_eq5",
-    "verify_eq9",
-    "verify_fermi_integral",
-    "verify_log2_identity",
-    "verify_odd_zeta",
-    "verify_zeta2",
-    "zeta_even_euler",
-    "zeta_even_recursive",
-    "zeta_series",
-]

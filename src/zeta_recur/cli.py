@@ -7,9 +7,12 @@
 
 Defaults: --tol 1e-9, --radius 30, --format plain.  Exit codes: 0 success,
 1 verification failure, 2 usage error or an input `identities` refuses.
-ZETA_RECUR_EVAL_BUDGET overrides the quadrature evaluation budget for this
-invocation only.  The argument parser is built once, at import, and shared
-by every `main` call in the process; parsing leaves no state in it.
+ZETA_RECUR_EVAL_BUDGET overrides the quadrature evaluation budget of one
+verify or contour invocation; even and bernoulli ignore it.  The argument
+parser is built once, at import, and shared by every `main` call in the
+process; parsing leaves no state in it.  `identities` and `quadrature` are
+imported by the first verify or contour call, so even and bernoulli load
+only the exact core.
 
 Output is deterministic: identical argv yields byte-identical stdout.
 """
@@ -23,12 +26,8 @@ import os
 import sys
 from fractions import Fraction
 
-from . import identities
 from .exact import bernoulli, render_decimal, zeta_even_euler, zeta_even_recursive
 from .machin import decimal_str
-from .quadrature import DEFAULT_EVAL_BUDGET
-
-IDENTITIES = ("eq2", "eq5", "eq7", "closure", "eq9", "s2", "log2", "eq10", "odd")
 
 MAX_N = 1000
 MAX_DIGITS = 1000
@@ -103,7 +102,8 @@ def cmd_bernoulli(m_max: int, fmt: str) -> int:
     return 0
 
 
-def _report_fields(report: identities.IdentityReport) -> list[tuple[str, object]]:
+def _report_fields(report) -> list[tuple[str, object]]:
+    """The record of an ``identities.IdentityReport``."""
     return [
         ("identity", report.identity_id.value),
         ("s", report.s),
@@ -116,7 +116,8 @@ def _report_fields(report: identities.IdentityReport) -> list[tuple[str, object]
     ]
 
 
-def _contour_fields(report: identities.ContourReport) -> list[tuple[str, object]]:
+def _contour_fields(report) -> list[tuple[str, object]]:
+    """The record of an ``identities.ContourReport``."""
     names = ("bottom", "right", "top", "left")
     fields: list[tuple[str, object]] = [("s", report.s), ("radius", report.R)]
     fields += list(zip(names, report.side_values))
@@ -134,18 +135,19 @@ def _contour_fields(report: identities.ContourReport) -> list[tuple[str, object]
     return fields
 
 
-# identity -> report of (s, tol, radius, budget); each check is looked up on
-# `identities` at call time, so rebinding it there (as a tracer does) takes effect
+# `verify` identity -> report of (identities module, s, tol, radius, budget); each
+# check is looked up on the module at call time, so rebinding it there (as a
+# tracer does) takes effect
 _VERIFIERS = {
-    "eq2": lambda s, tol, radius, budget: identities.verify_bose_integral(s, tol, budget),
-    "eq5": lambda s, tol, radius, budget: identities.verify_eq5(tol),
-    "eq7": lambda s, tol, radius, budget: identities.verify_fermi_integral(s, tol, budget),
-    "closure": lambda s, tol, radius, budget: identities.contour_closure(s, radius, tol, budget),
-    "eq9": lambda s, tol, radius, budget: identities.verify_eq9(s, tol, budget),
-    "s2": lambda s, tol, radius, budget: identities.verify_zeta2(tol, budget),
-    "log2": lambda s, tol, radius, budget: identities.verify_log2_identity(tol, budget),
-    "eq10": lambda s, tol, radius, budget: identities.expanded_real_identity(s, tol, budget),
-    "odd": lambda s, tol, radius, budget: identities.verify_odd_zeta(s, tol, budget),
+    "eq2": lambda ids, s, tol, radius, budget: ids.verify_bose_integral(s, tol, budget),
+    "eq5": lambda ids, s, tol, radius, budget: ids.verify_eq5(tol),
+    "eq7": lambda ids, s, tol, radius, budget: ids.verify_fermi_integral(s, tol, budget),
+    "closure": lambda ids, s, tol, radius, budget: ids.contour_closure(s, radius, tol, budget),
+    "eq9": lambda ids, s, tol, radius, budget: ids.verify_eq9(s, tol, budget),
+    "s2": lambda ids, s, tol, radius, budget: ids.verify_zeta2(tol, budget),
+    "log2": lambda ids, s, tol, radius, budget: ids.verify_log2_identity(tol, budget),
+    "eq10": lambda ids, s, tol, radius, budget: ids.expanded_real_identity(s, tol, budget),
+    "odd": lambda ids, s, tol, radius, budget: ids.verify_odd_zeta(s, tol, budget),
 }
 
 
@@ -172,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help=f"largest index, 0..{MAX_BERNOULLI} (default: 10)")
 
     verify = sub.add_parser("verify", parents=[common], help="check one identity")
-    verify.add_argument("identity", choices=IDENTITIES)
+    verify.add_argument("identity", choices=_VERIFIERS)
     verify.add_argument("--s", type=int, default=2, help="integer exponent (default: 2)")
     verify.add_argument("--tol", type=float, default=1e-9, help="tolerance (default: 1e-9)")
     verify.add_argument("--radius", type=float, default=30.0,
@@ -194,16 +196,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _PARSER
     args = parser.parse_args(argv)
 
-    raw_budget = os.environ.get("ZETA_RECUR_EVAL_BUDGET")
-    budget = DEFAULT_EVAL_BUDGET
-    if raw_budget is not None:
-        try:
-            budget = int(raw_budget)
-        except ValueError:
-            budget = -1
-        if budget < 100:
-            parser.error(f"ZETA_RECUR_EVAL_BUDGET must be an integer >= 100, got {raw_budget!r}")
-
     if args.command == "even":
         if not 1 <= args.n <= MAX_N:
             parser.error(f"--n must be in 1..{MAX_N}")
@@ -217,12 +209,24 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_bernoulli(args.n, args.format)
 
     # verify and contour (the closure check); `identities` decides what it accepts
+    from . import identities
+    from .quadrature import DEFAULT_EVAL_BUDGET
+
+    raw_budget = os.environ.get("ZETA_RECUR_EVAL_BUDGET")
+    budget = DEFAULT_EVAL_BUDGET
+    if raw_budget is not None:
+        try:
+            budget = int(raw_budget)
+        except ValueError:
+            budget = -1
+        if budget < 100:
+            parser.error(f"ZETA_RECUR_EVAL_BUDGET must be an integer >= 100, got {raw_budget!r}")
     for flag, value in (("--tol", args.tol), ("--radius", args.radius)):
         if not 0.0 < value < math.inf:
             parser.error(f"{flag} must be finite and > 0, got {value!r}")
     identity = "closure" if args.command == "contour" else args.identity
     try:
-        report = _VERIFIERS[identity](args.s, args.tol, args.radius, budget)
+        report = _VERIFIERS[identity](identities, args.s, args.tol, args.radius, budget)
     except identities.Refused as exc:
         parser.error(str(exc))
     fields = _contour_fields(report) if identity == "closure" else _report_fields(report)

@@ -67,11 +67,9 @@ from .machin import pi_scaled, truncated
 
 __all__ = [
     "ZetaEvenValue",
-    "AlphaCoeff",
     "gamma_int",
     "bernoulli",
     "zeta_even_euler",
-    "alpha_coeff",
     "zeta_even_recursive",
     "render_decimal",
 ]
@@ -151,15 +149,6 @@ class ZetaEvenValue:
         return float(render_decimal(self, 17))
 
 
-@dataclass(frozen=True)
-class AlphaCoeff:
-    """Rational part of alpha(n,k) = coeff * pi^(2k) in the recursion."""
-
-    n: int
-    k: int
-    coeff: Fraction
-
-
 def zeta_even_euler(n: int) -> ZetaEvenValue:
     """zeta(2n) coefficient from the Bernoulli closed form."""
     if n < 1:
@@ -167,22 +156,6 @@ def zeta_even_euler(n: int) -> ZetaEvenValue:
     sign = 1 if n % 2 == 1 else -1
     coeff = Fraction(sign * 2 ** (2 * n)) * bernoulli(2 * n) / (2 * math.factorial(2 * n))
     return ZetaEvenValue(n, coeff)
-
-
-def alpha_coeff(n: int, k: int) -> AlphaCoeff:
-    """Rational part of alpha(n,k) = (1 - 2^(1-2n+2k)) (-pi^2)^k C(2n-1, 2k) Gamma(2n-2k).
-
-    The power of two always has a negative exponent for valid (n, k) and is
-    kept exact as 1 / 2^(2n-2k-1).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"k must be in 0..{n - 1}, got {k}")
-    two_pow = Fraction(1, 1 << (2 * n - 2 * k - 1))
-    sign = -1 if k % 2 else 1
-    coeff = (1 - two_pow) * sign * math.comb(2 * n - 1, 2 * k) * math.factorial(2 * n - 2 * k - 1)
-    return AlphaCoeff(n, k, coeff)
 
 
 # b_1, b_2, ... with b_m = 2^(1-2m) (2m)! q_m

@@ -56,14 +56,12 @@ __all__ = [
     "verify_fermi_integral",
     "verify_eq5",
     "contour_closure",
-    "right_side_bound",
     "eq9_components",
     "verify_eq9",
     "verify_zeta2",
     "verify_log2_identity",
     "cot_power_integral",
     "expanded_real_identity",
-    "expanded_alpha_term",
     "odd_zeta_from_contour",
     "verify_odd_zeta",
 ]
@@ -224,7 +222,7 @@ class ContourReport:
     note: str = ""  # why it failed: the sides' stop reasons, or |closure| against tolerance
 
 
-def zeta_series(s: int, tol: float, n_terms: int | None = None) -> float:
+def zeta_series(s: int, tol: float) -> float:
     """zeta(s) by direct summation with an Euler-Maclaurin tail.
 
     Sums k^-s for k < N and adds N^(1-s)/(s-1) + N^-s/2 + s N^(-s-1)/12.
@@ -235,12 +233,9 @@ def zeta_series(s: int, tol: float, n_terms: int | None = None) -> float:
         raise ValueError("zeta_series requires s >= 2")
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    if n_terms is None:
-        n = 8
-        while s * (s + 1) * (s + 2) / (720.0 * float(n) ** (s + 3)) > 0.25 * tol:
-            n *= 2
-    else:
-        n = n_terms
+    n = 8
+    while s * (s + 1) * (s + 2) / (720.0 * float(n) ** (s + 3)) > 0.25 * tol:
+        n *= 2
     head = math.fsum(k ** (-s) for k in range(1, n))
     nf = float(n)
     tail = nf ** (1 - s) / (s - 1) + nf ** (-s) / 2.0 + s * nf ** (-s - 1) / 12.0
@@ -336,11 +331,6 @@ def verify_eq5(tol: float = 1e-9) -> IdentityReport:
     )
 
 
-def right_side_bound(s: int, R: float) -> float:
-    """Analytic bound for the right-side integral: pi * (R^2+pi^2)^((s-1)/2) / (e^R - 1)."""
-    return math.pi * (R * R + math.pi**2) ** (0.5 * (s - 1)) / math.expm1(R)
-
-
 def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9,
                     budget: int = DEFAULT_EVAL_BUDGET) -> ContourReport:
     """EQ8: the four side integrals, counterclockwise, their sum and its verdict.
@@ -402,8 +392,11 @@ class LimitComponents(NamedTuple):
     b: complex
     c: complex
     error_estimate: float
-    converged: bool
     reason: str = ""  # why the quadratures that fell short stopped
+
+    @property
+    def converged(self) -> bool:
+        return not self.reason
 
     @property
     def residual(self) -> float:
@@ -460,7 +453,7 @@ def eq9_components(s: int, tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET)
     c_quad = _eq9_c(s, tol, budget)
     quads.append(c_quad)
     reason = _stop_reason(quads)
-    return LimitComponents(a, b, c_quad.value, err + c_quad.error_estimate, not reason, reason)
+    return LimitComponents(a, b, c_quad.value, err + c_quad.error_estimate, reason)
 
 
 def _eq9_c(s: int, tol: float, budget: int) -> QuadratureResult:
@@ -529,19 +522,6 @@ def _real_part_terms(s: int, zeta, first_j: int = 0):
 def _k_coef(s: int) -> float:
     """Re(-i^(s+1)/2), the coefficient of K(s) in EQ10: 0 for even s, +-1/2 for odd s."""
     return -0.5 * _I_POW[(s + 1) % 4].real
-
-
-def expanded_alpha_term(s: int, k: int) -> float:
-    """Coefficient of zeta(s-2k) in the expanded real part, for even j = 2k.
-
-    For even s = 2n this equals the recursion coefficient
-    alpha(n,k) = (1-2^(1-2n+2k)) (-pi^2)^k C(2n-1,2k) Gamma(2n-2k).
-    """
-    j = 2 * k
-    if not 0 <= j <= s - 2:
-        raise ValueError("term index out of range")
-    _, coef, i_pow = list(_binomial_terms(s))[j]
-    return coef * i_pow * _fermi_weight(s - j)
 
 
 def expanded_real_identity(s: int, tol: float = 1e-9,

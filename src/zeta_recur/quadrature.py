@@ -69,7 +69,6 @@ class QuadratureResult:
     value: float | complex
     error_estimate: float
     evaluations: int
-    converged: bool
     reason: str = ""
 
     def __post_init__(self) -> None:
@@ -77,8 +76,11 @@ class QuadratureResult:
             raise ValueError("evaluations must be nonnegative, and positive when converged")
         if self.error_estimate < 0:
             raise ValueError("error estimate must be nonnegative")
-        if self.converged == bool(self.reason):
-            raise ValueError("a result names a reason exactly when it did not converge")
+
+    @property
+    def converged(self) -> bool:
+        """Whether the estimate met the tolerance: exactly when no reason is named."""
+        return not self.reason
 
 
 @dataclass(frozen=True)
@@ -271,8 +273,8 @@ def integrate_finite(f, a: float, b: float, tol: float,
     """Adaptive integral of f over [a, b] to absolute tolerance tol.
 
     f may return float or complex; only interior points are ever evaluated.
-    Stopping short of tol returns the estimate reached with converged=False
-    and the reason: BUDGET_EXHAUSTED, ROUNDOFF_FLOOR or FLOAT_EXHAUSTION.  A panel
+    Stopping short of tol returns the estimate reached with the reason:
+    BUDGET_EXHAUSTED, ROUNDOFF_FLOOR or FLOAT_EXHAUSTION.  A panel
     whose nodes would round onto or past its ends is never made; when [a, b]
     itself is that narrow, nothing is evaluated and the estimate is infinite.
 
@@ -291,7 +293,7 @@ def integrate_finite(f, a: float, b: float, tol: float,
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     if not _nodes_interior(a, b):
-        return QuadratureResult(0.0, math.inf, 0, False, FLOAT_EXHAUSTION)
+        return QuadratureResult(0.0, math.inf, 0, FLOAT_EXHAUSTION)
 
     value, err, at_floor, floor = _gk15(f, a, b)
     # slot i holds one panel's values[i], errs[i] and floors[i]; its heap
@@ -335,7 +337,7 @@ def integrate_finite(f, a: float, b: float, tol: float,
         total = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
     else:
         total = math.fsum(values)
-    return QuadratureResult(total, total_err, evaluations, not reason, reason)
+    return QuadratureResult(total, total_err, evaluations, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +391,7 @@ def integrate_semi_infinite(f, s: int, tol: float,
     tail = tail_bound(s, x_max)
     base = integrate_finite(f, 0.0, x_max, half, budget)
     err = base.error_estimate + tail
-    return QuadratureResult(base.value, err, base.evaluations, base.converged, base.reason)
+    return QuadratureResult(base.value, err, base.evaluations, base.reason)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,32 @@ def test_every_command_runs_without_mpmath():
     assert json.loads(done.stderr.splitlines()[-1]) == [0] * len(argvs)
 
 
+def test_even_and_bernoulli_load_only_the_exact_core():
+    # -S keeps the environment's site hooks from importing stdlib modules first;
+    # `random` and `cmath` are imported only by `identities` and `quadrature`
+    script = (
+        "import contextlib, io, sys\n"
+        "from zeta_recur import cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('zeta_recur'))\n"
+        "assert loaded() == ['zeta_recur', 'zeta_recur.cli', 'zeta_recur.exact',\n"
+        "                    'zeta_recur.machin'], loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['even', '--n', '5']), cli.main(['bernoulli', '--n', '5'])]\n"
+        "assert codes == [0, 0], codes\n"
+        "numeric = ('zeta_recur.identities', 'zeta_recur.quadrature', 'random', 'cmath')\n"
+        "assert not [m for m in numeric if m in sys.modules], loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', 'eq2']) == 0\n"
+        "assert 'zeta_recur.identities' in sys.modules\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "ZETA_RECUR_EVAL_BUDGET"}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+
+
 def test_verify_eq2_report_content(capsys):
     code, out = run(capsys, ["verify", "eq2", "--s", "2", "--format", "json"])
     assert code == 0
@@ -357,6 +383,16 @@ def test_invalid_budget_env(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "eq2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["even", "--n", "3"], ["bernoulli", "--n", "3"]])
+def test_budget_env_ignored_without_quadrature(capsys, monkeypatch, argv):
+    # the budget caps quadrature only, so a bad value cannot fail a table
+    monkeypatch.delenv("ZETA_RECUR_EVAL_BUDGET", raising=False)
+    expected = run(capsys, argv)
+    assert expected[0] == 0
+    assert run(capsys, argv, env={"ZETA_RECUR_EVAL_BUDGET": "banana"},
+               monkeypatch=monkeypatch) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,7 @@ import pytest
 
 from zeta_recur import exact
 from zeta_recur.exact import (
-    AlphaCoeff,
     ZetaEvenValue,
-    alpha_coeff,
     bernoulli,
     gamma_int,
     render_decimal,
@@ -123,31 +121,34 @@ def test_euler_route_small_coefficients():
     assert zeta_even_euler(3).coeff == Fraction(1, 945)
 
 
+def _alpha(n: int, k: int) -> Fraction:
+    """Rational part of alpha(n,k) = (1 - 2^(1-2n+2k)) (-pi^2)^k C(2n-1,2k) Gamma(2n-2k),
+    the coefficient of q_(n-k) in the contour recursion (docs/derivation.md, eq. 11)."""
+    return ((1 - Fraction(1, 2 ** (2 * n - 2 * k - 1))) * (-1) ** k
+            * math.comb(2 * n - 1, 2 * k) * gamma_int(2 * n - 2 * k))
+
+
 def test_alpha_coefficients_by_hand():
-    assert alpha_coeff(1, 0).coeff == Fraction(1, 2)
-    assert alpha_coeff(2, 1).coeff == Fraction(-3, 2)
-    assert alpha_coeff(2, 0).coeff == Fraction(21, 4)  # (7/8) * 6
+    assert _alpha(1, 0) == Fraction(1, 2)
+    assert _alpha(2, 1) == Fraction(-3, 2)
+    assert _alpha(2, 0) == Fraction(21, 4)  # (7/8) * 6
 
 
 def test_alpha_matches_definition_on_grid():
+    # C(2n-1,2k) Gamma(2n-2k) = (2n-1)!/(2k)!, the step that leaves the rescaled
+    # recursion integer coefficients
     for n in range(1, 9):
         for k in range(n):
-            expected = (
-                (1 - Fraction(1, 2 ** (2 * n - 2 * k - 1)))
-                * (-1) ** k
-                * math.comb(2 * n - 1, 2 * k)
-                * gamma_int(2 * n - 2 * k)
-            )
-            assert alpha_coeff(n, k).coeff == expected
+            rescaled = Fraction(math.factorial(2 * n - 1), math.factorial(2 * k))
+            assert _alpha(n, k) == (1 - Fraction(2, 4 ** (n - k))) * (-1) ** k * rescaled
 
 
-def test_alpha_rejects_out_of_range_k():
-    with pytest.raises(ValueError):
-        alpha_coeff(2, 2)
-    with pytest.raises(ValueError):
-        alpha_coeff(2, -1)
-    with pytest.raises(ValueError):
-        alpha_coeff(0, 0)
+def test_recursion_satisfies_the_contour_identity():
+    # Gamma(2n) q_n + sum_{k=0}^{n-1} alpha(n,k) q_(n-k) = (-1)^(n-1) / (4n), exactly
+    q = [None] + [zeta_even_recursive(m).coeff for m in range(1, 41)]
+    for n in range(1, 41):
+        lhs = gamma_int(2 * n) * q[n] + sum(_alpha(n, k) * q[n - k] for k in range(n))
+        assert lhs == Fraction((-1) ** (n - 1), 4 * n)
 
 
 def test_recursion_first_steps_by_hand():
@@ -362,9 +363,3 @@ def test_render_decimal_validation():
         render_decimal(v, 0)
     with pytest.raises(ValueError):
         render_decimal(v, 100_001)
-
-
-def test_alpha_value_type_is_plain_record():
-    a = alpha_coeff(3, 1)
-    assert isinstance(a, AlphaCoeff)
-    assert (a.n, a.k) == (3, 1)

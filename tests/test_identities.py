@@ -1,20 +1,19 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from zeta_recur.exact import alpha_coeff, zeta_even_recursive
+from zeta_recur.exact import zeta_even_recursive
 from zeta_recur.identities import (
     IdentityId,
     IdentityReport,
     contour_closure,
     cot_power_integral,
     eq9_components,
-    expanded_alpha_term,
     expanded_real_identity,
     odd_zeta_from_contour,
-    right_side_bound,
     verify_bose_integral,
     verify_eq5,
     verify_eq9,
@@ -38,10 +37,11 @@ def test_series_values():
 
 
 def test_series_self_consistency_doubling():
+    # the tighter tolerance takes at least twice the terms at each of these s
     for s in (2, 3, 5):
-        base = zeta_series(s, 1e-12, n_terms=400)
-        double = zeta_series(s, 1e-12, n_terms=800)
-        assert abs(base - double) < 1e-12
+        base = zeta_series(s, 1e-12)
+        tighter = zeta_series(s, 1e-15)
+        assert abs(base - tighter) < 1e-12
 
 
 def test_series_matches_exact_decimal_route():
@@ -141,7 +141,8 @@ def test_right_side_decreasing_and_bounded(s):
     mags = [contour_closure(s, radius, 1e-9).right_side_magnitude for radius in (10.0, 20.0, 30.0)]
     assert mags[0] > mags[1] > mags[2]
     for radius, mag in zip((10.0, 20.0, 30.0), mags):
-        assert mag < right_side_bound(s, radius)
+        # pi |R + i pi|^(s-1) / (e^R - 1): the side's length times the integrand's bound
+        assert mag < math.pi * (radius**2 + math.pi**2) ** (0.5 * (s - 1)) / math.expm1(radius)
 
 
 @pytest.mark.parametrize("budget", [100, 1_000_000])
@@ -158,7 +159,7 @@ def test_contour_note_names_why_it_failed(monkeypatch):
     assert starved.note == "quadrature did not converge; evaluation budget exhausted"
 
     def offset_side(s, seg, tol, budget):
-        return QuadratureResult(1.0, 0.0, 15, True)
+        return QuadratureResult(1.0, 0.0, 15)
 
     monkeypatch.setattr(identities, "integrate_segment", offset_side)
     report = contour_closure(3, 30.0, 1e-9)
@@ -276,13 +277,17 @@ def test_expanded_identity_s4_consistent_with_exact_value():
 
 
 def test_expanded_terms_match_recursion_coefficients():
-    # even-j coefficients of the expanded identity are the alpha(n,k)
-    for n in range(1, 5):
-        s = 2 * n
-        for k in range(n):
-            numeric = expanded_alpha_term(s, k)
-            exact = float(alpha_coeff(n, k).coeff) * math.pi ** (2 * k)
-            assert abs(numeric - exact) <= 8 * math.ulp(abs(exact))
+    # the even-j row eq10 and odd run: its coefficient of zeta(2n-2k) at j = 2k is
+    # alpha(n,k) = (1 - 2^(1-2n+2k)) (-pi^2)^k C(2n-1,2k) Gamma(2n-2k)
+    for n in range(1, 9):
+        row = identities._real_part_row(2 * n)
+        assert [j for j, _, _ in row] == list(range(0, 2 * n, 2))
+        for j, ci, weight in row:
+            k = j // 2
+            alpha = ((1 - Fraction(1, 2 ** (2 * n - j - 1))) * (-1) ** k
+                     * math.comb(2 * n - 1, j) * math.factorial(2 * n - j - 1))
+            exact = float(alpha) * math.pi**j
+            assert abs(ci * weight - exact) <= 8 * math.ulp(abs(exact))
 
 
 def test_expanded_identity_failure_always_carries_a_reason():
