@@ -52,14 +52,21 @@ diagonal with its common denominator are guarded by a module lock (single
 shared writer), so concurrent callers are safe and results are
 deterministic regardless of interleaving.  The pi that ``render_decimal``
 powers comes from ``machin.pi_scaled``, which keeps its own lock-free memo.
+The powers follow the same discipline: ``_pi_powers`` holds, for at most
+``_PI_POWERS_CAP`` = 8 precisions, the last pi^(2n) built at each as one
+immutable tuple (precision, n, y, err, pi^2, pi^2 err) that carries its own
+bound, so row n costs one product by pi^2 after row n - 1.  Readers take
+the memo without a lock, since it is replaced whole; only the replacement
+takes ``_pi_powers_lock``.  Interleaved tables can send each other back to
+binary powering, which costs time and never a digit.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -126,18 +133,17 @@ def bernoulli(m: int) -> Fraction:
         return _bernoulli_cache[m]
 
 
-@dataclass(frozen=True)
-class ZetaEvenValue:
+class ZetaEvenValue(namedtuple("ZetaEvenValue", "n coeff")):
     """zeta(2n) as the exact rational coefficient of pi^(2n)."""
 
-    n: int
-    coeff: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __new__(cls, n: int, coeff: Fraction) -> ZetaEvenValue:
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if self.coeff <= 0:
+        if coeff <= 0:
             raise ValueError("zeta(2n) coefficient must be positive")
+        return super().__new__(cls, n, coeff)
 
     def approx(self) -> float:
         """Double-precision value of q_n * pi^(2n), within one unit in the last place.
@@ -210,19 +216,51 @@ def _fixed_mul(a: int, a_err: int, b: int, b_err: int, scale: int) -> tuple[int,
     return a * b // scale, -(-(a * b_err + b * a_err + a_err * b_err) // scale) + 1
 
 
-def _pi_power_scaled(n: int, precision: int) -> tuple[int, int]:
-    """(y, err) with |y - pi^(2n) * 10**precision| <= err, by binary powering of pi^2."""
-    scale = 10**precision
-    v, v_err = pi_scaled(precision)
-    base = _fixed_mul(v, v_err, v, v_err, scale)
+# (precision, n, y, err, pi^2, pi^2 err) of the last pi^(2n) built at each
+# precision, newest first; at most _PI_POWERS_CAP precisions are kept
+_PI_POWERS_CAP = 8
+_pi_powers: tuple[tuple[int, int, int, int, int, int], ...] = ()
+_pi_powers_lock = threading.Lock()
+
+
+def _binary_power(base: tuple[int, int], k: int, scale: int) -> tuple[int, int]:
+    """The fixed-point (value, err) pair ``base`` to the power k >= 1, by binary powering."""
     power = None
     while True:
-        if n & 1:
+        if k & 1:
             power = base if power is None else _fixed_mul(*power, *base, scale)
-        n >>= 1
-        if not n:
+        k >>= 1
+        if not k:
             return power
         base = _fixed_mul(*base, *base, scale)
+
+
+def _pi_power_scaled(n: int, precision: int) -> tuple[int, int]:
+    """(y, err) with |y - pi^(2n) * 10**precision| <= err, walked along the rows.
+
+    If the last power built at this precision is pi^(2m) with m < n, it is
+    multiplied by (pi^2)^(n-m), a single product when n = m + 1; any other
+    request powers pi^2 from scratch.  ``pi_scaled`` is asked on every call,
+    hit or not, so each precision attempt of ``render_decimal`` makes exactly
+    one call to it (the one perfbench times).
+    """
+    global _pi_powers
+    scale = 10**precision
+    v, v_err = pi_scaled(precision)
+    m = 0
+    for entry in _pi_powers:
+        if entry[0] == precision:
+            _, m, y, y_err, *square = entry
+            break
+    if 0 < m < n:
+        y, y_err = _fixed_mul(y, y_err, *_binary_power(square, n - m, scale), scale)
+    else:
+        square = _fixed_mul(v, v_err, v, v_err, scale)
+        y, y_err = _binary_power(square, n, scale)
+    with _pi_powers_lock:
+        kept = [entry for entry in _pi_powers if entry[0] != precision]
+        _pi_powers = ((precision, n, y, y_err, *square), *kept[:_PI_POWERS_CAP - 1])
+    return y, y_err
 
 
 def render_decimal(value: ZetaEvenValue, d: int) -> str:
@@ -230,13 +268,18 @@ def render_decimal(value: ZetaEvenValue, d: int) -> str:
 
     ``machin.truncated`` owns the guard policy; this supplies zeta(2n) at
     precision d + guard.  pi^(2n) is built in fixed point at the wider
-    precision P = d + guard + 20 by binary powering of pi^2, and every
-    product floor(A*B / 10^P) carries the proven bound
+    precision P = d + guard + 20, from the last power built at P times
+    (pi^2)^(n-m) when that was pi^(2m) with m < n (one product along a
+    table's rows), else by binary powering of pi^2.  Every product
+    floor(A*B / 10^P) carries the proven bound
 
         |floor(A*B / 10^P) - a*b * 10^P| <= ceil((A*eB + B*eA + eA*eB) / 10^P) + 1
 
     for operands |A - a*10^P| <= eA and |B - b*10^P| <= eB, starting from
-    pi's own bound.  With q_n = p/q and the power Y +- eY, the value
+    pi's own bound.  A chain of such products adds the operands' relative
+    errors, plus one unit of the result each, so either path leaves
+    pi^(2n) about n times the relative error of pi^2, which the 20 extra
+    digits hide.  With q_n = p/q and the power Y +- eY, the value
     S = floor(p*Y / (q * 10^20)) is within ceil(p*eY / (q * 10^20)) + 1
     last-place units of zeta(2n) * 10^(d+guard).  zeta(2n) * 10^d is
     irrational, so the guard retries terminate.

@@ -55,6 +55,10 @@ __all__ = [
 DEFAULT_EVAL_BUDGET = 1_000_000
 
 _EPS = 2.220446049250313e-16
+# integrate_finite's running sums: the relative margin that covers the
+# rounding of fsum and of its stop tests, and the least positive double
+_SUM_MARGIN = 1e-12
+_TINY = 5e-324
 
 # why an integral stopped short of its tolerance (QuadratureResult.reason)
 BUDGET_EXHAUSTED = "evaluation budget exhausted"
@@ -287,6 +291,10 @@ def integrate_finite(f, a: float, b: float, tol: float,
     reach tol; for a sign-changing or complex f, R - E is an estimate, like
     each panel's own floor.  The worst panel comes from a heap keyed
     (-err, a), and the errors and floors sit in per-panel lists for fsum.
+    Both stop tests read running sums of those lists, at O(1) per bisection,
+    with a proven bound on how far rounding has moved them; a test that the
+    running sums cannot settle by that bound is decided on fsum of the lists,
+    so every decision and the returned estimate are the exact sums' own.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("integration bounds must be finite with a < b")
@@ -302,15 +310,20 @@ def integrate_finite(f, a: float, b: float, tol: float,
     errs = [err]
     floors = [floor]
     heap = [(-err, a, b, 0, at_floor)]
+    # running sums of errs and floors, within drift of the exact sums
+    err_sum, floor_sum, drift = err, floor, 0.0
     evaluations = 15
     reason = ""
     while True:
-        total_err = math.fsum(errs)
-        if total_err <= tol:
-            break
-        if math.fsum(floors) - 2.0 * _EPS * total_err > tol:
-            reason = ROUNDOFF_FLOOR
-            break
+        slack = drift + _SUM_MARGIN * (err_sum + abs(floor_sum) + tol) + _TINY
+        if not (err_sum - slack > tol and floor_sum + slack - 2.0 * _EPS * (err_sum - slack) <= tol):
+            # near a stop test, or a sum is not finite: decide on the exact sums
+            err_sum, floor_sum, drift = math.fsum(errs), math.fsum(floors), 0.0
+            if err_sum <= tol:
+                break
+            if floor_sum - 2.0 * _EPS * err_sum > tol:
+                reason = ROUNDOFF_FLOOR
+                break
         if evaluations + 30 > budget:
             reason = BUDGET_EXHAUSTED
             break
@@ -324,6 +337,7 @@ def integrate_finite(f, a: float, b: float, tol: float,
         if not (_nodes_interior(wa, mid) and _nodes_interior(mid, wb)):
             reason = FLOAT_EXHAUSTION  # cannot refine further
             break
+        old_err, old_floor = errs[slot], floors[slot]
         values[slot], errs[slot], at_floor, floors[slot] = _gk15(f, wa, mid)
         heapq.heapreplace(heap, (-errs[slot], wa, mid, slot, at_floor))
         value, err, at_floor, floor = _gk15(f, mid, wb)
@@ -332,12 +346,16 @@ def integrate_finite(f, a: float, b: float, tol: float,
         errs.append(err)
         floors.append(floor)
         evaluations += 30
+        err_sum += errs[slot] + err - old_err
+        floor_sum += floors[slot] + floor - old_floor
+        drift += 2.0 * _EPS * (abs(err_sum) + abs(floor_sum) + errs[slot] + err + old_err
+                               + floors[slot] + floor + old_floor) + _TINY
 
     if any(isinstance(v, complex) for v in values):
         total = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
     else:
         total = math.fsum(values)
-    return QuadratureResult(total, total_err, evaluations, reason)
+    return QuadratureResult(total, math.fsum(errs), evaluations, reason)
 
 
 # ---------------------------------------------------------------------------

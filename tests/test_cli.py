@@ -143,7 +143,8 @@ def test_every_command_runs_without_mpmath():
 
 def test_even_and_bernoulli_load_only_the_exact_core():
     # -S keeps the environment's site hooks from importing stdlib modules first;
-    # `random` and `cmath` are imported only by `identities` and `quadrature`
+    # `random` and `cmath` are imported only by `identities` and `quadrature`,
+    # and `dataclasses` (with `inspect`) only by those two and never by `exact`
     script = (
         "import contextlib, io, sys\n"
         "from zeta_recur import cli\n"
@@ -155,6 +156,7 @@ def test_even_and_bernoulli_load_only_the_exact_core():
         "assert codes == [0, 0], codes\n"
         "numeric = ('zeta_recur.identities', 'zeta_recur.quadrature', 'random', 'cmath')\n"
         "assert not [m for m in numeric if m in sys.modules], loaded()\n"
+        "assert not [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['verify', 'eq2']) == 0\n"
         "assert 'zeta_recur.identities' in sys.modules\n"

@@ -260,30 +260,62 @@ def test_approx_is_finite_for_every_n():
         assert value(n).approx() == 1.0
 
 
+def test_zeta_even_value_contract():
+    # a value is an immutable, hashable record compared field by field
+    v = ZetaEvenValue(2, Fraction(1, 90))
+    assert repr(v) == "ZetaEvenValue(n=2, coeff=Fraction(1, 90))"
+    twin = ZetaEvenValue(2, Fraction(2, 180))
+    assert v == twin and hash(v) == hash(twin)
+    assert len({v, twin, zeta_even_recursive(2), zeta_even_euler(2)}) == 1
+    assert v != ZetaEvenValue(3, Fraction(1, 90))
+    assert v != ZetaEvenValue(2, Fraction(1, 91))
+    assert (v.n, v.coeff) == (2, Fraction(1, 90))
+    for name in ("n", "coeff", "other"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, 1)
+    assert v == ZetaEvenValue(2, Fraction(1, 90))
+
+
 def test_zeta_even_value_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be >= 1"):
         ZetaEvenValue(0, Fraction(1, 6))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="coefficient must be positive"):
         ZetaEvenValue(1, Fraction(-1, 6))
+    with pytest.raises(ValueError, match="coefficient must be positive"):
+        ZetaEvenValue(1, Fraction(0))
     with pytest.raises(ValueError):
         zeta_even_recursive(0)
     with pytest.raises(ValueError):
         zeta_even_euler(-3)
 
 
-def test_memo_tables_are_thread_safe_and_deterministic():
-    results = []
+def test_memo_tables_are_thread_safe_and_deterministic(monkeypatch):
+    # threads share the pi-power memo too: tables at mixed digits, rendered at
+    # once, walk it in interleaved steps and must print what one thread prints
+    monkeypatch.setattr(exact, "_pi_powers", ())
+    digits = (10, 30, 10, 200, 12, 30, 10, 200)
+    results = [None] * len(digits)
 
-    def worker():
-        results.append(zeta_even_recursive(40).coeff)
+    def worker(i):
+        results[i] = [(v.coeff, render_decimal(v, digits[i]))
+                      for v in map(zeta_even_recursive, range(1, 41))]
 
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(set(results)) == 1
-    assert results[0] == zeta_even_euler(40).coeff
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(digits))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(exact._pi_powers) <= exact._PI_POWERS_CAP
+    monkeypatch.setattr(exact, "_pi_powers", ())
+    for d, rows in zip(digits, results):
+        assert rows == [(zeta_even_euler(n).coeff, render_decimal(zeta_even_recursive(n), d))
+                        for n in range(1, 41)]
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +387,42 @@ def test_pi_power_error_bound_holds(n, precision):
         truth = mpmath.pi ** (2 * n) * mpmath.mpf(10) ** precision
         assert abs(y - truth) <= y_err
     assert y_err * 10 ** (precision // 2) < y  # and the bound is not vacuous
+
+
+def _pi_power_requests(rng: random.Random) -> list[tuple[int, int]]:
+    """Seeded (n, precision) runs: steps up, repeats, steps down and gaps, at
+    interleaved precisions, more of them than the memo keeps."""
+    precisions = [5, 23, 42, 54, 78, 126, 222, 301, 412, 1032]
+    requests = []
+    for _ in range(60):
+        p = rng.choice(precisions)
+        n = rng.randint(1, 120)
+        for _ in range(rng.randint(1, 6)):
+            requests.append((n, p))
+            n = max(1, n + rng.choice((1, 1, 1, 0, -1, -7, 2, 5, 40)))
+    return requests
+
+
+def test_pi_power_memo_keeps_the_bound_on_every_path(monkeypatch):
+    monkeypatch.setattr(exact, "_pi_powers", ())
+    for n, precision in _pi_power_requests(random.Random(20120217)):
+        y, y_err = exact._pi_power_scaled(n, precision)
+        with mpmath.workdps(precision + 2 * n + 40):
+            assert abs(y - mpmath.pi ** (2 * n) * mpmath.mpf(10) ** precision) <= y_err, (n, precision)
+        assert y_err * 10 ** (precision // 2) < y  # and the bound is not vacuous
+        kept = [entry[0] for entry in exact._pi_powers]
+        assert kept[0] == precision and len(set(kept)) == len(kept) <= exact._PI_POWERS_CAP
+
+
+def test_render_decimal_matches_mpmath_floor_along_memo_paths(monkeypatch):
+    # guard retries at d = 10 reach the memo's wider precisions out of row order
+    monkeypatch.setattr(exact, "_pi_powers", ())
+    rng = random.Random(2012)
+    for n, p in _pi_power_requests(rng)[:150]:
+        d = rng.choice((10, 10, p))
+        with mpmath.workdps(d + n + 40):
+            expected = int(mpmath.floor(mpmath.zeta(2 * n) * mpmath.mpf(10) ** d))
+        assert render_decimal(zeta_even_recursive(n), d) == f"{str(expected)[0]}.{str(expected)[1:]}"
 
 
 def test_render_decimal_validation():

@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 
@@ -433,6 +434,88 @@ def test_floor_sum_stops_before_any_bisection():
     r = integrate_finite(f, 0.0, 20.0, 1e-300, 600)
     assert (r.converged, r.reason, r.evaluations) == (False, quadrature.ROUNDOFF_FLOOR, 15)
     assert _scan_loop(f, 0.0, 20.0, 1e-300, 600).reason == quadrature.BUDGET_EXHAUSTED
+
+
+def _fsum_loop(f, a, b, tol, budget):
+    """The heap loop with both stop tests on sums fsum recomputes at every step."""
+    if not quadrature._nodes_interior(a, b):
+        return QuadratureResult(0.0, math.inf, 0, quadrature.FLOAT_EXHAUSTION)
+    value, err, at_floor, floor = quadrature._gk15(f, a, b)
+    values, errs, floors = [value], [err], [floor]
+    heap = [(-err, a, b, 0, at_floor)]
+    evaluations = 15
+    reason = ""
+    while True:
+        total_err = math.fsum(errs)
+        if total_err <= tol:
+            break
+        if math.fsum(floors) - 2.0 * quadrature._EPS * total_err > tol:
+            reason = quadrature.ROUNDOFF_FLOOR
+            break
+        if evaluations + 30 > budget:
+            reason = quadrature.BUDGET_EXHAUSTED
+            break
+        _, wa, wb, slot, at_floor = heap[0]
+        if at_floor:
+            reason = quadrature.ROUNDOFF_FLOOR
+            break
+        mid = 0.5 * (wa + wb)
+        if not (quadrature._nodes_interior(wa, mid) and quadrature._nodes_interior(mid, wb)):
+            reason = quadrature.FLOAT_EXHAUSTION
+            break
+        values[slot], errs[slot], at_floor, floors[slot] = quadrature._gk15(f, wa, mid)
+        heapq.heapreplace(heap, (-errs[slot], wa, mid, slot, at_floor))
+        value, err, at_floor, floor = quadrature._gk15(f, mid, wb)
+        heapq.heappush(heap, (-err, mid, wb, len(values), at_floor))
+        values.append(value)
+        errs.append(err)
+        floors.append(floor)
+        evaluations += 30
+    if any(isinstance(v, complex) for v in values):
+        total = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+    else:
+        total = math.fsum(values)
+    return QuadratureResult(total, total_err, evaluations, reason)
+
+
+def test_running_sums_against_the_fsum_loop():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # the running sums decide nothing themselves: every result is the fsum
+    # loop's, bit for bit, also at a tol equal to or one ulp from a reachable
+    # error sum, where only the exact sums can tell the two sides apart
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hyp.given(kind=st.sampled_from(("bose", "fermi", "cot", "segment", "wave")),
+               s=st.integers(2, 60), x_max=st.floats(1.0, 200.0), side=st.integers(0, 3),
+               decades=st.one_of(st.floats(-320.0, 300.0), st.floats(-16.0, -6.0)),
+               budget=st.sampled_from((15, 105, 600, 6000)))
+    def prop(kind, s, x_max, side, decades, budget):
+        if kind == "wave":
+            f, a, b = (lambda x: math.sin(s * x) * x ** 3), 0.0, x_max
+        else:
+            f, a, b = _drawn_integrand(kind, s, x_max, side)
+        ref = _fsum_loop(f, a, b, 10.0 ** decades, budget)
+        edge = ref.error_estimate
+        for tol in (10.0 ** decades, edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)):
+            if 0.0 < tol < math.inf:
+                assert repr(integrate_finite(f, a, b, tol, budget)) == \
+                    repr(_fsum_loop(f, a, b, tol, budget)), tol
+
+    prop()
+
+
+def test_running_sums_keep_a_long_integral_linear(monkeypatch):
+    # 8,058 bisections: the fsum loop re-sums both lists before each of them
+    f = lambda x: math.sin(300.0 * x)  # noqa: E731
+    ref = _fsum_loop(f, 0.0, 100.0, 1e-9, 480_000)
+    fsum, calls = math.fsum, []
+    monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
+    r = integrate_finite(f, 0.0, 100.0, 1e-9, 480_000)
+    monkeypatch.undo()
+    assert (r.converged, r.evaluations) == (True, 241_755)
+    assert repr(r) == repr(ref)
+    assert len(calls) < 20, len(calls)  # a handful near tol, not two per bisection
 
 
 # ---------------------------------------------------------------------------
