@@ -5,12 +5,14 @@ Identity tags name the numbered equations of docs/derivation.md:
     EQ2          Gamma-weighted series integral: int x^(s-1)/(e^x-1) = Gamma(s) zeta(s)
     EQ5          partial fraction 2/(e^(2t)-1) = 1/(e^t-1) - 1/(e^t+1), pointwise
     EQ7          alternating-weight integral: int x^(s-1)/(e^x+1) = (1-2^(1-s)) Gamma(s) zeta(s)
-    EQ8_CLOSURE  vanishing of the rectangle contour integral of z^(s-1)/(e^z-1)
     EQ9          the R -> inf limit A - B = C of the closure
     S2_REAL      real part of EQ9 at s = 2 (recovers zeta(2) = pi^2/6)
     S2_IMAG      imaginary part of EQ9 at s = 2 (recovers pi ln 2)
     EQ10_NUMERIC expanded real part of EQ9 for general s (the recursion's shadow)
     ODD_ZETA     zeta at odd s solved out of EQ10_NUMERIC
+
+EQ8, the vanishing of the rectangle contour integral of z^(s-1)/(e^z-1), has
+no tag: ``contour_closure`` reports it as a ``ContourReport``.
 
 ``zeta_series`` is the independent oracle: direct summation with an
 Euler-Maclaurin tail, touching none of the quadrature or exact-arithmetic
@@ -27,9 +29,8 @@ import functools
 import math
 import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal, localcontext
-from typing import NamedTuple
 
 from .exact import gamma_int, zeta_even_recursive
 from .quadrature import (
@@ -157,7 +158,6 @@ class IdentityId(str, enum.Enum):
     EQ2 = "EQ2"
     EQ5 = "EQ5"
     EQ7 = "EQ7"
-    EQ8_CLOSURE = "EQ8_CLOSURE"
     EQ9 = "EQ9"
     S2_REAL = "S2_REAL"
     S2_IMAG = "S2_IMAG"
@@ -165,16 +165,15 @@ class IdentityId(str, enum.Enum):
     ODD_ZETA = "ODD_ZETA"
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity_id: IdentityId
-    s: int
-    lhs: float | complex
-    rhs: float | complex
-    residual: float
-    tolerance: float
-    passed: bool
-    note: str = ""
+class IdentityReport(namedtuple("IdentityReport", "identity_id s lhs rhs tolerance passed note",
+                                defaults=("",))):
+    """One identity's two sides at s, the tolerance, the verdict and why it failed."""
+
+    __slots__ = ()
+
+    @property
+    def residual(self) -> float:
+        return abs(self.lhs - self.rhs)
 
     @classmethod
     def from_sides(cls, identity_id, s, lhs, rhs, tolerance, note="", floor=None, reason="",
@@ -202,24 +201,30 @@ class IdentityReport:
             note = "; ".join(reasons)
         elif not passed and not note:
             note = f"residual {residual:.3g} above tolerance {tolerance:.3g}"
-        return cls(identity_id, s, lhs, rhs, residual, tolerance, passed, note)
+        return cls(identity_id, s, lhs, rhs, tolerance, passed, note)
 
 
-@dataclass(frozen=True)
-class ContourReport:
-    """Side integrals of z^(s-1)/(e^z-1) around the rectangle 0, R, R+i*pi, i*pi."""
+class ContourReport(namedtuple("ContourReport", "s R side_values error_estimate evaluations "
+                                                "reason tolerance passed note")):
+    """Side integrals of z^(s-1)/(e^z-1) around the rectangle 0, R, R+i*pi, i*pi:
+    bottom, right, top and left, why any stopped short of its tolerance (reason),
+    the verdict (converged and |closure| <= tolerance) and why it failed (note:
+    the sides' stop reasons, or |closure| against the tolerance)."""
 
-    s: int
-    R: float
-    side_values: tuple[complex, complex, complex, complex]
-    closure: complex
-    right_side_magnitude: float
-    error_estimate: float
-    evaluations: int
-    converged: bool
-    tolerance: float
-    passed: bool  # converged and |closure| <= tolerance
-    note: str = ""  # why it failed: the sides' stop reasons, or |closure| against tolerance
+    __slots__ = ()
+
+    @property
+    def closure(self) -> complex:
+        bottom, right, top, left = self.side_values
+        return bottom + right + top + left
+
+    @property
+    def right_side_magnitude(self) -> float:
+        return abs(self.side_values[1])
+
+    @property
+    def converged(self) -> bool:
+        return not self.reason
 
 
 def zeta_series(s: int, tol: float) -> float:
@@ -370,29 +375,17 @@ def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9,
         note = f"closure magnitude {abs(closure):.3g} above tolerance {tol:.3g}"
     else:
         note = ""
-    return ContourReport(
-        s=s,
-        R=R,
-        side_values=values,
-        closure=closure,
-        right_side_magnitude=abs(values[1]),
-        error_estimate=math.fsum(r.error_estimate for r in results),
-        evaluations=sum(r.evaluations for r in results),
-        converged=not reason,
-        tolerance=tol,
-        passed=passed,
-        note=note,
-    )
+    error_estimate = math.fsum(r.error_estimate for r in results)
+    evaluations = sum(r.evaluations for r in results)
+    return ContourReport(s, R, values, error_estimate, evaluations, reason, tol, passed, note)
 
 
-class LimitComponents(NamedTuple):
-    """The three pieces of the R -> inf limit A - B = C."""
+class LimitComponents(namedtuple("LimitComponents", "a b c error_estimate reason",
+                                 defaults=("",))):
+    """The three pieces of the R -> inf limit A - B = C, their summed error
+    estimate and why the quadratures that fell short stopped."""
 
-    a: complex
-    b: complex
-    c: complex
-    error_estimate: float
-    reason: str = ""  # why the quadratures that fell short stopped
+    __slots__ = ()
 
     @property
     def converged(self) -> bool:
@@ -476,7 +469,7 @@ def verify_log2_identity(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -
     """
     lhs_quad = integrate_semi_infinite(lambda x: fermi_integrand(x, 1), 1, _share(0.125, tol),
                                        budget=budget)
-    rhs_quad = integrate_finite(lambda y: cot_kernel(y, 2), 0.0, math.pi, _share(0.25, tol), budget)
+    rhs_quad = cot_power_integral(2, _share(0.25, tol), budget)
     return IdentityReport.from_sides(
         IdentityId.S2_IMAG, 2,
         math.pi * lhs_quad.value,

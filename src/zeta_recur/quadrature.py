@@ -3,9 +3,10 @@
 The scheme is the nested (G7, K15) pair on each subinterval, with
 deterministic refinement: always bisect the subinterval with the largest
 error estimate, ties broken by the leftmost, taken from a heap keyed
-(-error, left end).  Per-interval errors use the standard Kronrod estimator
-((200 |K-G| / resasc)^1.5 scaling) with a two-epsilon-of-resabs floor so the
-reported estimate never claims better than roundoff.  Each panel sums its
+(-error, left end) whose entries are the only record of the subintervals.
+Per-interval errors use the standard Kronrod estimator ((200 |K-G| /
+resasc)^1.5 scaling) with a two-epsilon-of-resabs floor so the reported
+estimate never claims better than roundoff.  Each panel sums its
 15 terms in one fixed order: the nodes +x1, -x1, ..., +x7, -x7, 0, left to
 right from 0.0.  Convergence means the summed estimates fell below the
 requested tolerance.  Stopping short of it is reported, never raised, with
@@ -33,7 +34,7 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "QuadratureResult",
@@ -66,20 +67,18 @@ ROUNDOFF_FLOOR = "roundoff floor"
 FLOAT_EXHAUSTION = "float exhaustion"
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(namedtuple("QuadratureResult", "value error_estimate evaluations reason")):
     """An integral, its error estimate and, when it did not converge, why not."""
 
-    value: float | complex
-    error_estimate: float
-    evaluations: int
-    reason: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.evaluations < 0 or (self.converged and not self.evaluations):
+    def __new__(cls, value: float | complex, error_estimate: float, evaluations: int,
+                reason: str = "") -> QuadratureResult:
+        if evaluations < 0 or (not reason and not evaluations):
             raise ValueError("evaluations must be nonnegative, and positive when converged")
-        if self.error_estimate < 0:
+        if error_estimate < 0:
             raise ValueError("error estimate must be nonnegative")
+        return super().__new__(cls, value, error_estimate, evaluations, reason)
 
     @property
     def converged(self) -> bool:
@@ -87,16 +86,15 @@ class QuadratureResult:
         return not self.reason
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(namedtuple("Segment", "start end")):
     """Directed straight segment in the complex plane."""
 
-    start: complex
-    end: complex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.start == self.end:
+    def __new__(cls, start: complex, end: complex) -> Segment:
+        if start == end:
             raise ValueError("segment endpoints must differ")
+        return super().__new__(cls, start, end)
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +287,13 @@ def integrate_finite(f, a: float, b: float, tol: float,
     Any mesh reports about 2 eps times the integral of |f| at least, and for
     a positive f that integral is at least R - E, so refining further cannot
     reach tol; for a sign-changing or complex f, R - E is an estimate, like
-    each panel's own floor.  The worst panel comes from a heap keyed
-    (-err, a), and the errors and floors sit in per-panel lists for fsum.
-    Both stop tests read running sums of those lists, at O(1) per bisection,
-    with a proven bound on how far rounding has moved them; a test that the
-    running sums cannot settle by that bound is decided on fsum of the lists,
-    so every decision and the returned estimate are the exact sums' own.
+    each panel's own floor.  Each panel is one heap entry
+    (-err, a, b, value, floor, at_floor), and the worst is the heap's top.
+    Both stop tests read running sums of the entries' errors and floors, at
+    O(1) per bisection, with a proven bound on how far rounding has moved
+    them; a test that the running sums cannot settle by that bound is decided
+    on fsum over the heap, so every decision and the returned estimate are
+    the exact sums' own.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("integration bounds must be finite with a < b")
@@ -304,13 +303,10 @@ def integrate_finite(f, a: float, b: float, tol: float,
         return QuadratureResult(0.0, math.inf, 0, FLOAT_EXHAUSTION)
 
     value, err, at_floor, floor = _gk15(f, a, b)
-    # slot i holds one panel's values[i], errs[i] and floors[i]; its heap
-    # entry (-err, a, b, i, at_floor) says where it lies and when to bisect it
-    values = [value]
-    errs = [err]
-    floors = [floor]
-    heap = [(-err, a, b, 0, at_floor)]
-    # running sums of errs and floors, within drift of the exact sums
+    # the panels are disjoint, so (-err, a) decides every comparison of two
+    # entries and a value, which may be complex, is never compared
+    heap = [(-err, a, b, value, floor, at_floor)]
+    # running sums of the panels' errors and floors, within drift of the exact sums
     err_sum, floor_sum, drift = err, floor, 0.0
     evaluations = 15
     reason = ""
@@ -318,7 +314,8 @@ def integrate_finite(f, a: float, b: float, tol: float,
         slack = drift + _SUM_MARGIN * (err_sum + abs(floor_sum) + tol) + _TINY
         if not (err_sum - slack > tol and floor_sum + slack - 2.0 * _EPS * (err_sum - slack) <= tol):
             # near a stop test, or a sum is not finite: decide on the exact sums
-            err_sum, floor_sum, drift = math.fsum(errs), math.fsum(floors), 0.0
+            err_sum = math.fsum(-entry[0] for entry in heap)
+            floor_sum, drift = math.fsum(entry[4] for entry in heap), 0.0
             if err_sum <= tol:
                 break
             if floor_sum - 2.0 * _EPS * err_sum > tol:
@@ -327,7 +324,7 @@ def integrate_finite(f, a: float, b: float, tol: float,
         if evaluations + 30 > budget:
             reason = BUDGET_EXHAUSTED
             break
-        _, wa, wb, slot, at_floor = heap[0]
+        neg_err, wa, wb, _, old_floor, at_floor = heap[0]
         if at_floor:
             # worst interval already reports its roundoff floor; bisection
             # conserves the floor sum, so no further progress is possible
@@ -337,25 +334,23 @@ def integrate_finite(f, a: float, b: float, tol: float,
         if not (_nodes_interior(wa, mid) and _nodes_interior(mid, wb)):
             reason = FLOAT_EXHAUSTION  # cannot refine further
             break
-        old_err, old_floor = errs[slot], floors[slot]
-        values[slot], errs[slot], at_floor, floors[slot] = _gk15(f, wa, mid)
-        heapq.heapreplace(heap, (-errs[slot], wa, mid, slot, at_floor))
+        old_err = -neg_err
+        value, left_err, at_floor, left_floor = _gk15(f, wa, mid)
+        heapq.heapreplace(heap, (-left_err, wa, mid, value, left_floor, at_floor))
         value, err, at_floor, floor = _gk15(f, mid, wb)
-        heapq.heappush(heap, (-err, mid, wb, len(values), at_floor))
-        values.append(value)
-        errs.append(err)
-        floors.append(floor)
+        heapq.heappush(heap, (-err, mid, wb, value, floor, at_floor))
         evaluations += 30
-        err_sum += errs[slot] + err - old_err
-        floor_sum += floors[slot] + floor - old_floor
-        drift += 2.0 * _EPS * (abs(err_sum) + abs(floor_sum) + errs[slot] + err + old_err
-                               + floors[slot] + floor + old_floor) + _TINY
+        err_sum += left_err + err - old_err
+        floor_sum += left_floor + floor - old_floor
+        drift += 2.0 * _EPS * (abs(err_sum) + abs(floor_sum) + left_err + err + old_err
+                               + left_floor + floor + old_floor) + _TINY
 
+    values = [entry[3] for entry in heap]
     if any(isinstance(v, complex) for v in values):
         total = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
     else:
         total = math.fsum(values)
-    return QuadratureResult(total, math.fsum(errs), evaluations, reason)
+    return QuadratureResult(total, math.fsum(-entry[0] for entry in heap), evaluations, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +419,13 @@ def _segment_pole_distance(seg: Segment) -> float:
     top = max(abs(seg.start.imag), abs(seg.end.imag))
     k_max = int(top / _POLE_SPACING) + 2
     delta = seg.end - seg.start
-    norm2 = abs(delta) ** 2
     best = math.inf
     for k in range(-k_max, k_max + 1):
         if k == 0:
             continue
         pole = complex(0.0, _POLE_SPACING * k)
-        t = ((pole - seg.start).real * delta.real + (pole - seg.start).imag * delta.imag) / norm2
-        t = min(1.0, max(0.0, t))
+        # complex division scales its operands, so no |delta|^2 underflows
+        t = min(1.0, max(0.0, ((pole - seg.start) / delta).real))
         best = min(best, abs(seg.start + t * delta - pole))
     return best
 

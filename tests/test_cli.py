@@ -144,11 +144,12 @@ def test_every_command_runs_without_mpmath():
 def test_even_and_bernoulli_load_only_the_exact_core():
     # -S keeps the environment's site hooks from importing stdlib modules first;
     # `random` and `cmath` are imported only by `identities` and `quadrature`,
-    # and `dataclasses` (with `inspect`) only by those two and never by `exact`
+    # and no command loads `dataclasses`, `inspect` or `typing`
     script = (
         "import contextlib, io, sys\n"
         "from zeta_recur import cli\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.startswith('zeta_recur'))\n"
+        "unused = lambda: [m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules]\n"
         "assert loaded() == ['zeta_recur', 'zeta_recur.cli', 'zeta_recur.exact',\n"
         "                    'zeta_recur.machin'], loaded()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -156,10 +157,13 @@ def test_even_and_bernoulli_load_only_the_exact_core():
         "assert codes == [0, 0], codes\n"
         "numeric = ('zeta_recur.identities', 'zeta_recur.quadrature', 'random', 'cmath')\n"
         "assert not [m for m in numeric if m in sys.modules], loaded()\n"
-        "assert not [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "assert not unused(), unused()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['verify', 'eq2']) == 0\n"
+        "    assert cli.main(['contour', '--s', '2']) == 0\n"
+        "    assert cli.main(['verify', 'eq5']) == 0\n"
         "assert 'zeta_recur.identities' in sys.modules\n"
+        "assert not unused(), unused()\n"
     )
     env = {k: v for k, v in os.environ.items() if k != "ZETA_RECUR_EVAL_BUDGET"}
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -414,6 +418,13 @@ def test_contour_json_sides(capsys):
     for side in ("bottom", "right", "top", "left"):
         assert set(doc[side]) == {"re", "im"}
     assert doc["note"] == ""
+
+
+@pytest.mark.parametrize("radius", ["1e-162", "1e-300", "5e-324"])
+def test_contour_at_a_tiny_radius(capsys, radius):
+    # the bottom and top sides are shorter than the square root of the least double
+    code, out = run(capsys, ["contour", "--s", "2", "--radius", radius, "--format", "json"])
+    assert (code, json.loads(out)["note"]) == (0, "")
 
 
 @pytest.mark.parametrize("argv", [["contour", "--s", "3"], ["verify", "closure", "--s", "3"]])

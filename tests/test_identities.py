@@ -24,7 +24,13 @@ from zeta_recur.identities import (
     zeta_series,
 )
 from zeta_recur import identities
-from zeta_recur.quadrature import BUDGET_EXHAUSTED, QuadratureResult, integrate_finite
+from zeta_recur.quadrature import (
+    BUDGET_EXHAUSTED,
+    ROUNDOFF_FLOOR,
+    QuadratureResult,
+    Segment,
+    integrate_finite,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +454,76 @@ def test_odd_extraction_asks_each_k_only_for_what_zeta_s_needs(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # report invariants
+
+def _quadrature_case(monkeypatch):
+    record = QuadratureResult(0.5, 1e-3, 45, ROUNDOFF_FLOOR)
+    fields = {"value": 0.5, "error_estimate": 1e-3, "evaluations": 45, "reason": ROUNDOFF_FLOOR}
+    invalid = [lambda: QuadratureResult(0.5, 1e-3, 0),
+               lambda: QuadratureResult(0.5, 1e-3, -1, ROUNDOFF_FLOOR),
+               lambda: QuadratureResult(0.5, -1e-3, 45)]
+    return (record, QuadratureResult(0.5, 1e-3, 45, ROUNDOFF_FLOOR),
+            QuadratureResult(0.5, 1e-3, 46, ROUNDOFF_FLOOR), fields,
+            {"converged": not record.reason}, invalid)
+
+
+def _segment_case(monkeypatch):
+    return (Segment(1 + 2j, 3j), Segment(1 + 2j, 3j), Segment(1 + 2j, 4j),
+            {"start": 1 + 2j, "end": 3j}, {}, [lambda: Segment(3j, 3j)])
+
+
+def _identity_case(monkeypatch):
+    record = IdentityReport.from_sides(IdentityId.EQ9, 3, 1 + 2j, 1.5 + 2j, 1e-9)
+    fields = {"identity_id": IdentityId.EQ9, "s": 3, "lhs": 1 + 2j, "rhs": 1.5 + 2j,
+              "tolerance": 1e-9, "passed": False, "note": "residual 0.5 above tolerance 1e-09"}
+    return (record, IdentityReport.from_sides(IdentityId.EQ9, 3, 1 + 2j, 1.5 + 2j, 1e-9),
+            IdentityReport.from_sides(IdentityId.EQ9, 4, 1 + 2j, 1.5 + 2j, 1e-9), fields,
+            {"residual": abs(record.lhs - record.rhs)}, [])
+
+
+def _contour_case(monkeypatch):
+    # each side integrates 1 to its displacement, so the sides sum to exactly 0,
+    # and stops at its roundoff floor
+    monkeypatch.setattr(identities, "integrate_segment", lambda s, seg, tol, budget:
+                        QuadratureResult(seg.end - seg.start, 1e-12, 15, ROUNDOFF_FLOOR))
+    record = contour_closure(2, 30.0, 1e-9)
+    sides = (30 + 0j, math.pi * 1j, -30 + 0j, -math.pi * 1j)
+    fields = {"s": 2, "R": 30.0, "side_values": sides, "error_estimate": 4e-12,
+              "evaluations": 60, "tolerance": 1e-9, "passed": False,
+              "note": "quadrature did not converge; roundoff floor"}
+    bottom, right, top, left = record.side_values
+    derived = {"closure": bottom + right + top + left, "right_side_magnitude": abs(right),
+               "converged": False}
+    return (record, contour_closure(2, 30.0, 1e-9), contour_closure(2, 30.0, 1e-8), fields,
+            derived, [])
+
+
+def _limit_case(monkeypatch):
+    record = identities.LimitComponents(1 + 1j, 0.5j, 1 + 0.5j, 1e-10, BUDGET_EXHAUSTED)
+    fields = {"a": 1 + 1j, "b": 0.5j, "c": 1 + 0.5j, "error_estimate": 1e-10,
+              "reason": BUDGET_EXHAUSTED}
+    return (record, identities.LimitComponents(1 + 1j, 0.5j, 1 + 0.5j, 1e-10, BUDGET_EXHAUSTED),
+            identities.LimitComponents(1 + 1j, 0.5j, 1 + 0.5j, 2e-10, BUDGET_EXHAUSTED), fields,
+            {"converged": not record.reason, "residual": abs(record.a - record.b - record.c)}, [])
+
+
+@pytest.mark.parametrize("case", [_quadrature_case, _segment_case, _identity_case, _contour_case,
+                                  _limit_case])
+def test_record_contract(case, monkeypatch):
+    # a record is an immutable, hashable value compared field by field; each
+    # derived property agrees with the fields it is computed from, and a
+    # record's own checks refuse what it must never hold
+    record, twin, other, fields, derived, invalid = case(monkeypatch)
+    assert {name: getattr(record, name) for name in fields} == fields
+    assert record == twin and hash(record) == hash(twin)
+    assert record != other
+    for name in (*fields, *derived, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+    assert {name: getattr(record, name) for name in derived} == derived
+    for make in invalid:
+        with pytest.raises(ValueError):
+            make()
+
 
 def test_report_invariants_hold_on_random_sides():
     rng = random.Random(1357)

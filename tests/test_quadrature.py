@@ -609,6 +609,16 @@ def test_segment_through_pole_rejected():
         integrate_segment(3, Segment(complex(-1.0, 4 * math.pi), complex(1.0, 4 * math.pi)), 1e-9)
 
 
+def test_segment_shorter_than_the_root_of_the_least_double():
+    # |end - start|^2 underflows to 0 here, and the pole distance must not divide by it
+    length = 1e-200
+    r = integrate_segment(2, Segment(complex(1.0), complex(1.0, length)), 1e-10)
+    assert r.converged
+    assert abs(r.value - 1j * length / math.expm1(1.0)) <= 1e-15 * length
+    with pytest.raises(ValueError):
+        integrate_segment(2, Segment(2j * math.pi, complex(length, 2 * math.pi)), 1e-10)
+
+
 def test_segment_validation():
     with pytest.raises(ValueError):
         Segment(1.0 + 1.0j, 1.0 + 1.0j)
