@@ -30,16 +30,16 @@ import math
 import random
 import sys
 from collections import namedtuple
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 
 from .exact import gamma_int, zeta_even_recursive
 from .quadrature import (
     DEFAULT_EVAL_BUDGET,
     QuadratureResult,
     Segment,
-    bose_integrand,
-    cot_kernel,
-    fermi_integrand,
+    bose,
+    cot_power,
+    fermi,
     integrate_finite,
     integrate_segment,
     integrate_semi_infinite,
@@ -205,11 +205,12 @@ class IdentityReport(namedtuple("IdentityReport", "identity_id s lhs rhs toleran
 
 
 class ContourReport(namedtuple("ContourReport", "s R side_values error_estimate evaluations "
-                                                "reason tolerance passed note")):
+                                                "reason tolerance")):
     """Side integrals of z^(s-1)/(e^z-1) around the rectangle 0, R, R+i*pi, i*pi:
-    bottom, right, top and left, why any stopped short of its tolerance (reason),
-    the verdict (converged and |closure| <= tolerance) and why it failed (note:
-    the sides' stop reasons, or |closure| against the tolerance)."""
+    bottom, right, top and left, and why any stopped short of its tolerance
+    (reason).  The verdict (converged and |closure| <= tolerance) and why it
+    failed (note: the sides' stop reasons, or |closure| against the tolerance)
+    follow from these."""
 
     __slots__ = ()
 
@@ -225,6 +226,18 @@ class ContourReport(namedtuple("ContourReport", "s R side_values error_estimate 
     @property
     def converged(self) -> bool:
         return not self.reason
+
+    @property
+    def passed(self) -> bool:
+        return not self.reason and abs(self.closure) <= self.tolerance
+
+    @property
+    def note(self) -> str:
+        if self.reason:
+            return _unconverged_note(self.reason)
+        if not self.passed:
+            return f"closure magnitude {abs(self.closure):.3g} above tolerance {self.tolerance:.3g}"
+        return ""
 
 
 def zeta_series(s: int, tol: float) -> float:
@@ -287,8 +300,7 @@ def verify_bose_integral(s: int, tol: float = 1e-9,
                          budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
     """EQ2: quadrature of x^(s-1)/(e^x-1) against Gamma(s) * zeta_series(s)."""
     _require_s("verify_bose_integral", s, *_REAL_AXIS_S)
-    quad = integrate_semi_infinite(lambda x: bose_integrand(x, s), s, _share(0.5, tol),
-                                   budget=budget)
+    quad = integrate_semi_infinite(bose(s), s, _share(0.5, tol), budget=budget)
     rhs = _oracle(s, tol, gamma_int(s))
     return IdentityReport.from_sides(IdentityId.EQ2, s, quad.value, rhs, tol, reason=quad.reason)
 
@@ -297,8 +309,7 @@ def verify_fermi_integral(s: int, tol: float = 1e-9,
                           budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
     """EQ7: quadrature of x^(s-1)/(e^x+1) against (1-2^(1-s)) Gamma(s) zeta_series(s)."""
     _require_s("verify_fermi_integral", s, *_REAL_AXIS_S)
-    quad = integrate_semi_infinite(lambda x: fermi_integrand(x, s), s, _share(0.5, tol),
-                                   budget=budget)
+    quad = integrate_semi_infinite(fermi(s), s, _share(0.5, tol), budget=budget)
     rhs = _oracle(s, tol, _fermi_weight(s))
     return IdentityReport.from_sides(IdentityId.EQ7, s, quad.value, rhs, tol, reason=quad.reason)
 
@@ -315,19 +326,29 @@ def verify_eq5(tol: float = 1e-9) -> IdentityReport:
     (near t = 1e-6 each side is ~1e6).  No expm1 series is needed: the correctly
     rounded e^t leaves 1/(e^t - 1) an absolute error near 1e-50/t^2 <= 1e-38.
     Half the draws are uniform on (1e-6, 30), half log-uniform (small t).
+
+    Each sample takes one exp, at 60 digits.  Rounded to 50 digits it is e^t,
+    which is the correctly rounded 50-digit e^t unless digits 51..60 of the
+    60-digit value sit at a rounding tie (they do on none of the samples).
+    Its square, rounded once to 50 digits, is e^(2t) within half an ulp plus
+    a relative 1e-59 (twice the 60-digit rounding): tighter than exp of 2t
+    rounded to 50 digits, whose argument error 2t 5e-50 moves e^(2t) by up
+    to 3e-48 relative at t = 30.
     """
     rng = random.Random(_EQ5_SEED)
     log_hi = math.log10(30.0)
     worst = 0.0
     with localcontext() as ctx:
         ctx.prec = 50
+        wide = Context(prec=60)
         for i in range(_EQ5_SAMPLES):
             if i % 2:
                 t = Decimal(rng.uniform(1e-6, 30.0))
             else:
                 t = Decimal(10.0 ** rng.uniform(-6.0, log_hi))
-            e = t.exp()
-            lhs = 2 / ((2 * t).exp() - 1)
+            e_wide = t.exp(wide)
+            e = +e_wide
+            lhs = 2 / (e_wide * e_wide - 1)
             rhs = 1 / (e - 1) - 1 / (e + 1)
             worst = max(worst, abs(float(lhs - rhs)))
     return IdentityReport.from_sides(
@@ -366,18 +387,9 @@ def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9,
     )
     results = [integrate_segment(s, seg, 0.25 * tol, budget) for seg in sides]
     values = tuple(r.value for r in results)
-    closure = values[0] + values[1] + values[2] + values[3]
-    reason = _stop_reason(results)
-    passed = not reason and abs(closure) <= tol
-    if reason:
-        note = _unconverged_note(reason)
-    elif not passed:
-        note = f"closure magnitude {abs(closure):.3g} above tolerance {tol:.3g}"
-    else:
-        note = ""
     error_estimate = math.fsum(r.error_estimate for r in results)
     evaluations = sum(r.evaluations for r in results)
-    return ContourReport(s, R, values, error_estimate, evaluations, reason, tol, passed, note)
+    return ContourReport(s, R, values, error_estimate, evaluations, _stop_reason(results), tol)
 
 
 class LimitComponents(namedtuple("LimitComponents", "a b c error_estimate reason",
@@ -417,7 +429,7 @@ def eq9_components(s: int, tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET)
                         ((0.125, _lower_gamma(s, truncation_point(s, 0.125 * tol))),
                          (0.25, _pi_side_bound(s))))
 
-    a_quad = integrate_semi_infinite(lambda x: bose_integrand(x, s), s, part, budget=budget)
+    a_quad = integrate_semi_infinite(bose(s), s, part, budget=budget)
     a = complex(a_quad.value)
     err = a_quad.error_estimate
     quads = [a_quad]
@@ -432,8 +444,7 @@ def eq9_components(s: int, tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET)
             # Gamma(m) is infeasible in doubles; clamp the request there and
             # let the reported error estimate carry the truth
             f_tol = max(part / (s * max(1.0, coef)), 5e-15 * gamma_int(m))
-            f_quad = integrate_semi_infinite(
-                lambda x, m=m: fermi_integrand(x, m), m, f_tol, budget=budget)
+            f_quad = integrate_semi_infinite(fermi(m), m, f_tol, budget=budget)
             f_j = f_quad.value
             err += coef * f_quad.error_estimate
             quads.append(f_quad)
@@ -467,8 +478,7 @@ def verify_log2_identity(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -
     The right-hand integrand equals y * cot(y/2) (removable limit 2 at 0)
     and both sides equal pi ln 2.
     """
-    lhs_quad = integrate_semi_infinite(lambda x: fermi_integrand(x, 1), 1, _share(0.125, tol),
-                                       budget=budget)
+    lhs_quad = integrate_semi_infinite(fermi(1), 1, _share(0.125, tol), budget=budget)
     rhs_quad = cot_power_integral(2, _share(0.25, tol), budget)
     return IdentityReport.from_sides(
         IdentityId.S2_IMAG, 2,
@@ -482,7 +492,7 @@ def verify_log2_identity(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -
 def cot_power_integral(s: int, tol: float = 1e-10,
                        budget: int = DEFAULT_EVAL_BUDGET) -> QuadratureResult:
     """K(s) = int_0^pi y^(s-1) cot(y/2) dy, the transcendental piece of EQ10."""
-    return integrate_finite(lambda y: cot_kernel(y, s), 0.0, math.pi, tol, budget)
+    return integrate_finite(cot_power(s), 0.0, math.pi, tol, budget)
 
 
 def _binomial_terms(s: int):

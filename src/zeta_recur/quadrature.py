@@ -43,6 +43,9 @@ __all__ = [
     "BUDGET_EXHAUSTED",
     "ROUNDOFF_FLOOR",
     "FLOAT_EXHAUSTION",
+    "bose",
+    "fermi",
+    "cot_power",
     "bose_integrand",
     "fermi_integrand",
     "cot_kernel",
@@ -99,54 +102,92 @@ class Segment(namedtuple("Segment", "start end")):
 
 # ---------------------------------------------------------------------------
 # integrands
+#
+# Each integrand is built once per integral, as a closure of s: bose(s),
+# fermi(s) and cot_power(s) on the real axis, _segment_integrand(s, start,
+# delta) along a segment.  The builder checks s, and each call of the closure
+# is the one Python frame a quadrature node costs (only a segment node near
+# z = 0 adds the series of _cexpm1_series).  The closure is the one home of
+# its formula: bose_integrand(x, s), fermi_integrand, cot_kernel and
+# _pole_ratio_integrand call it for a single point.
 
-def bose_integrand(x: float, s: int) -> float:
-    """x^(s-1) / (e^x - 1), stable over the whole positive axis.
+def bose(s: int):
+    """x -> x^(s-1) / (e^x - 1), stable over the whole positive axis.
 
     Below x = 1 the denominator comes from expm1 (no cancellation); above,
     the equivalent form x^(s-1) e^-x / (1 - e^-x) avoids overflow for any x.
     """
     if s < 2:
         raise ValueError("bose_integrand requires s >= 2")
-    if x <= 0.0:
-        raise ValueError("bose_integrand requires x > 0")
-    if x <= 1.0:
-        return x ** (s - 1) / math.expm1(x)
-    t = math.exp(-x)
-    return x ** (s - 1) * t / (1.0 - t)
+    p = s - 1
+
+    def f(x: float) -> float:
+        if x <= 0.0:
+            raise ValueError("bose_integrand requires x > 0")
+        if x <= 1.0:
+            return x ** p / math.expm1(x)
+        t = math.exp(-x)
+        return x ** p * t / (1.0 - t)
+
+    return f
 
 
-def fermi_integrand(x: float, s: int) -> float:
-    """x^(s-1) / (e^x + 1); at x = 0 this is 1/2 for s = 1 and 0 for s >= 2."""
+def fermi(s: int):
+    """x -> x^(s-1) / (e^x + 1); at x = 0 this is 1/2 for s = 1 and 0 for s >= 2."""
     if s < 1:
         raise ValueError("fermi_integrand requires s >= 1")
-    if x < 0.0:
-        raise ValueError("fermi_integrand requires x >= 0")
-    t = math.exp(-x)
-    return x ** (s - 1) * t / (1.0 + t)
+    p = s - 1
+
+    def f(x: float) -> float:
+        if x < 0.0:
+            raise ValueError("fermi_integrand requires x >= 0")
+        t = math.exp(-x)
+        return x ** p * t / (1.0 + t)
+
+    return f
 
 
-def cot_kernel(y: float, s: int) -> float:
-    """y^(s-1) * cot(y/2) on [0, pi], with the removable limit at y = 0.
+def cot_power(s: int):
+    """y -> y^(s-1) * cot(y/2) on [0, pi], with the removable limit at y = 0.
 
     Near zero the product is evaluated from the Laurent series of cot to
     sidestep the 0 * inf form: y^(s-1) cot(y/2) = 2 y^(s-2) - y^s/6 - y^(s+2)/360 - ...
     """
     if s < 2:
         raise ValueError("cot_kernel requires s >= 2")
-    if not 0.0 <= y <= math.pi:
-        raise ValueError("cot_kernel domain is [0, pi]")
-    if y == 0.0:
-        return 2.0 if s == 2 else 0.0
-    if y < 1e-4:
-        return 2.0 * y ** (s - 2) - y**s / 6.0 - y ** (s + 2) / 360.0
-    return y ** (s - 1) * math.cos(0.5 * y) / math.sin(0.5 * y)
+    p = s - 1
+    at_zero = 2.0 if s == 2 else 0.0
+
+    def f(y: float) -> float:
+        if not 0.0 <= y <= math.pi:
+            raise ValueError("cot_kernel domain is [0, pi]")
+        if y == 0.0:
+            return at_zero
+        if y < 1e-4:
+            return 2.0 * y ** (s - 2) - y**s / 6.0 - y ** (s + 2) / 360.0
+        return y ** p * math.cos(0.5 * y) / math.sin(0.5 * y)
+
+    return f
 
 
-def _cexpm1(z: complex) -> complex:
-    """exp(z) - 1 without cancellation near z = 0."""
-    if abs(z) >= 0.5:
-        return cmath.exp(z) - 1.0
+def bose_integrand(x: float, s: int) -> float:
+    """bose(s) at x."""
+    return bose(s)(x)
+
+
+def fermi_integrand(x: float, s: int) -> float:
+    """fermi(s) at x."""
+    return fermi(s)(x)
+
+
+def cot_kernel(y: float, s: int) -> float:
+    """cot_power(s) at y."""
+    return cot_power(s)(y)
+
+
+def _cexpm1_series(z: complex) -> complex:
+    """exp(z) - 1 for abs(z) < 0.5 from its Taylor series, without the
+    cancellation of cmath.exp(z) - 1.0 near z = 0."""
     term = z
     total = z
     k = 2
@@ -157,11 +198,27 @@ def _cexpm1(z: complex) -> complex:
     return total
 
 
+def _segment_integrand(s: int, start: complex, delta: complex):
+    """t -> f(start + t delta) delta for f(z) = z^(s-1) / (e^z - 1) (s >= 2), with
+    the removable value at z = 0; e^z - 1 comes from _cexpm1_series below abs(z) = 0.5."""
+    p = s - 1
+    at_zero = (complex(1.0) if s == 2 else complex(0.0)) * delta
+
+    def directed(t: float) -> complex:
+        z = start + t * delta
+        if z == 0:
+            return at_zero
+        if abs(z) >= 0.5:
+            return z ** p / (cmath.exp(z) - 1.0) * delta
+        return z ** p / _cexpm1_series(z) * delta
+
+    return directed
+
+
 def _pole_ratio_integrand(z: complex, s: int) -> complex:
-    """z^(s-1) / (e^z - 1) with the removable value at z = 0 (s >= 2)."""
-    if z == 0:
-        return complex(1.0) if s == 2 else complex(0.0)
-    return z ** (s - 1) / _cexpm1(z)
+    """z^(s-1) / (e^z - 1) at z: the segment integrand from z with delta 1.0 at t = 0.0
+    (for finite parts, z + 0.0 and the product by 1.0 at most turn a -0.0 into 0.0)."""
+    return _segment_integrand(s, z, 1.0)(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +434,22 @@ def tail_bound(s: int, x: float) -> float:
 
 
 def truncation_point(s: int, tail_tol: float) -> float:
-    """Smallest scanned truncation point whose tail bound is below tail_tol."""
+    """Smallest scanned truncation point whose tail bound is below tail_tol.
+
+    The scan runs x = 10, 15, ..., 750.  tail_bound(s, x) is at least its
+    k = s-1 term, x^(s-1) e^-x, divided by 1 - e^-x < 1, so a point where
+    exp((s-1) log x - x) exceeds 2 tail_tol is passed over at O(1) cost
+    without the O(s) bound.  The factor 2 covers the rounding of both sides:
+    about 1e-13 relative in the normal range, and half a unit of the least
+    double where a result is subnormal (e^-x itself is subnormal at the
+    scan points 740 and 745, and rounds up there).  So the first point whose
+    bound is at most tail_tol is never passed over, and X is the full
+    scan's.  For s <= 171, where tail_bound fits a double, the exponent is
+    at most about 703, so exp cannot overflow either.
+    """
     x = 10.0
-    while tail_bound(s, x) > tail_tol and x < 750.0:
+    while x < 750.0 and (math.exp((s - 1) * math.log(x) - x) > 2.0 * tail_tol
+                         or tail_bound(s, x) > tail_tol):
         x += 5.0
     return x
 
@@ -434,8 +504,9 @@ def integrate_segment(s: int, seg: Segment, tol: float,
                       budget: int = DEFAULT_EVAL_BUDGET) -> QuadratureResult:
     """Line integral of z^(s-1)/(e^z - 1) along a straight segment.
 
-    The parameterized integrand f(z(t)) * (end - start) is integrated over
-    t in [0, 1] in one complex pass, so the error estimate bounds the modulus.
+    The parameterized integrand f(z(t)) * (end - start), built once as the
+    closure _segment_integrand(s, start, end - start), is integrated over t
+    in [0, 1] in one complex pass, so the error estimate bounds the modulus.
     Segments passing within 1e-9 of a pole 2*pi*i*k (k != 0) are rejected;
     z = 0 is removable for s >= 2 and handled by the integrand's analytic limit.
     """
@@ -443,9 +514,5 @@ def integrate_segment(s: int, seg: Segment, tol: float,
         raise ValueError("integrate_segment requires s >= 2")
     if _segment_pole_distance(seg) < _POLE_CLEARANCE:
         raise ValueError("segment passes through a pole of the integrand")
-    delta = seg.end - seg.start
-
-    def directed(t: float) -> complex:
-        return _pole_ratio_integrand(seg.start + t * delta, s) * delta
-
-    return integrate_finite(directed, 0.0, 1.0, tol, budget)
+    return integrate_finite(_segment_integrand(s, seg.start, seg.end - seg.start),
+                            0.0, 1.0, tol, budget)

@@ -97,6 +97,11 @@ def test_partial_fraction_pointwise_at_40_digits():
     assert report.residual == report.lhs
 
 
+def test_partial_fraction_residual_is_pinned():
+    # fixed seed, correctly rounded decimal exp: the same maximum on every Python
+    assert verify_eq5(1e-14).lhs == 4.669613e-38
+
+
 def test_floor_stopped_eq2_and_eq7_values_lie_within_their_estimates():
     # the floor-sum stop ends these integrals early: the value each reports must
     # still lie within its error estimate of the closed form
@@ -171,6 +176,18 @@ def test_contour_note_names_why_it_failed(monkeypatch):
     report = contour_closure(3, 30.0, 1e-9)
     assert (report.converged, report.passed) == (True, False)
     assert report.note == "closure magnitude 4 above tolerance 1e-09"
+
+
+def test_contour_verdict_and_note_follow_from_the_stored_fields():
+    report = contour_closure(3, 30.0, 1e-9)
+    assert report._fields == ("s", "R", "side_values", "error_estimate", "evaluations",
+                              "reason", "tolerance")
+    tight = report._replace(tolerance=1e-30)
+    assert not tight.passed
+    assert tight.note == f"closure magnitude {abs(report.closure):.3g} above tolerance 1e-30"
+    starved = report._replace(reason="evaluation budget exhausted")
+    assert not starved.passed
+    assert starved.note == "quadrature did not converge; evaluation budget exhausted"
 
 
 def test_contour_rejects_bad_arguments():

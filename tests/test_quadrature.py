@@ -1,3 +1,4 @@
+import cmath
 import heapq
 import math
 import random
@@ -9,8 +10,11 @@ from zeta_recur import quadrature
 from zeta_recur.quadrature import (
     QuadratureResult,
     Segment,
+    bose,
     bose_integrand,
     cot_kernel,
+    cot_power,
+    fermi,
     fermi_integrand,
     integrate_finite,
     integrate_segment,
@@ -108,6 +112,114 @@ def test_partial_fraction_identity_in_doubles_moderate_range():
         lhs = 2.0 / math.expm1(2.0 * t)
         rhs = 1.0 / math.expm1(t) - 1.0 / (math.exp(t) + 1.0)
         assert abs(lhs - rhs) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# per-node closures, bit for bit against the formulas written out point by point
+
+def _bose_ref(x, s):
+    if x <= 1.0:
+        return x ** (s - 1) / math.expm1(x)
+    t = math.exp(-x)
+    return x ** (s - 1) * t / (1.0 - t)
+
+
+def _fermi_ref(x, s):
+    t = math.exp(-x)
+    return x ** (s - 1) * t / (1.0 + t)
+
+
+def _cot_ref(y, s):
+    if y == 0.0:
+        return 2.0 if s == 2 else 0.0
+    if y < 1e-4:
+        return 2.0 * y ** (s - 2) - y**s / 6.0 - y ** (s + 2) / 360.0
+    return y ** (s - 1) * math.cos(0.5 * y) / math.sin(0.5 * y)
+
+
+def _cexpm1_ref(z):
+    if abs(z) >= 0.5:
+        return cmath.exp(z) - 1.0
+    term = total = z
+    k = 2
+    while abs(term) > 1e-20 * abs(total):
+        term *= z / k
+        total += term
+        k += 1
+    return total
+
+
+def _pole_ratio_ref(z, s):
+    if z == 0:
+        return complex(1.0) if s == 2 else complex(0.0)
+    return z ** (s - 1) / _cexpm1_ref(z)
+
+
+def test_real_axis_closures_bit_for_bit():
+    rng = random.Random(1515)
+    grid = [*STABILITY_GRID, 745.0, 750.0]
+    for _ in range(400):
+        s = rng.randint(2, 108)
+        bose_s, fermi_s, cot_s = bose(s), fermi(s), cot_power(s)
+        fermi_1 = fermi(1)
+        for x in (*grid, 10.0 ** rng.uniform(-12.0, math.log10(750.0)), rng.uniform(0.0, 1.0)):
+            ref = repr(_bose_ref(x, s))
+            assert repr(bose_s(x)) == ref == repr(bose_integrand(x, s)), (s, x)
+            ref = repr(_fermi_ref(x, s))
+            assert repr(fermi_s(x)) == ref == repr(fermi_integrand(x, s)), (s, x)
+            assert repr(fermi_1(x)) == repr(_fermi_ref(x, 1)), x
+        assert repr(fermi_s(0.0)) == repr(_fermi_ref(0.0, s))
+        for y in (0.0, math.pi, 1e-4, 10.0 ** rng.uniform(-8.0, -4.0), rng.uniform(0.0, math.pi)):
+            ref = repr(_cot_ref(y, s))
+            assert repr(cot_s(y)) == ref == repr(cot_kernel(y, s)), (s, y)
+    assert cot_power(2)(0.0) == 2.0 and fermi(1)(0.0) == 0.5
+
+
+def test_segment_closure_bit_for_bit(monkeypatch):
+    # the integrand integrate_segment hands to integrate_finite, at random nodes,
+    # at nodes within 0.5 of z = 0 (the series) and at the corner z = 0 itself
+    captured = []
+    monkeypatch.setattr(quadrature, "integrate_finite",
+                        lambda f, a, b, tol, budget: captured.append(f))
+    rng = random.Random(1516)
+    corners = 0
+    for _ in range(200):
+        s = rng.randint(2, 40)
+        R = rng.uniform(0.1, 60.0)
+        top = complex(R, math.pi)
+        for start, end in ((0j, complex(R)), (complex(R), top), (top, math.pi * 1j),
+                           (math.pi * 1j, 0j), (complex(rng.uniform(-1.0, 1.0), 0.3), 0j)):
+            delta = end - start
+            integrate_segment(s, Segment(start, end), 1e-10)
+            f = captured.pop()
+            near = 0.5 / abs(delta)
+            for t in (0.0, 1.0, rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-12.0, 0.0) * near,
+                      1.0 - 10.0 ** rng.uniform(-12.0, 0.0) * near):
+                z = start + t * delta
+                corners += z == 0
+                ref = _pole_ratio_ref(z, s) * delta
+                assert repr(f(t)) == repr(ref), (s, start, end, t)
+                assert quadrature._pole_ratio_integrand(z, s) == _pole_ratio_ref(z, s)
+    assert corners >= 200
+
+
+def _scan_truncation_point(s, tail_tol):
+    """The scan with tail_bound at every point."""
+    x = 10.0
+    while tail_bound(s, x) > tail_tol and x < 750.0:
+        x += 5.0
+    return x
+
+
+def test_truncation_point_is_the_full_scans():
+    rng = random.Random(1517)
+    for s in range(1, 172):
+        scan_point = 10.0 + 5.0 * rng.randrange(148)
+        at_point = tail_bound(s, scan_point)
+        tols = [5e-324, 1e-12, 1e5, at_point, math.nextafter(at_point, 0.0),
+                *(10.0 ** rng.uniform(-320.0, 5.0) for _ in range(3))]
+        for tol in tols:
+            assert truncation_point(s, tol) == _scan_truncation_point(s, tol), (s, tol)
 
 
 # ---------------------------------------------------------------------------
