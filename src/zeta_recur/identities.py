@@ -399,14 +399,6 @@ class LimitComponents(namedtuple("LimitComponents", "a b c error_estimate reason
 
     __slots__ = ()
 
-    @property
-    def converged(self) -> bool:
-        return not self.reason
-
-    @property
-    def residual(self) -> float:
-        return abs(self.a - self.b - self.c)
-
 
 def eq9_components(s: int, tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -> LimitComponents:
     """EQ9: A = int_0^inf x^(s-1)/(e^x-1); B = int_0^inf (x+i pi)^(s-1)/(e^(x+i pi)-1);

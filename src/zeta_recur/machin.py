@@ -11,13 +11,13 @@ less than one unit, truncating the alternating series costs less than one
 more unit, and the Machin coefficients scale those counts.
 
 Guard-digit policy for truncated decimal output, owned by ``truncated``
-and shared by ``pi_digits`` and ``exact.render_decimal``: compute with
-``guard`` digits beyond the request and keep the proven error bound ``err``
-in last-place units.  Accept the truncation only when the discarded guard
-block sits at least ``err`` units away from both the borrow and the carry
-boundary; otherwise retry with the guard doubled, starting from 12 digits.
-The retry loop terminates for an irrational value, which never lands
-exactly on a boundary.
+(pi to d digits is ``truncated(pi_scaled, d)``) and used by
+``exact.render_decimal``: compute with ``guard`` digits beyond the request
+and keep the proven error bound ``err`` in last-place units.  Accept the
+truncation only when the discarded guard block sits at least ``err`` units
+away from both the borrow and the carry boundary; otherwise retry with the
+guard doubled, starting from 12 digits.  The retry loop terminates for an
+irrational value, which never lands exactly on a boundary.
 
 Pi is computed once per process at each new widest precision: ``pi_scaled``
 keeps the widest ``(precision, v, err)`` it has computed as one immutable
@@ -131,8 +131,3 @@ def truncated(scaled: Callable[[int], tuple[int, int]], d: int) -> str:
             text = decimal_str(v // block)  # == floor(x * 10**d), d+1 characters
             return text[0] + "." + text[1:]
         guard *= 2
-
-
-def pi_digits(d: int) -> str:
-    """Pi truncated (not rounded) to d digits after the decimal point."""
-    return truncated(pi_scaled, d)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
+import sys
 from collections import namedtuple
 
 __all__ = [
@@ -46,9 +47,6 @@ __all__ = [
     "bose",
     "fermi",
     "cot_power",
-    "bose_integrand",
-    "fermi_integrand",
-    "cot_kernel",
     "integrate_finite",
     "truncation_point",
     "tail_bound",
@@ -58,10 +56,11 @@ __all__ = [
 
 DEFAULT_EVAL_BUDGET = 1_000_000
 
-_EPS = 2.220446049250313e-16
+_EPS = sys.float_info.epsilon
 # integrate_finite's running sums: the relative margin that covers the
-# rounding of fsum and of its stop tests, and the least positive double
+# rounding of fsum and of its stop tests
 _SUM_MARGIN = 1e-12
+# the least positive double
 _TINY = 5e-324
 
 # why an integral stopped short of its tolerance (QuadratureResult.reason)
@@ -108,8 +107,7 @@ class Segment(namedtuple("Segment", "start end")):
 # delta) along a segment.  The builder checks s, and each call of the closure
 # is the one Python frame a quadrature node costs (only a segment node near
 # z = 0 adds the series of _cexpm1_series).  The closure is the one home of
-# its formula: bose_integrand(x, s), fermi_integrand, cot_kernel and
-# _pole_ratio_integrand call it for a single point.
+# its formula.
 
 def bose(s: int):
     """x -> x^(s-1) / (e^x - 1), stable over the whole positive axis.
@@ -118,12 +116,12 @@ def bose(s: int):
     the equivalent form x^(s-1) e^-x / (1 - e^-x) avoids overflow for any x.
     """
     if s < 2:
-        raise ValueError("bose_integrand requires s >= 2")
+        raise ValueError("bose requires s >= 2")
     p = s - 1
 
     def f(x: float) -> float:
         if x <= 0.0:
-            raise ValueError("bose_integrand requires x > 0")
+            raise ValueError("bose requires x > 0")
         if x <= 1.0:
             return x ** p / math.expm1(x)
         t = math.exp(-x)
@@ -135,12 +133,12 @@ def bose(s: int):
 def fermi(s: int):
     """x -> x^(s-1) / (e^x + 1); at x = 0 this is 1/2 for s = 1 and 0 for s >= 2."""
     if s < 1:
-        raise ValueError("fermi_integrand requires s >= 1")
+        raise ValueError("fermi requires s >= 1")
     p = s - 1
 
     def f(x: float) -> float:
         if x < 0.0:
-            raise ValueError("fermi_integrand requires x >= 0")
+            raise ValueError("fermi requires x >= 0")
         t = math.exp(-x)
         return x ** p * t / (1.0 + t)
 
@@ -154,13 +152,13 @@ def cot_power(s: int):
     sidestep the 0 * inf form: y^(s-1) cot(y/2) = 2 y^(s-2) - y^s/6 - y^(s+2)/360 - ...
     """
     if s < 2:
-        raise ValueError("cot_kernel requires s >= 2")
+        raise ValueError("cot_power requires s >= 2")
     p = s - 1
     at_zero = 2.0 if s == 2 else 0.0
 
     def f(y: float) -> float:
         if not 0.0 <= y <= math.pi:
-            raise ValueError("cot_kernel domain is [0, pi]")
+            raise ValueError("cot_power domain is [0, pi]")
         if y == 0.0:
             return at_zero
         if y < 1e-4:
@@ -168,21 +166,6 @@ def cot_power(s: int):
         return y ** p * math.cos(0.5 * y) / math.sin(0.5 * y)
 
     return f
-
-
-def bose_integrand(x: float, s: int) -> float:
-    """bose(s) at x."""
-    return bose(s)(x)
-
-
-def fermi_integrand(x: float, s: int) -> float:
-    """fermi(s) at x."""
-    return fermi(s)(x)
-
-
-def cot_kernel(y: float, s: int) -> float:
-    """cot_power(s) at y."""
-    return cot_power(s)(y)
 
 
 def _cexpm1_series(z: complex) -> complex:
@@ -213,12 +196,6 @@ def _segment_integrand(s: int, start: complex, delta: complex):
         return z ** p / _cexpm1_series(z) * delta
 
     return directed
-
-
-def _pole_ratio_integrand(z: complex, s: int) -> complex:
-    """z^(s-1) / (e^z - 1) at z: the segment integrand from z with delta 1.0 at t = 0.0
-    (for finite parts, z + 0.0 and the product by 1.0 at most turn a -0.0 into 0.0)."""
-    return _segment_integrand(s, z, 1.0)(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +446,7 @@ def integrate_semi_infinite(f, s: int, tol: float,
         raise ValueError("integrate_semi_infinite requires s >= 1")
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    half = max(0.5 * tol, math.ulp(0.0))  # a subnormal tol halves to 0
+    half = max(0.5 * tol, _TINY)  # a subnormal tol halves to 0
     x_max = truncation_point(s, half)
     tail = tail_bound(s, x_max)
     base = integrate_finite(f, 0.0, x_max, half, budget)
@@ -485,14 +462,19 @@ _POLE_CLEARANCE = 1e-9
 
 
 def _segment_pole_distance(seg: Segment) -> float:
-    """Distance from the segment to the nearest nonzero pole 2*pi*i*k."""
-    top = max(abs(seg.start.imag), abs(seg.end.imag))
-    k_max = int(top / _POLE_SPACING) + 2
+    """Distance from the segment to the nearest nonzero pole 2*pi*i*k.
+
+    The distance from the point iy to the segment is convex in y, and least
+    at y = Im z for the point z of the segment nearest the imaginary axis: at
+    t0, the root of Re(start + t delta) clamped to [0, 1].  So over the
+    integers k it is least beside k0 = Im z / (2 pi), and over k != 0 at
+    k = +-1 when k0 rounds to 0; k0 - 1 .. k0 + 1 covers the rounding of k0.
+    """
     delta = seg.end - seg.start
+    t0 = min(1.0, max(0.0, -seg.start.real / delta.real)) if delta.real else 0.0
+    k0 = round((seg.start.imag + t0 * delta.imag) / _POLE_SPACING)
     best = math.inf
-    for k in range(-k_max, k_max + 1):
-        if k == 0:
-            continue
+    for k in {k0 - 1, k0, k0 + 1, -1, 1} - {0}:
         pole = complex(0.0, _POLE_SPACING * k)
         # complex division scales its operands, so no |delta|^2 underflows
         t = min(1.0, max(0.0, ((pole - seg.start) / delta).real))

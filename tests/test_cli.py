@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -171,6 +173,19 @@ def test_even_and_bernoulli_load_only_the_exact_core():
     done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, env=env,
                           timeout=120)
     assert done.returncode == 0, done.stderr.decode()
+
+
+@pytest.mark.parametrize("name", ["exact", "quadrature", "identities"])
+def test_all_lists_exactly_the_public_definitions(name):
+    # every __all__ entry exists, so `import *` works, and every public
+    # top-level def or class of the module is listed
+    module = importlib.import_module(f"zeta_recur.{name}")
+    with open(module.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    assert [entry for entry in module.__all__ if not hasattr(module, entry)] == []
+    assert sorted(defined - set(module.__all__)) == []
 
 
 def test_verify_eq2_report_content(capsys):

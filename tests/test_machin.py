@@ -7,29 +7,29 @@ import mpmath
 import pytest
 
 from zeta_recur import cli, exact, machin
-from zeta_recur.machin import decimal_str, pi_digits, pi_scaled, truncated
+from zeta_recur.machin import decimal_str, pi_scaled, truncated
 
 PI_30 = "3.141592653589793238462643383279"
 
 
 def test_first_digits():
-    assert pi_digits(5) == "3.14159"
-    assert pi_digits(1) == "3.1"
+    assert truncated(pi_scaled, 5) == "3.14159"
+    assert truncated(pi_scaled, 1) == "3.1"
 
 
 def test_matches_ieee_double_constant():
     # repr(math.pi) carries 15 digits after the point
-    assert pi_digits(50)[:17] == repr(math.pi)[:17]
+    assert truncated(pi_scaled, 50)[:17] == repr(math.pi)[:17]
 
 
 def test_thirty_digit_literal():
-    assert pi_digits(30) == PI_30
+    assert truncated(pi_scaled, 30) == PI_30
 
 
 def test_truncation_prefix_consistency():
-    long = pi_digits(50)
+    long = truncated(pi_scaled, 50)
     for d in (7, 20, 40):
-        assert pi_digits(d) == long[: d + 2]
+        assert truncated(pi_scaled, d) == long[: d + 2]
 
 
 def test_scaled_error_bound_is_honest():
@@ -111,9 +111,9 @@ def test_pi_digits_unchanged_by_a_wider_memo(monkeypatch):
         truth = mpmath.nstr(mpmath.pi, 1080, strip_zeros=False)
     for d in (1, 30, 999, 1000):
         _forget_pi(monkeypatch)
-        fresh = pi_digits(d)
+        fresh = truncated(pi_scaled, d)
         pi_scaled(3000)
-        assert pi_digits(d) == fresh == truth[: d + 2]
+        assert truncated(pi_scaled, d) == fresh == truth[: d + 2]
 
 
 def test_even_table_runs_the_series_only_when_the_memo_widens(monkeypatch, capsys):
@@ -131,18 +131,18 @@ def test_even_table_runs_the_series_only_when_the_memo_widens(monkeypatch, capsy
 
 
 def test_deterministic():
-    assert pi_digits(200) == pi_digits(200)
+    assert truncated(pi_scaled, 200) == truncated(pi_scaled, 200)
 
 
 @pytest.mark.parametrize("d", [0, -3, 100_001])
 def test_rejects_out_of_range(d):
     with pytest.raises(ValueError):
-        pi_digits(d)
+        truncated(pi_scaled, d)
 
 
 def test_rejects_non_integer():
     with pytest.raises(ValueError):
-        pi_digits(2.5)
+        truncated(pi_scaled, 2.5)
 
 
 def test_decimal_str_beyond_interpreter_conversion_limit():
@@ -153,7 +153,7 @@ def test_decimal_str_beyond_interpreter_conversion_limit():
 
 
 def test_pi_digits_large_request():
-    text = pi_digits(6000)
+    text = truncated(pi_scaled, 6000)
     assert len(text) == 6002
     assert text.startswith(PI_30)
 

@@ -1,7 +1,9 @@
 import cmath
+import contextlib
 import heapq
 import math
 import random
+import time
 
 import mpmath as mp
 import pytest
@@ -11,11 +13,8 @@ from zeta_recur.quadrature import (
     QuadratureResult,
     Segment,
     bose,
-    bose_integrand,
-    cot_kernel,
     cot_power,
     fermi,
-    fermi_integrand,
     integrate_finite,
     integrate_segment,
     integrate_semi_infinite,
@@ -32,37 +31,37 @@ TRAPEZOID_ORACLE_1E7 = 4.3551721813170365
 # integrand stability
 
 def test_bose_limit_and_point_values():
-    assert abs(bose_integrand(1e-12, 2) - 1.0) < 1e-9  # x/(e^x-1) -> 1
-    assert abs(bose_integrand(1.0, 2) - 1.0 / (math.e - 1.0)) < 5e-16
+    assert abs(bose(2)(1e-12) - 1.0) < 1e-9  # x/(e^x-1) -> 1
+    assert abs(bose(2)(1.0) - 1.0 / (math.e - 1.0)) < 5e-16
     # series: x^2/(e^x-1) = x (1 - x/2 + ...); naive e^x-1 would lose ~8 digits
-    assert abs(bose_integrand(1e-8, 3) - 1e-8 * (1.0 - 5e-9)) < 1e-23
+    assert abs(bose(3)(1e-8) - 1e-8 * (1.0 - 5e-9)) < 1e-23
 
 
 def test_bose_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        bose_integrand(0.0, 2)
+        bose(2)(0.0)
     with pytest.raises(ValueError):
-        bose_integrand(-1.0, 2)
+        bose(2)(-1.0)
     with pytest.raises(ValueError):
-        bose_integrand(1.0, 1)
+        bose(1)
 
 
 def test_fermi_point_values():
-    assert fermi_integrand(0.0, 1) == 0.5
-    assert fermi_integrand(0.0, 2) == 0.0
-    assert abs(fermi_integrand(1.0, 2) - 1.0 / (math.e + 1.0)) < 5e-16
+    assert fermi(1)(0.0) == 0.5
+    assert fermi(2)(0.0) == 0.0
+    assert abs(fermi(2)(1.0) - 1.0 / (math.e + 1.0)) < 5e-16
 
 
 def test_fermi_no_overflow_far_out():
-    assert fermi_integrand(800.0, 3) == 0.0
-    assert math.isfinite(fermi_integrand(700.0, 10))
+    assert fermi(3)(800.0) == 0.0
+    assert math.isfinite(fermi(10)(700.0))
 
 
 def test_fermi_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        fermi_integrand(-0.5, 2)
+        fermi(2)(-0.5)
     with pytest.raises(ValueError):
-        fermi_integrand(1.0, 0)
+        fermi(0)
 
 
 STABILITY_GRID = [1e-12, 1e-8, 1e-4, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0, 350.0, 700.0]
@@ -72,7 +71,7 @@ def test_bose_within_4_ulps_of_double_working_precision():
     with mp.workprec(120):
         for s in range(2, 11):
             for x in STABILITY_GRID:
-                lo = bose_integrand(x, s)
+                lo = bose(s)(x)
                 hi = float(mp.mpf(x) ** (s - 1) / mp.expm1(mp.mpf(x)))
                 assert abs(lo - hi) <= 4 * math.ulp(abs(lo)), (s, x)
 
@@ -81,17 +80,17 @@ def test_fermi_within_4_ulps_of_double_working_precision():
     with mp.workprec(120):
         for s in range(1, 11):
             for x in STABILITY_GRID:
-                lo = fermi_integrand(x, s)
+                lo = fermi(s)(x)
                 hi = float(mp.mpf(x) ** (s - 1) / (mp.exp(mp.mpf(x)) + 1))
                 assert abs(lo - hi) <= 4 * math.ulp(abs(lo)), (s, x)
 
 
 def test_cot_kernel_limits_and_midrange():
-    assert cot_kernel(0.0, 2) == 2.0
-    assert cot_kernel(0.0, 3) == 0.0
+    assert cot_power(2)(0.0) == 2.0
+    assert cot_power(3)(0.0) == 0.0
     for y in (0.3, 1.0, 2.0, 3.0):
         naive = y * math.sin(y) / (1.0 - math.cos(y))
-        assert abs(cot_kernel(y, 2) - naive) < 1e-13
+        assert abs(cot_power(2)(y) - naive) < 1e-13
 
 
 def test_cot_kernel_series_fallback_matches_reference():
@@ -99,7 +98,7 @@ def test_cot_kernel_series_fallback_matches_reference():
         for s in (2, 3, 5):
             for y in (1e-6, 5e-5, 9.9e-5):
                 ref = float(mp.mpf(y) ** (s - 1) * mp.cot(mp.mpf(y) / 2))
-                assert abs(cot_kernel(y, s) - ref) <= 4 * math.ulp(abs(ref))
+                assert abs(cot_power(s)(y) - ref) <= 4 * math.ulp(abs(ref))
 
 
 def test_partial_fraction_identity_in_doubles_moderate_range():
@@ -163,15 +162,12 @@ def test_real_axis_closures_bit_for_bit():
         bose_s, fermi_s, cot_s = bose(s), fermi(s), cot_power(s)
         fermi_1 = fermi(1)
         for x in (*grid, 10.0 ** rng.uniform(-12.0, math.log10(750.0)), rng.uniform(0.0, 1.0)):
-            ref = repr(_bose_ref(x, s))
-            assert repr(bose_s(x)) == ref == repr(bose_integrand(x, s)), (s, x)
-            ref = repr(_fermi_ref(x, s))
-            assert repr(fermi_s(x)) == ref == repr(fermi_integrand(x, s)), (s, x)
+            assert repr(bose_s(x)) == repr(_bose_ref(x, s)), (s, x)
+            assert repr(fermi_s(x)) == repr(_fermi_ref(x, s)), (s, x)
             assert repr(fermi_1(x)) == repr(_fermi_ref(x, 1)), x
         assert repr(fermi_s(0.0)) == repr(_fermi_ref(0.0, s))
         for y in (0.0, math.pi, 1e-4, 10.0 ** rng.uniform(-8.0, -4.0), rng.uniform(0.0, math.pi)):
-            ref = repr(_cot_ref(y, s))
-            assert repr(cot_s(y)) == ref == repr(cot_kernel(y, s)), (s, y)
+            assert repr(cot_s(y)) == repr(_cot_ref(y, s)), (s, y)
     assert cot_power(2)(0.0) == 2.0 and fermi(1)(0.0) == 0.5
 
 
@@ -199,7 +195,6 @@ def test_segment_closure_bit_for_bit(monkeypatch):
                 corners += z == 0
                 ref = _pole_ratio_ref(z, s) * delta
                 assert repr(f(t)) == repr(ref), (s, start, end, t)
-                assert quadrature._pole_ratio_integrand(z, s) == _pole_ratio_ref(z, s)
     assert corners >= 200
 
 
@@ -237,15 +232,16 @@ def test_constant_integrand():
 
 
 def test_cot_weighted_integral_against_trapezoid_oracle():
-    r = integrate_finite(lambda y: cot_kernel(y, 2), 0.0, math.pi, 1e-10)
+    cot_2 = cot_power(2)
+    r = integrate_finite(cot_2, 0.0, math.pi, 1e-10)
     assert r.converged
     assert abs(r.value - TRAPEZOID_ORACLE_1E7) < 2e-9  # oracle resolution
     assert abs(r.value - 2.0 * math.pi * math.log(2.0)) < 1e-10
     # light in-test trapezoid for live consistency
     n = 100_000
     h = math.pi / n
-    light = (cot_kernel(0.0, 2) + cot_kernel(math.pi, 2)) / 2.0
-    light += math.fsum(cot_kernel(i * h, 2) for i in range(1, n))
+    light = (cot_2(0.0) + cot_2(math.pi)) / 2.0
+    light += math.fsum(cot_2(i * h) for i in range(1, n))
     assert abs(light * h - r.value) < 1e-7
 
 
@@ -397,9 +393,9 @@ def test_panel_bit_for_bit_on_random_float_panels():
         c = rng.uniform(-3.0, 3.0)
         a = rng.uniform(0.0, 50.0)
         b = a + 10.0 ** rng.uniform(-12.0, 2.0)
-        _same_panel(lambda x: fermi_integrand(x, s), a, b)
+        _same_panel(fermi(s), a, b)
         _same_panel(lambda x: math.sin(c * x) * math.exp(-x) - c, a, b)
-        _same_panel(lambda x: cot_kernel(x, max(s, 2)), 0.0, rng.uniform(1e-9, math.pi))
+        _same_panel(cot_power(max(s, 2)), 0.0, rng.uniform(1e-9, math.pi))
 
 
 def test_panel_bit_for_bit_on_segment_integrands(monkeypatch):
@@ -499,18 +495,15 @@ def _scan_loop(f, a, b, tol, budget):
 def _drawn_integrand(kind, s, x_max, side):
     """(f, a, b) of one integrand family the identities integrate."""
     if kind == "bose":
-        return (lambda x: bose_integrand(x, s)), 0.0, x_max
+        return bose(s), 0.0, x_max
     if kind == "fermi":
-        return (lambda x: fermi_integrand(x, s)), 0.0, x_max
+        return fermi(s), 0.0, x_max
     if kind == "cot":
-        return (lambda y: cot_kernel(y, s)), 0.0, math.pi
-    from zeta_recur.quadrature import _pole_ratio_integrand
-
+        return cot_power(s), 0.0, math.pi
     top = complex(x_max, math.pi)
     start, end = ((0j, complex(x_max)), (complex(x_max), top), (top, math.pi * 1j),
                   (math.pi * 1j, 0j))[side]
-    delta = end - start
-    return (lambda t: _pole_ratio_integrand(start + t * delta, s) * delta), 0.0, 1.0
+    return quadrature._segment_integrand(s, start, end - start), 0.0, 1.0
 
 
 def test_heap_loop_against_the_scan_loop():
@@ -634,20 +627,20 @@ def test_running_sums_keep_a_long_integral_linear(monkeypatch):
 # semi-infinite integrals
 
 def test_bose_integral_basel():
-    r = integrate_semi_infinite(lambda x: bose_integrand(x, 2), 2, 1e-10)
+    r = integrate_semi_infinite(bose(2), 2, 1e-10)
     assert r.converged
     assert abs(r.value - math.pi**2 / 6.0) < 1e-10
 
 
 def test_fermi_integral_log2():
     # closed-form antiderivative: -ln(1 + e^-x), so the integral is ln 2
-    r = integrate_semi_infinite(lambda x: fermi_integrand(x, 1), 1, 1e-10)
+    r = integrate_semi_infinite(fermi(1), 1, 1e-10)
     assert r.converged
     assert abs(r.value - math.log(2.0)) < 1e-10
 
 
 def test_fermi_integral_s2():
-    r = integrate_semi_infinite(lambda x: fermi_integrand(x, 2), 2, 1e-10)
+    r = integrate_semi_infinite(fermi(2), 2, 1e-10)
     assert abs(r.value - math.pi**2 / 12.0) < 1e-10
 
 
@@ -667,18 +660,16 @@ def test_truncation_always_meets_the_tail_tolerance():
 
 def test_tail_bound_honesty():
     for s in range(2, 9):
-        base = integrate_semi_infinite(lambda x, s=s: bose_integrand(x, s), s, 1e-9)
+        base = integrate_semi_infinite(bose(s), s, 1e-9)
         x = truncation_point(s, 5e-10)
-        wider = integrate_finite(lambda x, s=s: bose_integrand(x, s), 0.0, x + 5.0, 5e-10)
+        wider = integrate_finite(bose(s), 0.0, x + 5.0, 5e-10)
         assert abs(wider.value - base.value) < base.error_estimate
 
 
 def test_semi_infinite_estimate_includes_tail():
     # the semi-infinite result is the finite integral up to the truncation
     # point, with the tail bound added to its error estimate
-    def f(x):
-        return bose_integrand(x, 2)
-
+    f = bose(2)
     x = truncation_point(2, 5e-9)
     r = integrate_semi_infinite(f, 2, 1e-8)
     base = integrate_finite(f, 0.0, x, 5e-9)
@@ -731,6 +722,80 @@ def test_segment_shorter_than_the_root_of_the_least_double():
         integrate_segment(2, Segment(2j * math.pi, complex(length, 2 * math.pi)), 1e-10)
 
 
+def _scan_pole_distance(seg):
+    """The distance to every pole 2*pi*i*k, k != 0, up to the segment's height."""
+    k_max = int(max(abs(seg.start.imag), abs(seg.end.imag)) / (2.0 * math.pi)) + 2
+    delta = seg.end - seg.start
+    best = math.inf
+    for k in range(-k_max, k_max + 1):
+        if k:
+            pole = complex(0.0, 2.0 * math.pi * k)
+            t = min(1.0, max(0.0, ((pole - seg.start) / delta).real))
+            best = min(best, abs(seg.start + t * delta - pole))
+    return best
+
+
+def _random_segment(rng):
+    height = 10.0 ** rng.uniform(-1.0, 3.0)
+
+    def point():
+        kind = rng.randrange(4)
+        if kind == 0:  # on the imaginary axis
+            return complex(rng.choice((0.0, -0.0)), rng.uniform(-height, height))
+        if kind == 1:  # at or beside a pole
+            k = rng.randint(-int(height / 6.0) - 1, int(height / 6.0) + 1)
+            return complex(rng.choice((0.0, 1e-10, -1e-10, 10.0 ** rng.uniform(-300.0, -8.0))),
+                           2.0 * math.pi * k + rng.choice((0.0, 1e-10, rng.uniform(-1e-8, 1e-8))))
+        return complex(rng.uniform(-height, height), rng.uniform(-height, height))
+
+    start = point()
+    kind = rng.randrange(4)
+    if kind == 0:  # vertical
+        end = complex(start.real, start.imag + rng.uniform(-height, height))
+    elif kind == 1:  # horizontal
+        end = complex(rng.uniform(-height, height), start.imag)
+    elif kind == 2:  # shorter than the root of the least double
+        end = start + complex(rng.uniform(-1e-200, 1e-200), rng.uniform(-1e-200, 1e-200))
+    else:
+        end = point()
+    return Segment(start, end)
+
+
+def test_pole_distance_gives_the_full_scans_verdict():
+    # only the poles beside the segment's point nearest the axis are measured,
+    # each as the scan measures it: never nearer than the scan's distance, and
+    # on the same side of the clearance
+    rng = random.Random(1616)
+    segments = []
+    while len(segments) < 5000:
+        with contextlib.suppress(ValueError):  # equal endpoints
+            segments.append(_random_segment(rng))
+    for R in (5e-324, 1e-300, 1e-162, 0.01, 1.0, 10.0, 30.0, 60.0, 1e3):
+        top, corner = complex(R, math.pi), complex(0.0, math.pi)
+        segments += [Segment(0j, complex(R)), Segment(complex(R), top), Segment(top, corner),
+                     Segment(corner, 0j)]
+    clearance = quadrature._POLE_CLEARANCE
+    rejected = 0
+    for seg in segments:
+        new, ref = quadrature._segment_pole_distance(seg), _scan_pole_distance(seg)
+        height = max(abs(seg.start.imag), abs(seg.end.imag))
+        assert ref <= new <= ref + 1e-13 * (1.0 + height), seg
+        assert (new < clearance) == (ref < clearance), seg
+        rejected += new < clearance
+    assert rejected > 500
+
+
+def test_pole_check_far_up_the_axis():
+    # a segment 6e11 up the axis gets its verdict without visiting the poles below it
+    y = 2.0 * math.pi * 10**11
+    began = time.perf_counter()
+    with pytest.raises(ValueError):
+        integrate_segment(2, Segment(complex(-1.0, y), complex(1.0, y)), 1e-9)
+    assert quadrature._segment_pole_distance(Segment(complex(1.0, y), complex(2.0, y))) == 1.0
+    assert integrate_segment(2, Segment(complex(1.0, y), complex(2.0, y)), 1e-3).converged
+    assert time.perf_counter() - began < 1.0
+
+
 def test_segment_validation():
     with pytest.raises(ValueError):
         Segment(1.0 + 1.0j, 1.0 + 1.0j)
@@ -741,12 +806,10 @@ def test_segment_validation():
 def test_segment_is_one_complex_pass():
     # the segment integral is exactly one complex integrate_finite of the
     # parameterized integrand: same value, evaluations and convergence
-    from zeta_recur.quadrature import _pole_ratio_integrand
-
     start, end = complex(0.0), complex(0.0, math.pi)
     r = integrate_segment(2, Segment(start, end), 1e-10)
     direct = integrate_finite(
-        lambda t: _pole_ratio_integrand(start + t * (end - start), 2) * (end - start),
+        lambda t: _pole_ratio_ref(start + t * (end - start), 2) * (end - start),
         0.0, 1.0, 1e-10)
     assert r == direct
     assert isinstance(r.value, complex)

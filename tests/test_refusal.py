@@ -25,7 +25,7 @@ from zeta_recur.identities import (
 from zeta_recur.quadrature import (
     ROUNDOFF_FLOOR,
     Segment,
-    bose_integrand,
+    bose,
     integrate_segment,
     integrate_semi_infinite,
     truncation_point,
@@ -107,7 +107,7 @@ def _requests(identity, s, tol, radius):
         a_bound = identities._lower_gamma(s, truncation_point(s, tol / 8))
         return [
             (1 / 8, a_bound,
-             lambda: integrate_semi_infinite(lambda x: bose_integrand(x, s), s, tol / 4)),
+             lambda: integrate_semi_infinite(bose(s), s, tol / 4)),
             (1 / 4, left, lambda: integrate_segment(s, Segment(0j, i_pi), tol / 4)),
         ]
     bottom = identities._lower_gamma(s, radius)
