@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,74 @@ def test_partial_fraction_pointwise_at_40_digits():
 
 def test_partial_fraction_residual_is_pinned():
     # fixed seed, correctly rounded decimal exp: the same maximum on every Python
+    assert verify_eq5(1e-14).lhs == 4.669613e-38
+
+
+def test_failing_partial_fraction_note_names_the_residual():
+    assert verify_eq5(1e-40).note == ("max pointwise residual over 1000 samples; "
+                                      "residual 4.67e-38 above tolerance 1e-40")
+
+
+def _assert_exp60_is_decimal_exp(points):
+    # the same sign, digits and exponent as decimal's correctly rounded exp
+    wide = Context(prec=60)
+    for t in points:
+        assert identities._exp60(t, wide).as_tuple() == Decimal(t).exp(wide).as_tuple(), t
+
+
+def _ulps_around(x, count=4):
+    """The doubles within count ulps of x, x's nearest double included."""
+    below = above = x
+    out = [x]
+    for _ in range(count):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+def test_exp60_on_the_partial_fraction_samples():
+    _assert_exp60_is_decimal_exp(identities._eq5_points())
+
+
+def test_exp60_on_seeded_draws():
+    rng = random.Random(20240517)
+    log_lo, log_hi = math.log(1e-6), math.log(30.0)
+    draws = [rng.uniform(1e-6, 30.0) for _ in range(10_000)]
+    draws += [math.exp(rng.uniform(log_lo, log_hi)) for _ in range(10_000)]
+    _assert_exp60_is_decimal_exp(t for t in draws if 1e-6 < t <= 30.0)
+
+
+def test_exp60_where_e_to_the_t_gains_a_digit():
+    # near t = k ln 10, e^t crosses 10^k and the result's exponent steps
+    with localcontext(Context(prec=40)):
+        edges = [float(k * Decimal(10).ln()) for k in range(1, 14)]
+    _assert_exp60_is_decimal_exp(t for x in edges for t in _ulps_around(x))
+
+
+def test_exp60_around_multiples_of_ln2():
+    with localcontext(Context(prec=40)):
+        ln2 = Decimal(2).ln()
+        points = [float(k * ln2) for k in range(1, 44)]
+    _assert_exp60_is_decimal_exp(t for x in points for t in _ulps_around(x))
+
+
+def test_exp60_around_powers_of_two():
+    # at t = 2^j the number of squarings steps by one
+    points = [2.0 ** j for j in range(-19, 5)]
+    _assert_exp60_is_decimal_exp(t for x in points for t in _ulps_around(x) if 1e-6 < t <= 30.0)
+
+
+def test_exp60_at_the_ends_of_its_domain():
+    _assert_exp60_is_decimal_exp([1e-6, math.ulp(1e-6) + 1e-6, 30.0, math.nextafter(30.0, 0.0)])
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_exp60_retries_until_the_rounding_settles(monkeypatch, bits):
+    # at 64 or 128 working bits N has at most 35 digits, too few to round to
+    # 60, so every call doubles its bits until 256 settle it
+    monkeypatch.setattr(identities, "_EXP_BITS", bits)
+    rng = random.Random(bits)
+    _assert_exp60_is_decimal_exp([1e-6, 30.0] + [rng.uniform(1e-6, 30.0) for _ in range(500)])
     assert verify_eq5(1e-14).lhs == 4.669613e-38
 
 
