@@ -5,8 +5,11 @@
     zeta-recur verify <identity> --s 3 --tol 1e-9      one identity check
     zeta-recur contour   --s 2 --radius 30             rectangle side integrals
 
-Defaults: --tol 1e-9, --radius 30, --format plain.  Exit codes: 0 success,
-1 verification failure, 2 usage error or an input `identities` refuses.
+Defaults: --s 2, --tol 1e-9, --radius 30, --format plain.  `verify` takes
+--s only for the identities with an exponent (not eq5, s2 or log2) and
+--radius only for closure; a flag the identity does not take is a usage
+error.  Exit codes: 0 success, 1 verification failure, 2 usage error or an
+input `identities` refuses.
 ZETA_RECUR_EVAL_BUDGET overrides the quadrature evaluation budget of one
 verify or contour invocation; even and bernoulli ignore it.  The argument
 parser is built once, at import, and shared by every `main` call in the
@@ -32,6 +35,8 @@ from .machin import decimal_str
 MAX_N = 1000
 MAX_DIGITS = 1000
 MAX_BERNOULLI = 2000
+DEFAULT_S = 2
+DEFAULT_RADIUS = 30.0
 
 
 def _fmt(x) -> str:
@@ -149,6 +154,8 @@ _VERIFIERS = {
     "eq10": lambda ids, s, tol, radius, budget: ids.expanded_real_identity(s, tol, budget),
     "odd": lambda ids, s, tol, radius, budget: ids.verify_odd_zeta(s, tol, budget),
 }
+# the identities whose check reads no s; of the others only closure reads radius
+_WITHOUT_S = ("eq5", "s2", "log2")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -175,15 +182,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", parents=[common], help="check one identity")
     verify.add_argument("identity", choices=_VERIFIERS)
-    verify.add_argument("--s", type=int, default=2, help="integer exponent (default: 2)")
+    verify.add_argument("--s", type=int,
+                        help=f"integer exponent, not for {', '.join(_WITHOUT_S)} (default: {DEFAULT_S})")
     verify.add_argument("--tol", type=float, default=1e-9, help="tolerance (default: 1e-9)")
-    verify.add_argument("--radius", type=float, default=30.0,
-                        help="rectangle extent R for closure (default: 30)")
+    verify.add_argument("--radius", type=float,
+                        help=f"rectangle extent R, closure only (default: {DEFAULT_RADIUS:g})")
 
     contour = sub.add_parser("contour", parents=[common],
                              help="rectangle contour study: four sides and their sum")
-    contour.add_argument("--s", type=int, default=2, help="integer exponent (default: 2)")
-    contour.add_argument("--radius", type=float, default=30.0, help="rectangle extent R (default: 30)")
+    contour.add_argument("--s", type=int, default=DEFAULT_S,
+                         help=f"integer exponent (default: {DEFAULT_S})")
+    contour.add_argument("--radius", type=float, default=DEFAULT_RADIUS,
+                         help=f"rectangle extent R (default: {DEFAULT_RADIUS:g})")
     contour.add_argument("--tol", type=float, default=1e-9, help="closure tolerance (default: 1e-9)")
 
     return parser
@@ -209,6 +219,15 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_bernoulli(args.n, args.format)
 
     # verify and contour (the closure check); `identities` decides what it accepts
+    if args.command == "verify":
+        if args.s is not None and args.identity in _WITHOUT_S:
+            parser.error(f"verify {args.identity} takes no --s")
+        if args.radius is not None and args.identity != "closure":
+            parser.error(f"verify {args.identity} takes no --radius (only closure does)")
+        if args.s is None:
+            args.s = DEFAULT_S
+        if args.radius is None:
+            args.radius = DEFAULT_RADIUS
     from . import identities
     from .quadrature import DEFAULT_EVAL_BUDGET
 

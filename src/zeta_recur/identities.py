@@ -131,7 +131,7 @@ def _refuse_below_floor(name: str, s: int, tol: float, requests) -> None:
 
     Each request (share, bound) is one integral the check runs at share * tol,
     with bound a proven lower bound on the integral of |f| over its range.
-    Every GK15 panel reports at least 2 eps times its integral of |f|, so the
+    Every K21 panel reports at least 2 eps times its integral of |f|, so the
     estimates of all panels sum to about 2 eps * bound: share * tol below
     eps * bound can never be met, and the quadrature would run into its
     roundoff floor.  The floor named is the smallest tol every request meets.
@@ -627,7 +627,9 @@ def _odd_extraction(s: int, tol: float, budget: int) -> tuple[float, float, str]
     per unit, so each of the n = (s-1)/2 integrals is asked for (tol/2) / (n w_m),
     and one panel (tolerance inf) when w_m underflows to 0.  The estimate sums
     w_m err_m and, for each numerator k_m K(m) - known_m, eps times the sum of
-    its terms' magnitudes, weighted by |adj[m] / D_m|.
+    its terms' magnitudes, weighted by |adj[m] / D_m|.  A K(m) that evaluates
+    nothing, on a budget below one panel, ends the chain: zeta(s) is nan and
+    the estimate infinite.
     """
     _require_s("odd_zeta_from_contour", s, *_GAMMA_S, odd=True)
     odd = range(3, s + 1, 2)
@@ -648,12 +650,16 @@ def _odd_extraction(s: int, tol: float, budget: int) -> tuple[float, float, str]
         w = abs(k_coef) * gain
         k_tol = _share(0.5 / len(odd) / w, tol) if w else math.inf
         k_quad = cot_power_integral(m, k_tol, budget)
+        quads.append(k_quad)
+        if not k_quad.evaluations:
+            # a budget below one panel: K(m) has no estimate at all, and each
+            # later row would amplify the gap, up to overflow
+            return math.nan, math.inf, _stop_reason(quads)
         known_terms = list(_real_part_terms(m, extracted.__getitem__, first_j=2))
         k_term = k_coef * k_quad.value
         extracted[m] = (k_term - math.fsum(known_terms)) / divisor[m]
         estimate += (w * k_quad.error_estimate
                      + gain * _EPS * (math.fsum(map(abs, known_terms)) + abs(k_term)))
-        quads.append(k_quad)
     return extracted[s], estimate, _stop_reason(quads)
 
 

@@ -228,6 +228,31 @@ def test_verify_usage_errors(capsys, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "eq5", "--s", "3"], "--s"),
+    (["verify", "s2", "--s", "2"], "--s"),
+    (["verify", "log2", "--s", "2", "--tol", "1e-8"], "--s"),
+    *[(["verify", ident, "--radius", "30"], "--radius")
+      for ident in ("eq2", "eq5", "eq7", "eq9", "s2", "log2", "eq10", "odd")],
+])
+def test_verify_rejects_a_flag_its_identity_ignores(capsys, argv, flag):
+    # an ignored flag is never silently dropped: the usage error names it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"verify {argv[1]} takes no {flag}" in capsys.readouterr().err
+
+
+def test_radius_reaches_closure_and_contour(capsys):
+    for argv in (["verify", "closure", "--s", "3", "--radius", "20"],
+                 ["contour", "--s", "3", "--radius", "20"]):
+        code, out = run(capsys, argv + ["--format", "json"])
+        assert (code, json.loads(out)["radius"]) == (0, 20.0)
+    code, out = run(capsys, ["verify", "closure", "--format", "json"])
+    doc = json.loads(out)
+    assert (code, doc["s"], doc["radius"]) == (0, 2, 30.0)
+
+
 # (argv, largest accepted s, smallest refused s) where the float terms overflow;
 # eq9 and the contour get a --tol above their roundoff floor at the largest s
 OVERFLOW_BOUNDS = [

@@ -4,6 +4,7 @@ import heapq
 import math
 import random
 import time
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -309,6 +310,20 @@ def test_converged_result_names_no_reason():
     assert not QuadratureResult(1.0, 0.1, 15, quadrature.ROUNDOFF_FLOOR).converged
 
 
+def test_budget_below_one_panel_evaluates_nothing():
+    # stopping short is reported: a budget is never overspent, and 21 buys one panel
+    for budget in range(101):
+        seen = []
+        r = integrate_finite(lambda x: seen.append(x) or math.sin(50.0 * x), 0.0, 20.0, 1e-12, budget)
+        assert r.evaluations == len(seen) <= budget, budget
+        assert r.reason == quadrature.BUDGET_EXHAUSTED, budget
+    assert integrate_finite(math.exp, 0.0, 1.0, 1e-9, 20) == \
+        QuadratureResult(0.0, math.inf, 0, quadrature.BUDGET_EXHAUSTED)
+    one = integrate_finite(math.exp, 0.0, 1.0, 1e-9, 21)
+    assert (one.converged, one.evaluations) == (True, 21)
+    assert integrate_finite(lambda x: math.sin(50.0 * x), 0.0, 20.0, 1e-12, 62).evaluations == 21
+
+
 def test_converged_implies_estimate_below_tolerance():
     r = integrate_finite(lambda x: math.exp(-x) * x, 0.0, 10.0, 1e-10)
     assert r.converged and r.error_estimate <= 1e-10
@@ -329,27 +344,60 @@ def test_invalid_inputs_rejected():
 # ---------------------------------------------------------------------------
 # the written-out panel against the loop it replaced
 
-# (node, gauss weight, kronrod weight), the QK15 table in the kernel's node order
-_GK15_TABLE = (
-    (+0.991455371120812639206854697526329, 0.0, 0.022935322010529224963732008058970),
-    (-0.991455371120812639206854697526329, 0.0, 0.022935322010529224963732008058970),
-    (+0.949107912342758524526189684047851, 0.129484966168869693270611432679082, 0.063092092629978553290700663189204),
-    (-0.949107912342758524526189684047851, 0.129484966168869693270611432679082, 0.063092092629978553290700663189204),
-    (+0.864864423359769072789712788640926, 0.0, 0.104790010322250183839876322541518),
-    (-0.864864423359769072789712788640926, 0.0, 0.104790010322250183839876322541518),
-    (+0.741531185599394439863864773280788, 0.279705391489276667901467771423780, 0.140653259715525918745189590510238),
-    (-0.741531185599394439863864773280788, 0.279705391489276667901467771423780, 0.140653259715525918745189590510238),
-    (+0.586087235467691130294144838258730, 0.0, 0.169004726639267902826583426598550),
-    (-0.586087235467691130294144838258730, 0.0, 0.169004726639267902826583426598550),
-    (+0.405845151377397166906606412076961, 0.381830050505118944950369775488975, 0.190350578064785409913256402421014),
-    (-0.405845151377397166906606412076961, 0.381830050505118944950369775488975, 0.190350578064785409913256402421014),
-    (+0.207784955007898467600689403773245, 0.0, 0.204432940075298892414161999234649),
-    (-0.207784955007898467600689403773245, 0.0, 0.204432940075298892414161999234649),
-    (0.0, 0.417959183673469387755102040816327, 0.209482141084727828012999174891714),
+# (node, gauss weight, kronrod weight), the QK21 table in the kernel's node order
+_GK21_TABLE = (
+    (+0.995657163025808080735527280689003, 0.0, 0.011694638867371874278064396062192),
+    (-0.995657163025808080735527280689003, 0.0, 0.011694638867371874278064396062192),
+    (+0.973906528517171720077964012084452, 0.066671344308688137593568809893332, 0.032558162307964727478818972459390),
+    (-0.973906528517171720077964012084452, 0.066671344308688137593568809893332, 0.032558162307964727478818972459390),
+    (+0.930157491355708226001207180059508, 0.0, 0.054755896574351996031381300244580),
+    (-0.930157491355708226001207180059508, 0.0, 0.054755896574351996031381300244580),
+    (+0.865063366688984510732096688423493, 0.149451349150580593145776339657697, 0.075039674810919952767043140916190),
+    (-0.865063366688984510732096688423493, 0.149451349150580593145776339657697, 0.075039674810919952767043140916190),
+    (+0.780817726586416897063717578345042, 0.0, 0.093125454583697605535065465083366),
+    (-0.780817726586416897063717578345042, 0.0, 0.093125454583697605535065465083366),
+    (+0.679409568299024406234327365114874, 0.219086362515982043995534934228163, 0.109387158802297641899210590325805),
+    (-0.679409568299024406234327365114874, 0.219086362515982043995534934228163, 0.109387158802297641899210590325805),
+    (+0.562757134668604683339000099272694, 0.0, 0.123491976262065851077958109831074),
+    (-0.562757134668604683339000099272694, 0.0, 0.123491976262065851077958109831074),
+    (+0.433395394129247190799265943165784, 0.269266719309996355091226921569469, 0.134709217311473325928054001771707),
+    (-0.433395394129247190799265943165784, 0.269266719309996355091226921569469, 0.134709217311473325928054001771707),
+    (+0.294392862701460198131126603103866, 0.0, 0.142775938577060080797094273138717),
+    (-0.294392862701460198131126603103866, 0.0, 0.142775938577060080797094273138717),
+    (+0.148874338981631210884826001129720, 0.295524224714752870173892994651338, 0.147739104901338491374841515972068),
+    (-0.148874338981631210884826001129720, 0.295524224714752870173892994651338, 0.147739104901338491374841515972068),
+    (0.0, 0.0, 0.149445554002916905664936468389821),
 )
 
 
-def _gk15_loop(f, a, b):
+def _moment_error_in_ulps(weights, center_weight, k):
+    """|sum of w x^k over the panel's nodes - integral of x^k over [-1, 1]| in ulps
+    of 2/(k+1), summed exactly over the module's float constants: weights[j - 1]
+    at +-_Xj, center_weight at 0."""
+    nodes = [getattr(quadrature, f"_X{j}") for j in range(1, 11)]
+    total = sum(Fraction(w) * (Fraction(x) ** k + Fraction(-x) ** k) for x, w in zip(nodes, weights))
+    if k == 0:
+        total += Fraction(center_weight)
+    exact = Fraction(1 + (-1) ** k, k + 1)
+    return float(abs(total - exact)) / math.ulp(2.0 / (k + 1))
+
+
+def test_panel_constants_integrate_their_degrees():
+    # K21 integrates x^k over [-1, 1] exactly through k = 31 and G10 through
+    # k = 19; in doubles each moment sits within a few ulps of 2/(k+1), so a
+    # mistyped digit shows, and the first degree past each rule is far off
+    kronrod = [getattr(quadrature, f"_WK{j}") for j in range(1, 11)]
+    gauss = [getattr(quadrature, f"_WG{j}", 0.0) for j in range(1, 11)]
+    assert [j for j in range(1, 11) if hasattr(quadrature, f"_WG{j}")] == [2, 4, 6, 8, 10]
+    for k in range(32):
+        assert _moment_error_in_ulps(kronrod, quadrature._WK0, k) <= 4.0, k
+    for k in range(20):
+        assert _moment_error_in_ulps(gauss, 0.0, k) <= 4.0, k
+    assert _moment_error_in_ulps(kronrod, quadrature._WK0, 32) > 1e5
+    assert _moment_error_in_ulps(gauss, 0.0, 20) > 1e5
+
+
+def _gk21_loop(f, a, b):
     """The reference panel: one loop over the node table."""
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -357,7 +405,7 @@ def _gk15_loop(f, a, b):
     resk = 0.0
     resabs = 0.0
     values = []
-    for node, wg, wk in _GK15_TABLE:
+    for node, wg, wk in _GK21_TABLE:
         fx = f(center + half * node)
         values.append((fx, wk))
         if wg:
@@ -381,8 +429,8 @@ def _gk15_loop(f, a, b):
 
 
 def _same_panel(f, a, b):
-    kernel = quadrature._gk15(f, a, b)
-    assert repr(kernel) == repr(_gk15_loop(f, a, b)), (a, b)
+    kernel = quadrature._gk21(f, a, b)
+    assert repr(kernel) == repr(_gk21_loop(f, a, b)), (a, b)
     return kernel
 
 
@@ -452,15 +500,17 @@ def _scan_loop(f, a, b, tol, budget):
     floor or its halves would leave the doubles; no floor-sum stop."""
     if not quadrature._nodes_interior(a, b):
         return QuadratureResult(0.0, math.inf, 0, quadrature.FLOAT_EXHAUSTION)
-    value, err, at_floor, _ = _gk15_loop(f, a, b)
+    if budget < 21:
+        return QuadratureResult(0.0, math.inf, 0, quadrature.BUDGET_EXHAUSTED)
+    value, err, at_floor, _ = _gk21_loop(f, a, b)
     intervals = [(a, b, value, err, at_floor)]
-    evaluations = 15
+    evaluations = 21
     reason = ""
     while True:
         total_err = math.fsum(item[3] for item in intervals)
         if total_err <= tol:
             break
-        if evaluations + 30 > budget:
+        if evaluations + 42 > budget:
             reason = quadrature.BUDGET_EXHAUSTED
             break
         worst = 0
@@ -477,9 +527,9 @@ def _scan_loop(f, a, b, tol, budget):
         if not (quadrature._nodes_interior(wa, mid) and quadrature._nodes_interior(mid, wb)):
             reason = quadrature.FLOAT_EXHAUSTION
             break
-        intervals[worst] = (wa, mid, *_gk15_loop(f, wa, mid)[:3])
-        intervals.append((mid, wb, *_gk15_loop(f, mid, wb)[:3]))
-        evaluations += 30
+        intervals[worst] = (wa, mid, *_gk21_loop(f, wa, mid)[:3])
+        intervals.append((mid, wb, *_gk21_loop(f, mid, wb)[:3]))
+        evaluations += 42
 
     intervals.sort(key=lambda item: item[0])
     if any(isinstance(item[2], complex) for item in intervals):
@@ -533,11 +583,13 @@ def test_heap_loop_against_the_scan_loop():
 
 
 def test_floor_sum_stops_before_any_bisection():
-    # 2 eps times the panel's integral of |sin(50x)| is far above 1e-300: the
-    # scan loop bisects to its budget, the floor sum stops after the first panel
-    f = lambda x: math.sin(50.0 * x)  # noqa: E731
+    # the panel's integral of 2 + sin(50x) is about three times its error
+    # estimate (at most its integral of |f - mean|), so 2 eps times their
+    # difference is far above 1e-300: the scan loop bisects to its budget, the
+    # floor sum stops after the first panel
+    f = lambda x: 2.0 + math.sin(50.0 * x)  # noqa: E731
     r = integrate_finite(f, 0.0, 20.0, 1e-300, 600)
-    assert (r.converged, r.reason, r.evaluations) == (False, quadrature.ROUNDOFF_FLOOR, 15)
+    assert (r.converged, r.reason, r.evaluations) == (False, quadrature.ROUNDOFF_FLOOR, 21)
     assert _scan_loop(f, 0.0, 20.0, 1e-300, 600).reason == quadrature.BUDGET_EXHAUSTED
 
 
@@ -545,10 +597,12 @@ def _fsum_loop(f, a, b, tol, budget):
     """The heap loop with both stop tests on sums fsum recomputes at every step."""
     if not quadrature._nodes_interior(a, b):
         return QuadratureResult(0.0, math.inf, 0, quadrature.FLOAT_EXHAUSTION)
-    value, err, at_floor, floor = quadrature._gk15(f, a, b)
+    if budget < 21:
+        return QuadratureResult(0.0, math.inf, 0, quadrature.BUDGET_EXHAUSTED)
+    value, err, at_floor, floor = quadrature._gk21(f, a, b)
     values, errs, floors = [value], [err], [floor]
     heap = [(-err, a, b, 0, at_floor)]
-    evaluations = 15
+    evaluations = 21
     reason = ""
     while True:
         total_err = math.fsum(errs)
@@ -557,7 +611,7 @@ def _fsum_loop(f, a, b, tol, budget):
         if math.fsum(floors) - 2.0 * quadrature._EPS * total_err > tol:
             reason = quadrature.ROUNDOFF_FLOOR
             break
-        if evaluations + 30 > budget:
+        if evaluations + 42 > budget:
             reason = quadrature.BUDGET_EXHAUSTED
             break
         _, wa, wb, slot, at_floor = heap[0]
@@ -568,14 +622,14 @@ def _fsum_loop(f, a, b, tol, budget):
         if not (quadrature._nodes_interior(wa, mid) and quadrature._nodes_interior(mid, wb)):
             reason = quadrature.FLOAT_EXHAUSTION
             break
-        values[slot], errs[slot], at_floor, floors[slot] = quadrature._gk15(f, wa, mid)
+        values[slot], errs[slot], at_floor, floors[slot] = quadrature._gk21(f, wa, mid)
         heapq.heapreplace(heap, (-errs[slot], wa, mid, slot, at_floor))
-        value, err, at_floor, floor = quadrature._gk15(f, mid, wb)
+        value, err, at_floor, floor = quadrature._gk21(f, mid, wb)
         heapq.heappush(heap, (-err, mid, wb, len(values), at_floor))
         values.append(value)
         errs.append(err)
         floors.append(floor)
-        evaluations += 30
+        evaluations += 42
     if any(isinstance(v, complex) for v in values):
         total = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
     else:
@@ -611,14 +665,14 @@ def test_running_sums_against_the_fsum_loop():
 
 
 def test_running_sums_keep_a_long_integral_linear(monkeypatch):
-    # 8,058 bisections: the fsum loop re-sums both lists before each of them
+    # 4,025 bisections: the fsum loop re-sums both lists before each of them
     f = lambda x: math.sin(300.0 * x)  # noqa: E731
     ref = _fsum_loop(f, 0.0, 100.0, 1e-9, 480_000)
     fsum, calls = math.fsum, []
     monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
     r = integrate_finite(f, 0.0, 100.0, 1e-9, 480_000)
     monkeypatch.undo()
-    assert (r.converged, r.evaluations) == (True, 241_755)
+    assert (r.converged, r.evaluations) == (True, 169_071)
     assert repr(r) == repr(ref)
     assert len(calls) < 20, len(calls)  # a handful near tol, not two per bisection
 

@@ -1,7 +1,7 @@
 """Refusal of tolerances below the double-precision floor of a check's quadratures.
 
 A check refuses tol when some integral it runs at share * tol has a proven lower
-bound L on the integral of |f| with share * tol < eps * L: every GK15 panel
+bound L on the integral of |f| with share * tol < eps * L: every K21 panel
 reports at least 2 eps times its own integral of |f|, so such a request can
 only end at the roundoff floor.
 """
