@@ -43,7 +43,7 @@ from .quadrature import (
     integrate_finite,
     integrate_segment,
     integrate_semi_infinite,
-    truncation_point,
+    _truncate,
 )
 
 __all__ = [
@@ -448,7 +448,8 @@ def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9,
         Segment(corner, complex(0.0)),
     )
     results = [integrate_segment(s, seg, 0.25 * tol, budget) for seg in sides]
-    values = tuple(r.value for r in results)
+    # the bottom side's integral is a float; every side value is reported complex
+    values = tuple(complex(r.value) for r in results)
     error_estimate = math.fsum(r.error_estimate for r in results)
     evaluations = sum(r.evaluations for r in results)
     return ContourReport(s, R, values, error_estimate, evaluations, _stop_reason(results), tol)
@@ -473,19 +474,19 @@ def eq9_components(s: int, tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET)
 
     tol is refused below the floor of these lower bounds on an integral of |f|:
       A on [0, X] at tol/8, X = truncation_point(s, tol/8): gamma(s, X), since
-        1/(e^x - 1) >= e^-x;
+        1/(e^x - 1) >= e^-x (one scan gives X and A's tail bound beyond it);
       C at tol/4: pi^(s-1)/(s-1), since |e^(iy) - 1| = 2 sin(y/2) <= y.
     The F(j) requests are clamped above their own floor and need no bound.
     """
     _require_s("eq9_components", s, *_REAL_AXIS_S)
     part = 0.25 * tol
+    x_max, tail = _truncate(s, 0.125 * tol)
     _refuse_below_floor("eq9_components", s, tol,
-                        ((0.125, _lower_gamma(s, truncation_point(s, 0.125 * tol))),
-                         (0.25, _pi_side_bound(s))))
+                        ((0.125, _lower_gamma(s, x_max)), (0.25, _pi_side_bound(s))))
 
-    a_quad = integrate_semi_infinite(bose(s), s, part, budget=budget)
+    a_quad = integrate_finite(bose(s), 0.0, x_max, 0.125 * tol, budget)
     a = complex(a_quad.value)
-    err = a_quad.error_estimate
+    err = a_quad.error_estimate + tail
     quads = [a_quad]
 
     terms = []

@@ -15,7 +15,8 @@ the reason: the evaluation budget ran out; the roundoff floor, either
 because the panels' floors alone already exceed the tolerance (as QUADPACK's
 QAGS stops with ier = 2) or because the worst subinterval sits at its own
 floor; or its halves would be too narrow in doubles for every node to fall
-strictly inside.
+strictly inside.  A first panel whose estimate already meets the tolerance
+is the result, with no loop around it.
 
 Semi-infinite integrals of the Bose/Fermi-weight integrands are truncated
 at a point X chosen from the analytic tail bound
@@ -23,8 +24,14 @@ at a point X chosen from the analytic tail bound
     integral_X^inf x^(s-1) e^-x / (1 - e^-X) dx
         = GammaUpper(s, X) / (1 - e^-X),
 
-which majorizes both integrand families; the bound is added to the
-reported error estimate.
+which majorizes both integrand families.  The scan that picks X proves the
+bound there, and that bound is added to the reported error estimate.
+
+Line integrals of z^(s-1)/(e^z - 1) are taken over the segment's parameter
+t in [0, 1].  A segment on the non-negative real axis, such as the bottom
+side 0 -> R of the paper's rectangle, is integrated in real arithmetic with
+the Bose integrand; any other segment in complex arithmetic, with e^z - 1 in
+closed form near z = 0.
 
 All functions are pure and the module holds no mutable state: every
 integrator takes its evaluation budget as an argument.
@@ -106,9 +113,9 @@ class Segment(namedtuple("Segment", "start end")):
 # Each integrand is built once per integral, as a closure of s: bose(s),
 # fermi(s) and cot_power(s) on the real axis, _segment_integrand(s, start,
 # delta) along a segment.  The builder checks s, and each call of the closure
-# is the one Python frame a quadrature node costs (only a segment node near
-# z = 0 adds the series of _cexpm1_series).  The closure is the one home of
-# its formula.
+# is the one Python frame a quadrature node costs (a segment node on the real
+# axis adds bose's, and a complex one within 0.5 of z = 0 that of _cexpm1).
+# The closure is the one home of its formula.
 
 def bose(s: int):
     """x -> x^(s-1) / (e^x - 1), stable over the whole positive axis.
@@ -169,24 +176,42 @@ def cot_power(s: int):
     return f
 
 
-def _cexpm1_series(z: complex) -> complex:
-    """exp(z) - 1 for abs(z) < 0.5 from its Taylor series, without the
-    cancellation of cmath.exp(z) - 1.0 near z = 0."""
-    term = z
-    total = z
-    k = 2
-    while abs(term) > 1e-20 * abs(total):
-        term *= z / k
-        total += term
-        k += 1
-    return total
+def _cexpm1(z: complex) -> complex:
+    """exp(z) - 1 for abs(z) < 0.5 in closed form, without the cancellation of
+    cmath.exp(z) - 1.0 near z = 0: with z = x + iy, the real part
+    e^x cos y - 1 = expm1(x) cos y - 2 sin^2(y/2) and the imaginary part e^x sin y."""
+    x, y = z.real, z.imag
+    return complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2,
+                   math.exp(x) * math.sin(y))
 
 
 def _segment_integrand(s: int, start: complex, delta: complex):
     """t -> f(start + t delta) delta for f(z) = z^(s-1) / (e^z - 1) (s >= 2), with
-    the removable value at z = 0; e^z - 1 comes from _cexpm1_series below abs(z) = 0.5."""
+    the removable value at z = 0.
+
+    On the non-negative real axis (both ends real and >= 0) f is bose(s) at
+    x = start + t delta, in real arithmetic, and the closure returns floats.
+    Any other segment is evaluated in complex arithmetic, with e^z - 1 from
+    _cexpm1 below abs(z) = 0.5.  Either way the parameter is t in [0, 1], so
+    a segment too short for 21 distinct doubles between its ends (a radius
+    down to 5e-324) still has room for the panel's nodes.
+    """
     p = s - 1
-    at_zero = (complex(1.0) if s == 2 else complex(0.0)) * delta
+    limit = 1.0 if s == 2 else 0.0  # f(0)
+    x0, dx = start.real, delta.real
+    if not (start.imag or delta.imag) and x0 >= 0.0 and x0 + dx >= 0.0:
+        real_at_zero = limit * dx
+        bose_s = bose(s)
+
+        def real(t: float) -> float:
+            x = x0 + t * dx
+            if x == 0.0:
+                return real_at_zero
+            return bose_s(x) * dx
+
+        return real
+
+    at_zero = complex(limit) * delta
 
     def directed(t: float) -> complex:
         z = start + t * delta
@@ -194,7 +219,7 @@ def _segment_integrand(s: int, start: complex, delta: complex):
             return at_zero
         if abs(z) >= 0.5:
             return z ** p / (cmath.exp(z) - 1.0) * delta
-        return z ** p / _cexpm1_series(z) * delta
+        return z ** p / _cexpm1(z) * delta
 
     return directed
 
@@ -344,7 +369,10 @@ def integrate_finite(f, a: float, b: float, tol: float,
     BUDGET_EXHAUSTED, ROUNDOFF_FLOOR or FLOAT_EXHAUSTION.  A panel
     whose nodes would round onto or past its ends is never made; when [a, b]
     itself is that narrow, or budget is below the one panel's 21 evaluations,
-    nothing is evaluated and the estimate is infinite.
+    nothing is evaluated and the estimate is infinite.  When the first panel's
+    estimate already meets tol, its value and estimate are returned as they
+    stand, with 21 evaluations: what the loop below would return, but for the
+    fsum of one entry, which would only turn a zero part -0.0 into 0.0.
 
     The roundoff floor stops the loop in two ways.  Either the worst panel
     already sits at its own floor, or the floors of all panels alone exceed
@@ -371,6 +399,8 @@ def integrate_finite(f, a: float, b: float, tol: float,
         return QuadratureResult(0.0, math.inf, 0, BUDGET_EXHAUSTED)
 
     value, err, at_floor, floor = _gk21(f, a, b)
+    if err <= tol:
+        return QuadratureResult(value, err, 21)
     # the panels are disjoint, so (-err, a) decides every comparison of two
     # entries and a value, which may be complex, is never compared
     heap = [(-err, a, b, value, floor, at_floor)]
@@ -458,11 +488,20 @@ def truncation_point(s: int, tail_tol: float) -> float:
     scan's.  For s <= 171, where tail_bound fits a double, the exponent is
     at most about 703, so exp cannot overflow either.
     """
+    return _truncate(s, tail_tol)[0]
+
+
+def _truncate(s: int, tail_tol: float) -> tuple[float, float]:
+    """(X, tail_bound(s, X)) for X = truncation_point(s, tail_tol), from one scan:
+    the bound its last step proved, or at the cap x = 750 the bound there."""
     x = 10.0
-    while x < 750.0 and (math.exp((s - 1) * math.log(x) - x) > 2.0 * tail_tol
-                         or tail_bound(s, x) > tail_tol):
+    while x < 750.0:
+        if not math.exp((s - 1) * math.log(x) - x) > 2.0 * tail_tol:
+            tail = tail_bound(s, x)
+            if not tail > tail_tol:
+                return x, tail
         x += 5.0
-    return x
+    return x, tail_bound(s, x)
 
 
 def integrate_semi_infinite(f, s: int, tol: float,
@@ -481,8 +520,7 @@ def integrate_semi_infinite(f, s: int, tol: float,
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     half = max(0.5 * tol, _TINY)  # a subnormal tol halves to 0
-    x_max = truncation_point(s, half)
-    tail = tail_bound(s, x_max)
+    x_max, tail = _truncate(s, half)
     base = integrate_finite(f, 0.0, x_max, half, budget)
     err = base.error_estimate + tail
     return QuadratureResult(base.value, err, base.evaluations, base.reason)
@@ -522,7 +560,9 @@ def integrate_segment(s: int, seg: Segment, tol: float,
 
     The parameterized integrand f(z(t)) * (end - start), built once as the
     closure _segment_integrand(s, start, end - start), is integrated over t
-    in [0, 1] in one complex pass, so the error estimate bounds the modulus.
+    in [0, 1] in one pass: in real arithmetic, with a float result, when the
+    segment lies on the non-negative real axis, and otherwise in complex
+    arithmetic, where the error estimate bounds the modulus.
     Segments passing within 1e-9 of a pole 2*pi*i*k (k != 0) are rejected;
     z = 0 is removable for s >= 2 and handled by the integrand's analytic limit.
     """

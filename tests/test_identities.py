@@ -24,7 +24,7 @@ from zeta_recur.identities import (
     verify_zeta2,
     zeta_series,
 )
-from zeta_recur import identities
+from zeta_recur import identities, quadrature
 from zeta_recur.quadrature import (
     BUDGET_EXHAUSTED,
     ROUNDOFF_FLOOR,
@@ -275,6 +275,16 @@ def test_limit_identity_report():
     report = verify_eq9(3, 1e-8)
     assert report.passed
     assert report.identity_id is IdentityId.EQ9
+
+
+def test_eq9_scans_its_truncation_point_once(monkeypatch):
+    # the refusal and A share one X = truncation_point(10, tol/8)
+    scans = []
+    for module in (quadrature, identities):
+        monkeypatch.setattr(module, "_truncate", lambda s, tail_tol, scan=module._truncate:
+                            scans.append((s, tail_tol)) or scan(s, tail_tol))
+    assert verify_eq9(10, 1e-8).passed
+    assert scans.count((10, 1.25e-09)) == 1, scans
 
 
 def test_s2_component_values():

@@ -140,13 +140,9 @@ def _cot_ref(y, s):
 def _cexpm1_ref(z):
     if abs(z) >= 0.5:
         return cmath.exp(z) - 1.0
-    term = total = z
-    k = 2
-    while abs(term) > 1e-20 * abs(total):
-        term *= z / k
-        total += term
-        k += 1
-    return total
+    x, y = z.real, z.imag
+    return complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2,
+                   math.exp(x) * math.sin(y))
 
 
 def _pole_ratio_ref(z, s):
@@ -172,9 +168,18 @@ def test_real_axis_closures_bit_for_bit():
     assert cot_power(2)(0.0) == 2.0 and fermi(1)(0.0) == 0.5
 
 
+def _segment_ref(s, start, delta, t):
+    """The segment integrand at t, point by point: bose's real formulas on the
+    non-negative real axis, the complex ratio anywhere else."""
+    if start.imag == delta.imag == 0.0 and start.real >= 0.0 and start.real + delta.real >= 0.0:
+        x = start.real + t * delta.real
+        return (_bose_ref(x, s) if x else float(s == 2)) * delta.real
+    return _pole_ratio_ref(start + t * delta, s) * delta
+
+
 def test_segment_closure_bit_for_bit(monkeypatch):
     # the integrand integrate_segment hands to integrate_finite, at random nodes,
-    # at nodes within 0.5 of z = 0 (the series) and at the corner z = 0 itself
+    # at nodes within 0.5 of z = 0 (the closed form) and at the corner z = 0 itself
     captured = []
     monkeypatch.setattr(quadrature, "integrate_finite",
                         lambda f, a, b, tol, budget: captured.append(f))
@@ -192,11 +197,59 @@ def test_segment_closure_bit_for_bit(monkeypatch):
             near = 0.5 / abs(delta)
             for t in (0.0, 1.0, rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-12.0, 0.0) * near,
                       1.0 - 10.0 ** rng.uniform(-12.0, 0.0) * near):
-                z = start + t * delta
-                corners += z == 0
-                ref = _pole_ratio_ref(z, s) * delta
-                assert repr(f(t)) == repr(ref), (s, start, end, t)
+                corners += start + t * delta == 0
+                assert repr(f(t)) == repr(_segment_ref(s, start, delta, t)), (s, start, end, t)
     assert corners >= 200
+
+
+def test_segment_on_the_real_axis_is_real():
+    # both ends real and >= 0, in either direction: floats, bose's own values
+    # times dx, down to a segment whose nodes underflow to the corner x = 0
+    rng = random.Random(1519)
+    for _ in range(200):
+        s = rng.randint(2, 108)
+        R = 10.0 ** rng.uniform(-12.0, math.log10(700.0))
+        for start, end in ((0.0, R), (R, 0.0), (R, 2.0 * R), (0.0, 5e-324)):
+            start, end = complex(start), complex(end)
+            f = quadrature._segment_integrand(s, start, end - start)
+            for t in (0.0, 1.0, rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-12.0, 0.0)):
+                value = f(t)
+                assert type(value) is float, (s, start, end, t)
+                assert repr(value) == repr(_segment_ref(s, start, end - start, t)), (s, start, end, t)
+    # 0.3 * 5e-324 rounds to 0: the removable value, dx at s = 2 and 0 above
+    for s, at_zero in ((2, 5e-324), (3, 0.0)):
+        assert repr(quadrature._segment_integrand(s, 0j, complex(5e-324))(0.3)) == repr(at_zero)
+
+
+def test_segment_off_the_nonnegative_real_axis_stays_complex():
+    for start, end in ((-0.5, 3.0), (2.0, -0.5), (-2.0, -1.0), (0.0, math.pi * 1j),
+                       (1.0, 1.0 + 1e-300j), (30.0, 30.0 + math.pi * 1j), (1e-300j, 2.0)):
+        start, end = complex(start), complex(end)
+        for s in (2, 3, 9):
+            f = quadrature._segment_integrand(s, start, end - start)
+            for t in (0.0, 0.25, 0.5, 1.0):
+                value = f(t)
+                assert type(value) is complex, (s, start, end, t)
+                assert repr(value) == repr(_segment_ref(s, start, end - start, t)), (s, start, end, t)
+
+
+def test_closed_form_expm1_against_mpmath():
+    # within 4e-16 |e^z - 1| for |z| < 0.5: on both axes, down to 1e-300, and in
+    # random directions, where expm1(x) cos y and 2 sin^2(y/2) can nearly cancel
+    rng = random.Random(1520)
+    points = []
+    for _ in range(1500):
+        r = 10.0 ** rng.uniform(-300.0, -1.0) if rng.random() < 0.3 else rng.uniform(0.0, 0.5)
+        sign = rng.choice((-1.0, 1.0))
+        points += [complex(sign * r, 0.0), complex(0.0, sign * r),
+                   cmath.rect(r, rng.uniform(-math.pi, math.pi))]
+    with mp.workprec(120):
+        for z in points:
+            if not 0.0 < abs(z) < 0.5:
+                continue
+            ref = mp.expm1(mp.mpc(z.real, z.imag))
+            got = quadrature._cexpm1(z)
+            assert abs(mp.mpc(got.real, got.imag) - ref) <= 4e-16 * abs(ref), z
 
 
 def _scan_truncation_point(s, tail_tol):
@@ -322,6 +375,25 @@ def test_budget_below_one_panel_evaluates_nothing():
     one = integrate_finite(math.exp, 0.0, 1.0, 1e-9, 21)
     assert (one.converged, one.evaluations) == (True, 21)
     assert integrate_finite(lambda x: math.sin(50.0 * x), 0.0, 20.0, 1e-12, 62).evaluations == 21
+
+
+def test_first_panel_within_tol_is_returned_as_it_stands():
+    # at tol = the panel's estimate or above: _gk21's value and estimate, 21
+    # evaluations; one ulp below it the loop takes over
+    rng = random.Random(1521)
+    for _ in range(100):
+        s = rng.randint(2, 30)
+        b = rng.uniform(0.5, 40.0)
+        for f, lo, hi in ((fermi(s), 0.0, b), (bose(s), 1e-3, b), (cot_power(s), 0.0, math.pi),
+                          (lambda x: complex(math.cos(x), x * x), 0.0, b),
+                          (quadrature._segment_integrand(s, complex(b), complex(0.0, math.pi)),
+                           0.0, 1.0)):
+            value, err, *_ = quadrature._gk21(f, lo, hi)
+            for tol in (err, math.nextafter(err, math.inf), 2.0 * err + 1e-300):
+                r = integrate_finite(f, lo, hi, tol)
+                assert repr(r) == repr(QuadratureResult(value, err, 21)), (s, tol)
+            r = integrate_finite(f, lo, hi, math.nextafter(err, 0.0))
+            assert r.evaluations > 21 or r.reason, (s, r)
 
 
 def test_converged_implies_estimate_below_tolerance():
@@ -462,7 +534,8 @@ def test_panel_bit_for_bit_on_segment_integrands(monkeypatch):
             lo = rng.uniform(0.0, 0.9)
             for a, b in ((0.0, 1.0), (lo, lo + 10.0 ** rng.uniform(-10.0, -1.0))):
                 value, *_ = _same_panel(f, a, b)
-                assert isinstance(value, complex)
+                # the bottom side (0, R) lies on the real axis, where the integrand is real
+                assert isinstance(value, float if (start, end) == (0.0, R) else complex)
 
 
 def test_panel_bit_for_bit_on_zero_integrands():
@@ -730,6 +803,18 @@ def test_semi_infinite_estimate_includes_tail():
     assert r.value == base.value
     assert r.error_estimate == base.error_estimate + tail_bound(2, x)
     assert r.error_estimate >= tail_bound(2, x)
+
+
+def test_semi_infinite_takes_its_tail_from_the_scan(monkeypatch):
+    # the bound the scan proved at X is the reported tail: no point's bound is
+    # evaluated twice, also where the scan stops at its cap x = 750
+    bounds = []
+    monkeypatch.setattr(quadrature, "tail_bound",
+                        lambda s, x, bound=tail_bound: bounds.append((s, x)) or bound(s, x))
+    for s, tol in ((2, 1e-8), (10, 1e-12), (60, 1e-3), (108, 1e-320)):
+        bounds.clear()
+        integrate_semi_infinite(fermi(s), s, tol, budget=21)
+        assert bounds and len(set(bounds)) == len(bounds), (s, bounds)
 
 
 # ---------------------------------------------------------------------------
