@@ -43,7 +43,7 @@ from .quadrature import (
     integrate_finite,
     integrate_segment,
     integrate_semi_infinite,
-    _truncate,
+    truncation_point,
 )
 
 __all__ = [
@@ -176,30 +176,22 @@ class IdentityReport(namedtuple("IdentityReport", "identity_id s lhs rhs toleran
         return abs(self.lhs - self.rhs)
 
     @classmethod
-    def from_sides(cls, identity_id, s, lhs, rhs, tolerance, note="", floor=None, reason="",
-                   estimate=0.0):
+    def from_sides(cls, identity_id, s, lhs, rhs, tolerance, note="", reason="", estimate=0.0):
         """The verdict and failure note of lhs against rhs.  ``reason``, why a
         quadrature stopped short of its tolerance, makes the report unconverged,
         and the note names it.  An error estimate of lhs above the tolerance fails,
-        and the note names it after any stop reason.  Given the roundoff floor of
-        the compared values, a tolerance below it fails, and a failure names its
-        residual and that floor.  Any other failure names its residual against
-        the tolerance, after the caller's ``note``."""
+        and the note names it after any stop reason.  Any other failure names its
+        residual against the tolerance, after the caller's ``note``.  A tolerance
+        the compared values cannot resolve in doubles is the caller's to refuse
+        before it computes them."""
         residual = abs(lhs - rhs)
-        passed = (not reason and residual <= tolerance and estimate <= tolerance
-                  and (floor is None or floor <= tolerance))
+        passed = not reason and residual <= tolerance and estimate <= tolerance
         if reason and not note:
             note = _unconverged_note(reason)
         if not estimate <= tolerance:
             note = "; ".join(filter(None, (
                 note, f"error estimate {estimate:.3g} above tolerance {tolerance:.3g}")))
-        if floor is not None and not passed:
-            reasons = [note] if note else []
-            if floor > tolerance:
-                reasons.append("tolerance below roundoff floor")
-            reasons.append(f"residual {residual:.3g}, roundoff floor {floor:.3g}")
-            note = "; ".join(reasons)
-        elif not passed and not reason and estimate <= tolerance:
+        elif not passed and not reason:
             note = "; ".join(filter(None, (
                 note, f"residual {residual:.3g} above tolerance {tolerance:.3g}")))
         return cls(identity_id, s, lhs, rhs, tolerance, passed, note)
@@ -473,14 +465,14 @@ def eq9_components(s: int, tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET)
     C reuses the segment integral from 0 to i*pi (same parameterization).
 
     tol is refused below the floor of these lower bounds on an integral of |f|:
-      A on [0, X] at tol/8, X = truncation_point(s, tol/8): gamma(s, X), since
-        1/(e^x - 1) >= e^-x (one scan gives X and A's tail bound beyond it);
+      A on [0, X] at tol/8, with X and A's tail bound beyond it from one
+        truncation_point(s, tol/8) scan: gamma(s, X), since 1/(e^x - 1) >= e^-x;
       C at tol/4: pi^(s-1)/(s-1), since |e^(iy) - 1| = 2 sin(y/2) <= y.
     The F(j) requests are clamped above their own floor and need no bound.
     """
     _require_s("eq9_components", s, *_REAL_AXIS_S)
     part = 0.25 * tol
-    x_max, tail = _truncate(s, 0.125 * tol)
+    x_max, tail = truncation_point(s, 0.125 * tol)
     _refuse_below_floor("eq9_components", s, tol,
                         ((0.125, _lower_gamma(s, x_max)), (0.25, _pi_side_bound(s))))
 
@@ -594,26 +586,27 @@ def expanded_real_identity(s: int, tol: float = 1e-9,
     identity is the numeric shadow of the exact recursion; for odd s it
     carries zeta(s) information (see odd_zeta_from_contour).
 
-    The roundoff floor passed to the report is that of the summed terms,
-    eps * sum |term| over both sides.
+    tol is refused, before K(s) runs, below eps times the summed magnitudes of
+    the terms: the left side's, the pi^s term's, and |lhs - pi^s term| in place
+    of |K(s) term|, which the identity makes equal.  That floor estimates the
+    rounding of the summed terms; it is not a proof that no smaller tol is met.
+    K(s), whose coefficient is +-1/2, is asked for tol itself.
     """
     _require_s("expanded_real_identity", s, *_GAMMA_S)
     lhs_terms = [gamma_int(s) * _zeta_numeric(s), *_real_part_terms(s, _zeta_numeric)]
     lhs = math.fsum(lhs_terms)
-
     rhs = -_I_POW[s % 4].real * math.pi**s / (2 * s)
-    rhs_abs = abs(rhs)
+    floor = _EPS * (math.fsum(map(abs, lhs_terms)) + abs(rhs) + abs(lhs - rhs))
+    if tol < floor:
+        raise Refused(f"expanded_real_identity requires tol >= {floor:.3g} at s = {s} (eps "
+                      f"times the summed magnitudes of its terms: an estimate of their "
+                      f"rounding, not a proven bound), got tol = {tol!r}")
     k_coef = _k_coef(s)
-    reason = ""
-    if k_coef:
-        k_quad = cot_power_integral(s, _share(0.5 / abs(k_coef), tol), budget)
-        k_term = k_coef * k_quad.value
-        rhs += k_term
-        rhs_abs += abs(k_term)
-        reason = k_quad.reason
-    floor = _EPS * (math.fsum(abs(t) for t in lhs_terms) + rhs_abs)
-    return IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, s, lhs, rhs, tol,
-                                     floor=floor, reason=reason)
+    if not k_coef:
+        return IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, s, lhs, rhs, tol)
+    k_quad = cot_power_integral(s, tol, budget)
+    return IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, s, lhs, rhs + k_coef * k_quad.value,
+                                     tol, reason=k_quad.reason)
 
 
 def _odd_extraction(s: int, tol: float, budget: int) -> tuple[float, float, str]:

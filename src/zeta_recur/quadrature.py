@@ -474,8 +474,10 @@ def tail_bound(s: int, x: float) -> float:
     return math.factorial(s - 1) * expmx * partial / (1.0 - expmx)
 
 
-def truncation_point(s: int, tail_tol: float) -> float:
-    """Smallest scanned truncation point whose tail bound is below tail_tol.
+def truncation_point(s: int, tail_tol: float) -> tuple[float, float]:
+    """(X, tail_bound(s, X)) for the smallest scanned X whose tail bound is below
+    tail_tol, from one scan: the bound its last step proved, or at the cap the
+    bound there.
 
     The scan runs x = 10, 15, ..., 750.  tail_bound(s, x) is at least its
     k = s-1 term, x^(s-1) e^-x, divided by 1 - e^-x < 1, so a point where
@@ -488,12 +490,6 @@ def truncation_point(s: int, tail_tol: float) -> float:
     scan's.  For s <= 171, where tail_bound fits a double, the exponent is
     at most about 703, so exp cannot overflow either.
     """
-    return _truncate(s, tail_tol)[0]
-
-
-def _truncate(s: int, tail_tol: float) -> tuple[float, float]:
-    """(X, tail_bound(s, X)) for X = truncation_point(s, tail_tol), from one scan:
-    the bound its last step proved, or at the cap x = 750 the bound there."""
     x = 10.0
     while x < 750.0:
         if not math.exp((s - 1) * math.log(x) - x) > 2.0 * tail_tol:
@@ -520,7 +516,7 @@ def integrate_semi_infinite(f, s: int, tol: float,
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     half = max(0.5 * tol, _TINY)  # a subnormal tol halves to 0
-    x_max, tail = _truncate(s, half)
+    x_max, tail = truncation_point(s, half)
     base = integrate_finite(f, 0.0, x_max, half, budget)
     err = base.error_estimate + tail
     return QuadratureResult(base.value, err, base.evaluations, base.reason)

@@ -254,12 +254,12 @@ def test_radius_reaches_closure_and_contour(capsys):
 
 
 # (argv, largest accepted s, smallest refused s) where the float terms overflow;
-# eq9 and the contour get a --tol above their roundoff floor at the largest s
+# eq9, eq10 and the contour get a --tol above their roundoff floor at the largest s
 OVERFLOW_BOUNDS = [
     (["verify", "eq2"], 108, 109),
     (["verify", "eq7"], 108, 109),
     (["verify", "eq9", "--tol", "1e300"], 108, 109),
-    (["verify", "eq10"], 171, 172),
+    (["verify", "eq10", "--tol", "1e300"], 171, 172),
     (["verify", "odd"], 171, 173),
     (["verify", "closure", "--radius", "30", "--tol", "1e300"], 209, 210),
     (["contour", "--radius", "30", "--tol", "1e300"], 209, 210),
@@ -314,6 +314,8 @@ def test_radius_overflow_bound_from_both_sides(capsys):
     ["verify", "closure", "--s", "20", "--tol", "1e-10"],
     ["contour", "--s", "20", "--radius", "30", "--tol", "1e-10"],
     ["contour", "--s", "2", "--radius", "0.01", "--tol", "1e-17"],  # the left side's floor
+    ["verify", "eq10", "--s", "20", "--tol", "1e-10"],
+    ["verify", "eq10", "--s", "21", "--tol", "1e-10"],  # odd s: K(21) would run
 ])
 def test_refusal_runs_before_any_quadrature(capsys, monkeypatch, argv):
     def no_quadrature(*args, **kwargs):
@@ -331,6 +333,7 @@ def test_refusal_runs_before_any_quadrature(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv,name", [
     (["verify", "eq9", "--s", "20", "--tol", "1e-10"], "eq9_components"),
     (["contour", "--s", "20", "--radius", "30", "--tol", "1e-10"], "contour_closure"),
+    (["verify", "eq10", "--s", "20", "--tol", "1e-10"], "expanded_real_identity"),
 ])
 def test_sub_floor_refusal_names_check_s_tol_and_floor(capsys, argv, name):
     with pytest.raises(SystemExit) as exc:

@@ -10,6 +10,7 @@ from zeta_recur.exact import zeta_even_recursive
 from zeta_recur.identities import (
     IdentityId,
     IdentityReport,
+    Refused,
     contour_closure,
     cot_power_integral,
     eq9_components,
@@ -281,7 +282,8 @@ def test_eq9_scans_its_truncation_point_once(monkeypatch):
     # the refusal and A share one X = truncation_point(10, tol/8)
     scans = []
     for module in (quadrature, identities):
-        monkeypatch.setattr(module, "_truncate", lambda s, tail_tol, scan=module._truncate:
+        monkeypatch.setattr(module, "truncation_point",
+                            lambda s, tail_tol, scan=module.truncation_point:
                             scans.append((s, tail_tol)) or scan(s, tail_tol))
     assert verify_eq9(10, 1e-8).passed
     assert scans.count((10, 1.25e-09)) == 1, scans
@@ -388,38 +390,41 @@ def test_expanded_terms_match_recursion_coefficients():
             assert abs(ci * weight - exact) <= 8 * math.ulp(abs(exact))
 
 
-def test_expanded_identity_failure_always_carries_a_reason():
-    # from s ~ 5 on eq10 fails at these tolerances, some below the roundoff
-    # floor of its summed terms; every failure must say why, never leave note empty
-    seen = set()
+def test_expanded_identity_failure_always_carries_a_reason(monkeypatch):
+    # from s ~ 5 on these tolerances fall below the floor of eq10's summed terms
+    # and are refused; a report that runs has an empty note exactly when it passes
+    outcomes = set()
     for s in range(2, 25):
         for tol in (1e-8, 1e-12):
-            report = expanded_real_identity(s, tol)
-            if report.passed:
-                assert report.note == ""
+            try:
+                report = expanded_real_identity(s, tol)
+            except Refused:
+                outcomes.add("refused")
                 continue
-            assert report.note, report
-            assert f"residual {report.residual:.3g}, roundoff floor " in report.note
-            seen.add("tolerance below roundoff floor" in report.note)
+            outcomes.add(report.passed)
+            assert (report.note == "") == report.passed, report
+    assert outcomes == {"refused", True}
     starved = expanded_real_identity(5, 1e-12, budget=20)  # K(5) needs one panel
     assert not starved.passed
-    assert starved.note.startswith("quadrature did not converge; ")
-    seen.add("tolerance below roundoff floor" in starved.note)
-    assert seen == {True, False}
+    assert starved.note == "quadrature did not converge; evaluation budget exhausted"
+    # a converged K(s) that is wrong leaves a residual, which the note names
+    monkeypatch.setattr(identities, "cot_power_integral",
+                        lambda s, tol, budget: QuadratureResult(0.0, 0.0, 21))
+    wrong = expanded_real_identity(5, 1e-12)
+    assert not wrong.passed
+    assert wrong.note == f"residual {wrong.residual:.3g} above tolerance 1e-12"
 
 
 def test_expanded_identity_below_its_floor_never_passes():
     # a verify-sweep op whose residual lands within tol although the left side
-    # is 3.57e-10 from the closed form: its floor, 1e-9, is above tol
-    import mpmath as mp
-
-    tol = 3.547471682440628e-10
-    report = expanded_real_identity(10, tol)
-    assert report.residual <= tol
-    with mp.workdps(30):
-        assert abs(report.lhs - mp.pi**10 / 20) > tol
-    assert not report.passed
-    assert report.note.startswith("tolerance below roundoff floor; ")
+    # is 3.57e-10 from the closed form: its floor, 9.98e-10, is above tol, so
+    # it is refused before its terms are compared
+    with pytest.raises(Refused) as exc:
+        expanded_real_identity(10, 3.547471682440628e-10)
+    assert str(exc.value) == (
+        "expanded_real_identity requires tol >= 9.98e-10 at s = 10 (eps times the summed "
+        "magnitudes of its terms: an estimate of their rounding, not a proven bound), "
+        "got tol = 3.547471682440628e-10")
 
 
 @pytest.mark.parametrize("s,tol", [(5, 1e-13), (7, 2e-12), (9, 1.2e-10)])
@@ -628,21 +633,6 @@ def test_report_invariants_hold_on_random_sides():
         report = IdentityReport.from_sides(IdentityId.EQ2, 2, lhs, rhs, tol)
         assert report.residual == abs(lhs - rhs)
         assert report.passed == (report.residual <= report.tolerance)
-
-
-def test_report_floor_writes_both_reasons():
-    report = IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, 3, 1.0, 1.5, 1e-9, floor=1.5e-9)
-    assert not report.passed
-    assert report.note == "tolerance below roundoff floor; residual 0.5, roundoff floor 1.5e-09"
-    report = IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, 3, 1.0, 1.5, 1e-9, floor=1e-10,
-                                       reason=BUDGET_EXHAUSTED)
-    assert report.note == ("quadrature did not converge; evaluation budget exhausted; "
-                           "residual 0.5, roundoff floor 1e-10")
-    assert IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, 3, 1.0, 1.0, 1e-9, floor=1e-10).note == ""
-    # a residual within a tolerance below the floor is luck, not a pass
-    report = IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, 3, 1.0, 1.0, 1e-9, floor=1.0)
-    assert not report.passed
-    assert report.note == "tolerance below roundoff floor; residual 0, roundoff floor 1"
 
 
 def test_converged_failure_names_its_residual():

@@ -268,7 +268,8 @@ def test_truncation_point_is_the_full_scans():
         tols = [5e-324, 1e-12, 1e5, at_point, math.nextafter(at_point, 0.0),
                 *(10.0 ** rng.uniform(-320.0, 5.0) for _ in range(3))]
         for tol in tols:
-            assert truncation_point(s, tol) == _scan_truncation_point(s, tol), (s, tol)
+            x = _scan_truncation_point(s, tol)
+            assert truncation_point(s, tol) == (x, tail_bound(s, x)), (s, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +774,7 @@ def test_fermi_integral_s2():
 
 def test_truncation_point_satisfies_bound():
     for s in range(1, 11):
-        x = truncation_point(s, 5e-11)
+        x = truncation_point(s, 5e-11)[0]
         assert tail_bound(s, x) <= 5e-11
 
 
@@ -781,14 +782,14 @@ def test_truncation_always_meets_the_tail_tolerance():
     # e^-x underflows to 0 by the scan's cap x = 750, so no tolerance is too
     # small: the semi-infinite result converges exactly when [0, X] does
     for s in [*range(1, 172, 10), 171]:
-        x = truncation_point(s, 5e-324)
+        x = truncation_point(s, 5e-324)[0]
         assert tail_bound(s, x) <= 5e-324, s
 
 
 def test_tail_bound_honesty():
     for s in range(2, 9):
         base = integrate_semi_infinite(bose(s), s, 1e-9)
-        x = truncation_point(s, 5e-10)
+        x = truncation_point(s, 5e-10)[0]
         wider = integrate_finite(bose(s), 0.0, x + 5.0, 5e-10)
         assert abs(wider.value - base.value) < base.error_estimate
 
@@ -797,7 +798,7 @@ def test_semi_infinite_estimate_includes_tail():
     # the semi-infinite result is the finite integral up to the truncation
     # point, with the tail bound added to its error estimate
     f = bose(2)
-    x = truncation_point(2, 5e-9)
+    x = truncation_point(2, 5e-9)[0]
     r = integrate_semi_infinite(f, 2, 1e-8)
     base = integrate_finite(f, 0.0, x, 5e-9)
     assert r.value == base.value

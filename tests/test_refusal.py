@@ -6,6 +6,7 @@ reports at least 2 eps times its own integral of |f|, so such a request can
 only end at the roundoff floor.
 """
 
+import functools
 import math
 
 import mpmath as mp
@@ -104,7 +105,7 @@ def _requests(identity, s, tol, radius):
     if identity == "s2":
         return [(1 / 4, left, lambda: integrate_segment(s, Segment(0j, i_pi), tol / 4))]
     if identity == "eq9":
-        a_bound = identities._lower_gamma(s, truncation_point(s, tol / 8))
+        a_bound = identities._lower_gamma(s, truncation_point(s, tol / 8)[0])
         return [
             (1 / 8, a_bound,
              lambda: integrate_semi_infinite(bose(s), s, tol / 4)),
@@ -172,12 +173,33 @@ def test_odd_reports_pass_or_say_why():
     prop()
 
 
+@functools.cache
+def _eq10_oracle(s):
+    """(EQ10's left side at s, eq10's floor) from mpmath at 40 digits.
+
+    The floor is eps times the summed magnitudes of the left side's terms, the
+    pi^s term and the left side less the pi^s term.  Both are exact to about
+    1e-40 of the summed magnitudes, far inside the eps they are compared at.
+    """
+    with mp.workdps(40):
+        terms = [mp.gamma(s) * mp.zeta(s)]
+        for j in range(0, s, 2):
+            m = s - j
+            f = mp.log(2) if m == 1 else (1 - mp.mpf(2) ** (1 - m)) * mp.gamma(m) * mp.zeta(m)
+            terms.append(mp.binomial(s - 1, j) * (-1) ** (j // 2) * mp.pi**j * f)
+        left = mp.fsum(terms)
+        pi_term = -(-1) ** (s // 2) * mp.pi**s / (2 * s) if s % 2 == 0 else 0
+        floor = EPS * (mp.fsum(abs(t) for t in terms) + abs(pi_term) + abs(left - pi_term))
+        return left, float(floor)
+
+
 def test_real_axis_and_eq10_reports_pass_or_say_why():
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
-    # eq2, eq7, eq10 and log2 refuse no tol, down to the least positive double:
-    # below their floor the report must fail with a note, never raise
+    # eq2, eq7 and log2 refuse no tol, down to the least positive double: below
+    # their floor the report must fail with a note, never raise.  eq10 refuses
+    # only below the floor of its summed terms, and otherwise reports the same way
     @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @hyp.given(identity=st.sampled_from(("eq2", "eq7", "eq10", "log2")),
                s=st.integers(2, 171),
@@ -188,9 +210,43 @@ def test_real_axis_and_eq10_reports_pass_or_say_why():
         elif identity == "eq7":
             report = verify_fermi_integral(min(s, 108), tol)
         elif identity == "eq10":
-            report = expanded_real_identity(s, tol)
+            floor = _eq10_oracle(s)[1]
+            try:
+                report = expanded_real_identity(s, tol)
+            except Refused:
+                assert tol < (1 + 1e-9) * floor
+                return
+            assert tol >= (1 - 1e-9) * floor
         else:
             report = verify_log2_identity(tol)
         assert report.passed or report.note
 
     prop()
+
+
+def test_eq10_passes_agree_with_mpmath():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # eq10 refuses exactly the tol below its floor, and a pass is never a wrong
+    # answer: both its sides are within tol of mpmath's value of the left side
+    passes = []
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(s=st.integers(2, 171), decades=st.floats(-1.0, 4.0))
+    def prop(s, decades):
+        left, floor = _eq10_oracle(s)
+        tol = floor * 10.0 ** decades
+        try:
+            report = expanded_real_identity(s, tol)
+        except Refused:
+            assert tol < (1 + 1e-9) * floor
+            return
+        assert tol >= (1 - 1e-9) * floor
+        if report.passed:
+            passes.append(s)
+            assert abs(report.lhs - left) <= tol, (s, tol)
+            assert abs(report.rhs - left) <= tol, (s, tol)
+
+    prop()
+    assert len(passes) > 100
