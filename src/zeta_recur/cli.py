@@ -29,7 +29,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .exact import bernoulli, render_decimal, zeta_even_euler, zeta_even_recursive
+from .exact import Table, bernoulli, render_decimal, zeta_even_euler, zeta_even_recursive
 from .machin import decimal_str
 
 MAX_N = 1000
@@ -92,17 +92,20 @@ def _emit_record(fields: list[tuple[str, object]], fmt: str, command: str) -> No
 
 
 def cmd_zeta_even(n_max: int, digits: int, fmt: str) -> int:
+    table = Table()
     rows = []
     for n in range(1, n_max + 1):
-        recursive = zeta_even_recursive(n)
-        equal = recursive.coeff == zeta_even_euler(n).coeff
-        rows.append([n, _coeff_str(recursive.coeff), equal, render_decimal(recursive, digits)])
+        recursive = zeta_even_recursive(n, table=table)
+        equal = recursive.coeff == zeta_even_euler(n, table=table).coeff
+        zeta = render_decimal(recursive, digits, table=table)
+        rows.append([n, _coeff_str(recursive.coeff), equal, zeta])
     _emit_table(["n", "coeff", "equal", "zeta"], rows, fmt, "even")
     return 0 if all(r[2] for r in rows) else 1
 
 
 def cmd_bernoulli(m_max: int, fmt: str) -> int:
-    rows = [[m, str(bernoulli(m))] for m in range(m_max + 1)]
+    table = Table()
+    rows = [[m, str(bernoulli(m, table=table))] for m in range(m_max + 1)]
     _emit_table(["m", "B_m"], rows, fmt, "bernoulli")
     return 0
 

@@ -46,25 +46,20 @@ Both routes produce the rational coefficient q_n with zeta(2n) = q_n * pi^(2n):
 The two routes share no arithmetic: tangent numbers never enter the
 recursion.  All arithmetic is exact.
 
-Concurrency: every returned value is immutable.  The Bernoulli table, the
-tangent-number column it grows from, the b_m memo and the triangle's last
-diagonal with its common denominator are guarded by a module lock (single
-shared writer), so concurrent callers are safe and results are
-deterministic regardless of interleaving.  The pi that ``render_decimal``
-powers comes from ``machin.pi_scaled``, which keeps its own lock-free memo.
-The powers follow the same discipline: ``_pi_powers`` holds, for at most
-``_PI_POWERS_CAP`` = 8 precisions, the last pi^(2n) built at each as one
-immutable tuple (precision, n, y, err, pi^2, pi^2 err) that carries its own
-bound, so row n costs one product by pi^2 after row n - 1.  Readers take
-the memo without a lock, since it is replaced whole; only the replacement
-takes ``_pi_powers_lock``.  Interleaved tables can send each other back to
-binary powering, which costs time and never a digit.
+State: the module keeps none.  A ``Table`` holds one caller's tables: the
+tangent-number column and the Bernoulli numbers grown from it, the b_m with
+the triangle's last diagonal and its common denominator, the widest pi
+computed and the last pi^(2n) built at each precision.  ``bernoulli``,
+``zeta_even_euler``, ``zeta_even_recursive`` and ``render_decimal`` take one
+as ``table``; walking the rows n = 1, 2, ... through one table costs each
+row only its own step.  Without a table a call builds what it needs and
+keeps nothing.  The value returned is the same either way.  A table is not
+locked: it belongs to the one caller (or thread) that walks it.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
@@ -72,14 +67,15 @@ from itertools import accumulate
 
 from .machin import pi_scaled, truncated
 
-__all__ = [
+__all__ = (
+    "Table",
     "ZetaEvenValue",
     "gamma_int",
     "bernoulli",
     "zeta_even_euler",
     "zeta_even_recursive",
     "render_decimal",
-]
+)
 
 
 def gamma_int(m: int) -> int:
@@ -89,11 +85,28 @@ def gamma_int(m: int) -> int:
     return math.factorial(m - 1)
 
 
-_lock = threading.Lock()
-# B_0 .. B_(2K+1) for the K tangent numbers computed so far
-_bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
-# column K of Brent & Harvey's triangle: entry k-1 is T_K after passes 1..k
-_tangent_column: list[int] = []
+class Table:
+    """One caller's tables, grown only as far as its calls ask.
+
+    ``tangent``    column K of Brent & Harvey's triangle: entry k-1 is T_K after passes 1..k
+    ``bernoulli``  B_0 .. B_(2K+1) for the K tangent numbers computed so far
+    ``b``          b_1 .. b_m with b_m = 2^(1-2m) (2m)! q_m
+    ``diagonal``   the triangle's anti-diagonal 2m for m = len(b), scaled by ``scale``
+    ``scale``      common denominator L of the diagonal, a multiple of every b_m's denominator
+    ``pi``         (W, V, E) of the widest pi computed, as ``machin.pi_scaled`` takes it, or None
+    ``pi_powers``  precision -> (n, y, err, pi^2, pi^2 err) of the last pi^(2n) built there
+    """
+
+    __slots__ = ("tangent", "bernoulli", "b", "diagonal", "scale", "pi", "pi_powers")
+
+    def __init__(self) -> None:
+        self.tangent = []
+        self.bernoulli = [Fraction(1), Fraction(-1, 2)]
+        self.b = []
+        self.diagonal = [0]
+        self.scale = 1
+        self.pi = None
+        self.pi_powers = {}
 
 
 def _tangent_numbers(column: list[int], count: int) -> Iterator[int]:
@@ -114,23 +127,24 @@ def _tangent_numbers(column: list[int], count: int) -> Iterator[int]:
         yield nxt[-1]
 
 
-def bernoulli(m: int) -> Fraction:
-    """Bernoulli number B_m (convention B_1 = -1/2), memoized.
+def bernoulli(m: int, *, table: Table | None = None) -> Fraction:
+    """Bernoulli number B_m (convention B_1 = -1/2).
 
     B_(2k) = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers;
-    odd indices above 1 vanish.  A request beyond the table grows the
+    odd indices above 1 vanish.  A request beyond ``table`` grows its
     tangent column just far enough for it, so the table never holds more
-    than B_(2K+1) for K = m // 2 of the largest m asked for.
+    than B_(2K+1) for K = m // 2 of the largest m asked of it.
     """
     if m < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    with _lock:
-        start = len(_tangent_column) + 1
-        for k, t in enumerate(_tangent_numbers(_tangent_column, m // 2), start=start):
-            four_k = 1 << (2 * k)
-            b = Fraction(2 * k * t, four_k * (four_k - 1))
-            _bernoulli_cache.extend((b if k % 2 else -b, Fraction(0)))
-        return _bernoulli_cache[m]
+    if table is None:
+        table = Table()
+    start = len(table.tangent) + 1
+    for k, t in enumerate(_tangent_numbers(table.tangent, m // 2), start=start):
+        four_k = 1 << (2 * k)
+        b = Fraction(2 * k * t, four_k * (four_k - 1))
+        table.bernoulli.extend((b if k % 2 else -b, Fraction(0)))
+    return table.bernoulli[m]
 
 
 class ZetaEvenValue(namedtuple("ZetaEvenValue", "n coeff")):
@@ -155,52 +169,47 @@ class ZetaEvenValue(namedtuple("ZetaEvenValue", "n coeff")):
         return float(render_decimal(self, 17))
 
 
-def zeta_even_euler(n: int) -> ZetaEvenValue:
+def zeta_even_euler(n: int, *, table: Table | None = None) -> ZetaEvenValue:
     """zeta(2n) coefficient from the Bernoulli closed form."""
     if n < 1:
         raise ValueError("n must be >= 1")
     sign = 1 if n % 2 == 1 else -1
-    coeff = Fraction(sign * 2 ** (2 * n)) * bernoulli(2 * n) / (2 * math.factorial(2 * n))
+    b = bernoulli(2 * n, table=table)
+    coeff = Fraction(sign * 2 ** (2 * n)) * b / (2 * math.factorial(2 * n))
     return ZetaEvenValue(n, coeff)
 
 
-# b_1, b_2, ... with b_m = 2^(1-2m) (2m)! q_m
-_b_cache: list[Fraction] = []
-# the triangle's anti-diagonal 2m for m = len(_b_cache), scaled by _scale
-_diagonal: list[int] = [0]
-# common denominator L of the diagonal, a multiple of every b_m's denominator
-_scale = 1
-
-
-def _grow_b(n: int) -> None:
-    """Extend ``_b_cache`` to b_1 .. b_n along the triangle; the caller holds ``_lock``.
+def _grow_b(table: Table, n: int) -> None:
+    """Extend ``table.b`` to b_1 .. b_n along the triangle.
 
     Row m takes two prefix sums of the stored diagonal (additions only) and one
     ``Fraction``: the odd diagonal c_(2m-1) from c_(2m-2), then (11') solved for
     b_m with y_(2m) = 0, then c_(2m) with L (-1)^m y_(2m) added to every entry.
     L widens, and the odd diagonal with it, only when b_m's denominator needs it.
     """
-    global _scale
-    for m in range(len(_b_cache) + 1, n + 1):
-        odd = list(accumulate(_diagonal, initial=0))
-        num = _scale + 2 * sum(odd)  # L (1 + 2 c_(2m)[2m]) with y_(2m) = 0
-        b = Fraction(num if m % 2 else -num, 2 * _scale * ((1 << (2 * m)) - 1))
-        widen = b.denominator // math.gcd(_scale, b.denominator)
+    for m in range(len(table.b) + 1, n + 1):
+        scale = table.scale
+        odd = list(accumulate(table.diagonal, initial=0))
+        num = scale + 2 * sum(odd)  # L (1 + 2 c_(2m)[2m]) with y_(2m) = 0
+        b = Fraction(num if m % 2 else -num, 2 * scale * ((1 << (2 * m)) - 1))
+        widen = b.denominator // math.gcd(scale, b.denominator)
         if widen > 1:
-            _scale *= widen
+            scale *= widen
             odd = [widen * c for c in odd]
-        y = b.numerator * (_scale // b.denominator) * ((1 << (2 * m - 1)) - 1)
-        _diagonal[:] = accumulate(odd, initial=-y if m % 2 else y)
-        _b_cache.append(b)
+        y = b.numerator * (scale // b.denominator) * ((1 << (2 * m - 1)) - 1)
+        table.diagonal = list(accumulate(odd, initial=-y if m % 2 else y))
+        table.scale = scale
+        table.b.append(b)
 
 
-def zeta_even_recursive(n: int) -> ZetaEvenValue:
-    """zeta(2n) coefficient from the contour recursion, memoized."""
+def zeta_even_recursive(n: int, *, table: Table | None = None) -> ZetaEvenValue:
+    """zeta(2n) coefficient from the contour recursion."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    with _lock:
-        _grow_b(n)
-        b = _b_cache[n - 1]
+    if table is None:
+        table = Table()
+    _grow_b(table, n)
+    b = table.b[n - 1]
     return ZetaEvenValue(n, Fraction(b.numerator << (2 * n - 1),
                                      b.denominator * math.factorial(2 * n)))
 
@@ -216,13 +225,6 @@ def _fixed_mul(a: int, a_err: int, b: int, b_err: int, scale: int) -> tuple[int,
     return a * b // scale, -(-(a * b_err + b * a_err + a_err * b_err) // scale) + 1
 
 
-# (precision, n, y, err, pi^2, pi^2 err) of the last pi^(2n) built at each
-# precision, newest first; at most _PI_POWERS_CAP precisions are kept
-_PI_POWERS_CAP = 8
-_pi_powers: tuple[tuple[int, int, int, int, int, int], ...] = ()
-_pi_powers_lock = threading.Lock()
-
-
 def _binary_power(base: tuple[int, int], k: int, scale: int) -> tuple[int, int]:
     """The fixed-point (value, err) pair ``base`` to the power k >= 1, by binary powering."""
     power = None
@@ -235,42 +237,39 @@ def _binary_power(base: tuple[int, int], k: int, scale: int) -> tuple[int, int]:
         base = _fixed_mul(*base, *base, scale)
 
 
-def _pi_power_scaled(n: int, precision: int) -> tuple[int, int]:
-    """(y, err) with |y - pi^(2n) * 10**precision| <= err, walked along the rows.
+def _pi_power_scaled(n: int, precision: int, table: Table) -> tuple[int, int]:
+    """(y, err) with |y - pi^(2n) * 10**precision| <= err, walked along the table's rows.
 
-    If the last power built at this precision is pi^(2m) with m < n, it is
-    multiplied by (pi^2)^(n-m), a single product when n = m + 1; any other
-    request powers pi^2 from scratch.  ``pi_scaled`` is asked on every call,
-    hit or not, so each precision attempt of ``render_decimal`` makes exactly
-    one call to it (the one perfbench times).
+    If the last power ``table`` built at this precision is pi^(2m) with
+    m < n, it is multiplied by (pi^2)^(n-m), a single product when
+    n = m + 1; any other request powers pi^2 from scratch.  ``pi_scaled``
+    is asked on every call, with the table's widest pi to cut from, so each
+    precision attempt of ``render_decimal`` makes exactly one call to it
+    (the one perfbench times); a wider pi replaces the table's.
     """
-    global _pi_powers
     scale = 10**precision
-    v, v_err = pi_scaled(precision)
-    m = 0
-    for entry in _pi_powers:
-        if entry[0] == precision:
-            _, m, y, y_err, *square = entry
-            break
-    if 0 < m < n:
+    v, v_err = pi_scaled(precision, table.pi)
+    if table.pi is None or precision > table.pi[0]:
+        table.pi = (precision, v, v_err)
+    last = table.pi_powers.get(precision)
+    if last is not None and last[0] < n:
+        m, y, y_err, *square = last
         y, y_err = _fixed_mul(y, y_err, *_binary_power(square, n - m, scale), scale)
     else:
         square = _fixed_mul(v, v_err, v, v_err, scale)
         y, y_err = _binary_power(square, n, scale)
-    with _pi_powers_lock:
-        kept = [entry for entry in _pi_powers if entry[0] != precision]
-        _pi_powers = ((precision, n, y, y_err, *square), *kept[:_PI_POWERS_CAP - 1])
+    table.pi_powers[precision] = (n, y, y_err, *square)
     return y, y_err
 
 
-def render_decimal(value: ZetaEvenValue, d: int) -> str:
+def render_decimal(value: ZetaEvenValue, d: int, *, table: Table | None = None) -> str:
     """Decimal expansion of q_n * pi^(2n), truncated to d correct digits.
 
     ``machin.truncated`` owns the guard policy; this supplies zeta(2n) at
     precision d + guard.  pi^(2n) is built in fixed point at the wider
-    precision P = d + guard + 20, from the last power built at P times
-    (pi^2)^(n-m) when that was pi^(2m) with m < n (one product along a
-    table's rows), else by binary powering of pi^2.  Every product
+    precision P = d + guard + 20, from the last power ``table`` built at P
+    times (pi^2)^(n-m) when that was pi^(2m) with m < n (one product along
+    a table's rows), else by binary powering of pi^2.  Every product
     floor(A*B / 10^P) carries the proven bound
 
         |floor(A*B / 10^P) - a*b * 10^P| <= ceil((A*eB + B*eA + eA*eB) / 10^P) + 1
@@ -282,12 +281,15 @@ def render_decimal(value: ZetaEvenValue, d: int) -> str:
     digits hide.  With q_n = p/q and the power Y +- eY, the value
     S = floor(p*Y / (q * 10^20)) is within ceil(p*eY / (q * 10^20)) + 1
     last-place units of zeta(2n) * 10^(d+guard).  zeta(2n) * 10^d is
-    irrational, so the guard retries terminate.
+    irrational, so the guard retries terminate, and the digits are the same
+    whichever path, and whichever table, served the power.
     """
+    if table is None:
+        table = Table()
     p, den = value.coeff.numerator, value.coeff.denominator * 10**20
 
     def scaled(precision: int) -> tuple[int, int]:
-        y, y_err = _pi_power_scaled(value.n, precision + 20)
+        y, y_err = _pi_power_scaled(value.n, precision + 20, table)
         return p * y // den, -(-p * y_err // den) + 1
 
     return truncated(scaled, d)

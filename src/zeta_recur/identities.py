@@ -32,7 +32,7 @@ import sys
 from collections import namedtuple
 from decimal import Context, Decimal, localcontext
 
-from .exact import gamma_int, zeta_even_recursive
+from .exact import Table, gamma_int, zeta_even_recursive
 from .quadrature import (
     DEFAULT_EVAL_BUDGET,
     QuadratureResult,
@@ -258,17 +258,6 @@ def _oracle(s: int, tol: float, factor: float = 1) -> float:
     the series tolerance is that over factor, clamped at 1e-17, below which more
     terms no longer change a double zeta(s) near 1."""
     return factor * zeta_series(s, max(min(0.1 * tol, 1e-12) / factor, 1e-17))
-
-
-@functools.cache
-def _zeta_numeric(m: int) -> float:
-    """zeta(m) for the expanded identity: exact coefficient path for even m,
-    series oracle at its tightest tolerance, 1e-17, for odd m, so that neither
-    adds an error the residual would count.  Memoized: eq10 refuses s above
-    171, so at most 170 doubles are ever kept."""
-    if m % 2 == 0:
-        return zeta_even_recursive(m // 2).approx()
-    return zeta_series(m, 1e-17)
 
 
 def _stop_reason(quads) -> str:
@@ -569,6 +558,24 @@ def _real_part_terms(s: int, zeta, first_j: int = 0):
             yield ci * (weight if j == s - 1 else weight * zeta(s - j))
 
 
+@functools.cache
+def _lhs_terms(s: int) -> tuple[float, ...]:
+    """EQ10's left-side terms at s: Gamma(s) zeta(s), then ``_real_part_terms``.
+
+    zeta(m) comes from the exact coefficients at even m, walked down one
+    table, and from the series oracle at its tightest tolerance, 1e-17, at
+    odd m, so that neither adds an error the residual would count.  Memoized
+    per s: eq10 refuses s above 171, so at most 170 tuples are ever kept."""
+    table = Table()
+
+    def zeta(m: int) -> float:
+        if m % 2 == 0:
+            return zeta_even_recursive(m // 2, table=table).approx()
+        return zeta_series(m, 1e-17)
+
+    return (gamma_int(s) * zeta(s), *_real_part_terms(s, zeta))
+
+
 def _k_coef(s: int) -> float:
     """Re(-i^(s+1)/2), the coefficient of K(s) in EQ10: 0 for even s, +-1/2 for odd s."""
     return -0.5 * _I_POW[(s + 1) % 4].real
@@ -593,7 +600,7 @@ def expanded_real_identity(s: int, tol: float = 1e-9,
     K(s), whose coefficient is +-1/2, is asked for tol itself.
     """
     _require_s("expanded_real_identity", s, *_GAMMA_S)
-    lhs_terms = [gamma_int(s) * _zeta_numeric(s), *_real_part_terms(s, _zeta_numeric)]
+    lhs_terms = _lhs_terms(s)
     lhs = math.fsum(lhs_terms)
     rhs = -_I_POW[s % 4].real * math.pi**s / (2 * s)
     floor = _EPS * (math.fsum(map(abs, lhs_terms)) + abs(rhs) + abs(lhs - rhs))

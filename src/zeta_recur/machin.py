@@ -19,17 +19,13 @@ away from both the borrow and the carry boundary; otherwise retry with the
 guard doubled, starting from 12 digits.  The retry loop terminates for an
 irrational value, which never lands exactly on a boundary.
 
-Pi is computed once per process at each new widest precision: ``pi_scaled``
-keeps the widest ``(precision, v, err)`` it has computed as one immutable
-tuple and cuts every narrower request from it.  Readers take the tuple
-without a lock, since it is replaced whole and every tuple holds its bound;
-only the replacement, a check-then-set that must never narrow the memo,
-takes ``_pi_lock``.  Two callers widening it at once may both run the series.
+``pi_scaled`` keeps nothing: a caller that asks for many precisions (as
+``exact.Table`` does) passes the widest ``(precision, v, err)`` it has, and
+every narrower request is cut from it; any other request runs the series.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Callable
 
 MAX_DIGITS = 100_000
@@ -80,34 +76,25 @@ def _arctan_recip_scaled(x: int, scale: int) -> tuple[int, int]:
     return total, terms + 1
 
 
-# (precision, v, err) of the widest pi computed so far
-_pi_widest = (-1, 0, 0)
-_pi_lock = threading.Lock()
-
-
-def pi_scaled(precision: int) -> tuple[int, int]:
+def pi_scaled(precision: int, widest: tuple[int, int, int] | None = None) -> tuple[int, int]:
     """Return (v, err) with |v - pi * 10**precision| <= err.
 
-    The Machin series runs only for a precision wider than any before; a
-    narrower p is cut from the widest (W, V, E) with k = W - p as
-    (V // 10**k, ceil(E / 10**k) + 1), since |V / 10**k - pi * 10**p| <= E / 10**k
-    and the floor moves it by less than one unit.
+    ``widest`` = (W, V, E) is the caller's own such triple at precision W.
+    It serves p = W as it stands, and a narrower p is cut from it with
+    k = W - p as (V // 10**k, ceil(E / 10**k) + 1), since
+    |V / 10**k - pi * 10**p| <= E / 10**k and the floor moves it by less
+    than one unit.  Any other precision runs the Machin series.
     """
-    global _pi_widest
-    widest, v, err = _pi_widest
-    if precision == widest:
-        return v, err
-    if precision < widest:
-        block = 10 ** (widest - precision)
+    if widest is not None and precision <= widest[0]:
+        w, v, err = widest
+        if precision == w:
+            return v, err
+        block = 10 ** (w - precision)
         return v // block, -(-err // block) + 1
     scale = 10**precision
     a5, e5 = _arctan_recip_scaled(5, scale)
     a239, e239 = _arctan_recip_scaled(239, scale)
-    v, err = 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
-    with _pi_lock:
-        if precision > _pi_widest[0]:
-            _pi_widest = (precision, v, err)
-    return v, err
+    return 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
 
 
 def truncated(scaled: Callable[[int], tuple[int, int]], d: int) -> str:

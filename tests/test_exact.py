@@ -1,7 +1,6 @@
+import gc
 import math
 import random
-import sys
-import threading
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +8,7 @@ import pytest
 
 from zeta_recur import exact
 from zeta_recur.exact import (
+    Table,
     ZetaEvenValue,
     bernoulli,
     gamma_int,
@@ -62,48 +62,32 @@ def test_even_bernoulli_sign_pattern():
 
 def test_bernoulli_defining_recurrence_through_200():
     # sum_{k=0}^{m} C(m+1, k) B_k = 0, the definition the tangent-number route must meet
+    table = Table()
     for m in range(1, 201):
-        assert sum(math.comb(m + 1, k) * bernoulli(k) for k in range(m + 1)) == 0
+        assert sum(math.comb(m + 1, k) * bernoulli(k, table=table) for k in range(m + 1)) == 0
 
 
-def test_bernoulli_table_grows_only_as_far_as_asked(monkeypatch):
+def test_bernoulli_table_grows_only_as_far_as_asked():
     # each request past the table adds just the tangent numbers it needs
-    monkeypatch.setattr(exact, "_bernoulli_cache", [Fraction(1), Fraction(-1, 2)])
-    monkeypatch.setattr(exact, "_tangent_column", [])
-    for m in range(301):
-        bernoulli(m)
-    assert len(exact._bernoulli_cache) == 302  # B_0 .. B_301
-    assert len(exact._tangent_column) == 150  # T_1 .. T_150
-    assert bernoulli(300) == Fraction(*mpmath.bernfrac(300))
+    table = Table()
+    top = 0
+    for m in (*range(301), 7, 120):
+        bernoulli(m, table=table)
+        top = max(top, m)
+        assert len(table.tangent) == top // 2  # T_1 .. T_(top // 2)
+        assert len(table.bernoulli) == 2 * (top // 2) + 2  # B_0 .. B_(2 (top // 2) + 1)
+    assert bernoulli(300, table=table) == bernoulli(300) == Fraction(*mpmath.bernfrac(300))
 
 
-def test_bernoulli_table_consistent_under_concurrent_growth(monkeypatch):
-    # more threads than cores grow the shared table together, each in many
-    # small steps; a lost update would leave the column and the table out of step
-    monkeypatch.setattr(exact, "_bernoulli_cache", [Fraction(1), Fraction(-1, 2)])
-    monkeypatch.setattr(exact, "_tangent_column", [])
+def test_bernoulli_table_consistent_under_concurrent_growth(in_threads):
+    # more threads than cores each grow their own table in many small steps,
+    # interleaved; a table that took another's step would fall out of step
     requests = [range(offset, 201, 2) for offset in range(8)]
-    start = threading.Barrier(len(requests))
-    seen: list[list[Fraction] | None] = [None] * len(requests)
-
-    def worker(i):
-        start.wait()
-        seen[i] = [bernoulli(m) for m in requests[i]]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(requests))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(exact._tangent_column) == 100
-    assert len(exact._bernoulli_cache) == 202
-    for ms, values in zip(requests, seen):
+    tables = [Table() for _ in requests]
+    seen = in_threads(lambda i: [bernoulli(m, table=tables[i]) for m in requests[i]], len(requests))
+    for ms, table, values in zip(requests, tables, seen):
+        assert len(table.tangent) == ms[-1] // 2
+        assert len(table.bernoulli) == 2 * (ms[-1] // 2) + 2
         assert values == [Fraction(*mpmath.bernfrac(m)) for m in ms]
 
 
@@ -166,8 +150,9 @@ def test_recursion_equals_euler_through_50():
 
 
 def test_recursion_equals_euler_through_200():
+    table = Table()
     for n in range(1, 201):
-        assert zeta_even_recursive(n).coeff == zeta_even_euler(n).coeff
+        assert zeta_even_recursive(n, table=table).coeff == zeta_even_euler(n, table=table).coeff
 
 
 def _reference_b(count: int) -> list[Fraction]:
@@ -182,58 +167,45 @@ def _reference_b(count: int) -> list[Fraction]:
     return b
 
 
-def _fresh_recursion_state(monkeypatch):
-    monkeypatch.setattr(exact, "_b_cache", [])
-    monkeypatch.setattr(exact, "_diagonal", [0])
-    monkeypatch.setattr(exact, "_scale", 1)
+def test_triangle_equals_the_term_by_term_recursion_through_200():
+    # grown in one step, and row by row as a table is walked
+    jumped, walked = Table(), Table()
+    zeta_even_recursive(200, table=jumped)
+    for n in range(1, 201):
+        zeta_even_recursive(n, table=walked)
+    assert jumped.b == walked.b == _reference_b(200)
+    assert jumped.diagonal == walked.diagonal and jumped.scale == walked.scale
 
 
-def test_triangle_equals_the_term_by_term_recursion_through_200(monkeypatch):
-    _fresh_recursion_state(monkeypatch)
-    zeta_even_recursive(200)
-    assert exact._b_cache == _reference_b(200)
-
-
-def test_triangle_consistent_under_concurrent_growth(monkeypatch):
-    # more threads than cores grow the shared triangle in small interleaved
-    # steps; a lost update would leave a b_m or the diagonal out of step
-    _fresh_recursion_state(monkeypatch)
+def test_triangle_consistent_under_concurrent_growth(in_threads):
+    # more threads than cores each grow their own triangle in small interleaved
+    # steps; a table that took another's step would leave a b_m or the diagonal out of step
     requests = [range(offset, 121, 8) for offset in range(1, 9)]
-    start = threading.Barrier(len(requests))
-    seen: list[list[Fraction] | None] = [None] * len(requests)
-
-    def worker(i):
-        start.wait()
-        seen[i] = [zeta_even_recursive(n).coeff for n in requests[i]]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(requests))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert exact._b_cache == _reference_b(len(exact._b_cache))
-    assert len(exact._diagonal) == 2 * len(exact._b_cache) + 1
-    for ns, values in zip(requests, seen):
-        assert values == [zeta_even_euler(n).coeff for n in ns]
+    tables = [Table() for _ in requests]
+    seen = in_threads(lambda i: [zeta_even_recursive(n, table=tables[i]).coeff for n in requests[i]],
+                      len(requests))
+    reference = _reference_b(120)
+    euler = Table()
+    for ns, table, values in zip(requests, tables, seen):
+        assert table.b == reference[:ns[-1]]
+        assert len(table.diagonal) == 2 * len(table.b) + 1
+        assert values == [zeta_even_euler(n, table=euler).coeff for n in ns]
 
 
 def test_recursion_touches_no_bernoulli_or_tangent_numbers(monkeypatch):
-    def forbidden(*args):
+    def forbidden(*args, **kwargs):
         raise AssertionError("the contour recursion must stay independent of Euler's route")
 
-    _fresh_recursion_state(monkeypatch)
     monkeypatch.setattr(exact, "bernoulli", forbidden)
     monkeypatch.setattr(exact, "_tangent_numbers", forbidden)
-    coeffs = [zeta_even_recursive(n).coeff for n in range(1, 31)]
+    table = Table()
+    coeffs = [zeta_even_recursive(n, table=table).coeff for n in range(1, 31)]
+    one_shot = zeta_even_recursive(30).coeff
     monkeypatch.undo()
+    assert table.tangent == [] and table.bernoulli == [1, Fraction(-1, 2)]
     # checked against the unpatched Euler values
     assert coeffs == [zeta_even_euler(n).coeff for n in range(1, 31)]
+    assert one_shot == coeffs[-1]
 
 
 def test_coefficients_positive_and_strictly_decreasing():
@@ -289,33 +261,52 @@ def test_zeta_even_value_validation():
         zeta_even_euler(-3)
 
 
-def test_memo_tables_are_thread_safe_and_deterministic(monkeypatch):
-    # threads share the pi-power memo too: tables at mixed digits, rendered at
-    # once, walk it in interleaved steps and must print what one thread prints
-    monkeypatch.setattr(exact, "_pi_powers", ())
+def _walk(d: int, table: Table, n: int) -> tuple[Fraction, str]:
+    """Row n of an ``even`` table at d digits, walked through ``table``."""
+    value = zeta_even_recursive(n, table=table)
+    return zeta_even_euler(n, table=table).coeff, render_decimal(value, d, table=table)
+
+
+def test_memo_tables_are_thread_safe_and_deterministic(in_threads):
+    # tables at mixed digits, walked in interleaved steps by one thread and by
+    # threads that each own one, must print what one-shot calls print
     digits = (10, 30, 10, 200, 12, 30, 10, 200)
-    results = [None] * len(digits)
+    one_shot = {d: [(zeta_even_euler(n).coeff, render_decimal(zeta_even_recursive(n), d))
+                    for n in range(1, 41)] for d in set(digits)}
+    interleaved = [Table() for _ in digits]
+    lockstep = [[_walk(d, table, n) for d, table in zip(digits, interleaved)] for n in range(1, 41)]
+    owned = [Table() for _ in digits]
+    threaded = in_threads(lambda i: [_walk(digits[i], owned[i], n) for n in range(1, 41)],
+                          len(digits))
+    for i, d in enumerate(digits):
+        assert [row[i] for row in lockstep] == threaded[i] == one_shot[d]
 
-    def worker(i):
-        results[i] = [(v.coeff, render_decimal(v, digits[i]))
-                      for v in map(zeta_even_recursive, range(1, 41))]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(digits))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(exact._pi_powers) <= exact._PI_POWERS_CAP
-    monkeypatch.setattr(exact, "_pi_powers", ())
-    for d, rows in zip(digits, results):
-        assert rows == [(zeta_even_euler(n).coeff, render_decimal(zeta_even_recursive(n), d))
-                        for n in range(1, 41)]
+def test_commands_leave_the_modules_as_they_were(capsys):
+    # each command walks a table of its own, so a run rebinds and grows nothing
+    # at module level, no module binds a mutable container a run could grow,
+    # and no table outlives the call that built it
+    from zeta_recur import cli, machin
+
+    before = [dict(vars(module)) for module in (exact, machin)]
+    assert cli.main(["even", "--n", "200", "--digits", "30"]) == 0
+    assert cli.main(["bernoulli", "--n", "300"]) == 0
+    capsys.readouterr()
+    for module, names in zip((exact, machin), before):
+        assert vars(module).keys() == names.keys()
+        assert [name for name, value in names.items() if vars(module)[name] is not value] == []
+        assert [name for name, value in names.items() if name != "__builtins__"
+                and isinstance(value, (list, dict, set, bytearray))] == []
+    # a table changes no value: one-shot calls give the same, and keep nothing
+    table = Table()
+    for n in range(1, 61):
+        walked = zeta_even_recursive(n, table=table)
+        assert walked == zeta_even_recursive(n)
+        assert zeta_even_euler(n, table=table) == zeta_even_euler(n) == walked
+        assert bernoulli(2 * n, table=table) == bernoulli(2 * n)
+        assert render_decimal(walked, 30, table=table) == render_decimal(walked, 30)
+    gc.collect()
+    assert [obj for obj in gc.get_objects() if isinstance(obj, Table)] == [table]
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +342,13 @@ def test_render_decimal_matches_mpmath_floor_through_80(d):
     # zeta(2n) - 1 ~ 4^-n, so past n ~ 20 at d = 10 the first guard block is
     # (nearly) all zeros and render_decimal has to widen its guard.
     retried = 0
+    table = Table()
     for n in range(1, 81):
         with mpmath.workdps(d + n + 40):
             scaled = mpmath.zeta(2 * n) * mpmath.mpf(10) ** d
             expected = int(mpmath.floor(scaled))
             guard_block = int(mpmath.floor(scaled * 10**12)) % 10**12
-        text = render_decimal(zeta_even_recursive(n), d)
+        text = render_decimal(zeta_even_recursive(n, table=table), d, table=table)
         assert text == f"{str(expected)[0]}.{str(expected)[1:]}", n
         retried += guard_block < 3 or guard_block > 10**12 - 3
     if d == 10:
@@ -382,7 +374,7 @@ def test_fixed_point_product_error_bound_randomized():
 
 @pytest.mark.parametrize("n,precision", [(1, 5), (2, 30), (7, 25), (64, 60), (300, 40)])
 def test_pi_power_error_bound_holds(n, precision):
-    y, y_err = exact._pi_power_scaled(n, precision)
+    y, y_err = exact._pi_power_scaled(n, precision, Table())
     with mpmath.workdps(precision + 2 * n + 40):
         truth = mpmath.pi ** (2 * n) * mpmath.mpf(10) ** precision
         assert abs(y - truth) <= y_err
@@ -391,7 +383,7 @@ def test_pi_power_error_bound_holds(n, precision):
 
 def _pi_power_requests(rng: random.Random) -> list[tuple[int, int]]:
     """Seeded (n, precision) runs: steps up, repeats, steps down and gaps, at
-    interleaved precisions, more of them than the memo keeps."""
+    interleaved precisions."""
     precisions = [5, 23, 42, 54, 78, 126, 222, 301, 412, 1032]
     requests = []
     for _ in range(60):
@@ -403,26 +395,28 @@ def _pi_power_requests(rng: random.Random) -> list[tuple[int, int]]:
     return requests
 
 
-def test_pi_power_memo_keeps_the_bound_on_every_path(monkeypatch):
-    monkeypatch.setattr(exact, "_pi_powers", ())
+def test_pi_power_memo_keeps_the_bound_on_every_path():
+    table = Table()
     for n, precision in _pi_power_requests(random.Random(20120217)):
-        y, y_err = exact._pi_power_scaled(n, precision)
+        y, y_err = exact._pi_power_scaled(n, precision, table)
         with mpmath.workdps(precision + 2 * n + 40):
             assert abs(y - mpmath.pi ** (2 * n) * mpmath.mpf(10) ** precision) <= y_err, (n, precision)
         assert y_err * 10 ** (precision // 2) < y  # and the bound is not vacuous
-        kept = [entry[0] for entry in exact._pi_powers]
-        assert kept[0] == precision and len(set(kept)) == len(kept) <= exact._PI_POWERS_CAP
+        # the table keeps the last power at each precision and the widest pi
+        assert table.pi_powers[precision][:3] == (n, y, y_err)
+        assert table.pi[0] == max(table.pi_powers)
 
 
-def test_render_decimal_matches_mpmath_floor_along_memo_paths(monkeypatch):
-    # guard retries at d = 10 reach the memo's wider precisions out of row order
-    monkeypatch.setattr(exact, "_pi_powers", ())
+def test_render_decimal_matches_mpmath_floor_along_memo_paths():
+    # guard retries at d = 10 reach a table's wider precisions out of row order
+    table = Table()
     rng = random.Random(2012)
     for n, p in _pi_power_requests(rng)[:150]:
         d = rng.choice((10, 10, p))
         with mpmath.workdps(d + n + 40):
             expected = int(mpmath.floor(mpmath.zeta(2 * n) * mpmath.mpf(10) ** d))
-        assert render_decimal(zeta_even_recursive(n), d) == f"{str(expected)[0]}.{str(expected)[1:]}"
+        value = zeta_even_recursive(n, table=table)
+        assert render_decimal(value, d, table=table) == f"{str(expected)[0]}.{str(expected)[1:]}"
 
 
 def test_render_decimal_validation():

@@ -1,6 +1,5 @@
 import math
-import sys
-import threading
+import random
 from fractions import Fraction
 
 import mpmath
@@ -40,10 +39,6 @@ def test_scaled_error_bound_is_honest():
     assert abs(v - ref_units) <= err + 1
 
 
-def _forget_pi(monkeypatch):
-    monkeypatch.setattr(machin, "_pi_widest", (-1, 0, 0))
-
-
 def _count_series(monkeypatch) -> list[int]:
     """The scales of the arctangent series run from now on."""
     scales: list[int] = []
@@ -57,71 +52,69 @@ def _count_series(monkeypatch) -> list[int]:
     return scales
 
 
+def _within_bound(p: int, v: int, err: int) -> bool:
+    """Whether |v - pi 10^p| <= err, proven from a fresh value twice as wide:
+    |ref - pi 10^(2p)| <= ref_err, and ref_err < 10^p from p = 5 on."""
+    ref, ref_err = pi_scaled(2 * p)
+    return abs(v * 10**p - ref) + ref_err <= err * 10**p
+
+
 @pytest.mark.parametrize("precisions,runs", [
-    ([5, 8, 12, 30, 31, 57, 100, 250], 8),  # every request widens the memo
+    ([5, 8, 12, 30, 31, 57, 100, 250], 8),  # every request widens the table
     ([250, 100, 57, 31, 30, 12, 8, 5], 1),  # every request after the first is cut from it
     ([30, 5, 100, 57, 250, 8, 31, 12], 3),
 ])
 def test_memo_serves_every_precision_within_its_bound(monkeypatch, precisions, runs):
-    _forget_pi(monkeypatch)
     scales = _count_series(monkeypatch)
-    served = [(p, *pi_scaled(p)) for p in precisions]
+    served = []
+
+    def recorded(p, widest=None):
+        served.append((p, *pi_scaled(p, widest)))
+        return served[-1][1:]
+
+    monkeypatch.setattr(exact, "pi_scaled", recorded)
+    table = exact.Table()
+    for p in precisions:
+        exact._pi_power_scaled(1, p, table)
     assert len(scales) == 2 * runs  # one arctan(1/5) and one arctan(1/239) per run
+    assert [p for p, *_ in served] == precisions
+    assert table.pi[0] == max(precisions)
     for p, v, err in served:
-        # a fresh value twice as wide: |ref - pi 10^(2p)| <= ref_err, so this
-        # inequality proves |v - pi 10^p| <= err (ref_err < 10^p from p = 5 on)
-        _forget_pi(monkeypatch)
-        ref, ref_err = pi_scaled(2 * p)
-        assert abs(v * 10**p - ref) + ref_err <= err * 10**p, p
+        assert _within_bound(p, v, err), p
 
 
-def test_memo_never_narrows_under_concurrent_widening(monkeypatch):
-    # more threads than cores widen the memo at once; a lost check-then-set
-    # would leave a narrower tuple than the widest computed
-    _forget_pi(monkeypatch)
-    requests = [range(40 + offset, 400, 8) for offset in range(8)]
-    start = threading.Barrier(len(requests))
-    served: list[list[tuple[int, int]] | None] = [None] * len(requests)
+def test_memo_never_narrows_under_concurrent_widening(in_threads):
+    # more threads than cores each widen their own table's pi at once, in
+    # seeded orders; a table that narrowed or took another's pi shows here
+    requests = [random.Random(i).sample(range(40 + i, 400, 8), 30) for i in range(8)]
+    tables = [exact.Table() for _ in requests]
 
-    def worker(i):
-        start.wait()
-        served[i] = [pi_scaled(p) for p in requests[i]]
+    def walk(i):
+        held = []
+        for p in requests[i]:
+            exact._pi_power_scaled(1, p, tables[i])
+            held.append(tables[i].pi)
+        return held
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(requests))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert machin._pi_widest[0] == max(max(ps) for ps in requests)
-    _forget_pi(monkeypatch)
-    ref, ref_err = pi_scaled(800)
-    for ps, values in zip(requests, served):
-        for p, (v, err) in zip(ps, values):
-            assert abs(v * 10 ** (800 - p) - ref) + ref_err <= err * 10 ** (800 - p), p
+    for ps, held in zip(requests, in_threads(walk, len(requests))):
+        assert [w for w, *_ in held] == [max(ps[: k + 1]) for k in range(len(ps))]
+        assert all(_within_bound(*widest) for widest in set(held))
 
 
-def test_pi_digits_unchanged_by_a_wider_memo(monkeypatch):
+def test_pi_digits_unchanged_by_a_wider_memo():
     with mpmath.workdps(1100):
         truth = mpmath.nstr(mpmath.pi, 1080, strip_zeros=False)
+    wider = (3000, *pi_scaled(3000))
     for d in (1, 30, 999, 1000):
-        _forget_pi(monkeypatch)
-        fresh = truncated(pi_scaled, d)
-        pi_scaled(3000)
-        assert truncated(pi_scaled, d) == fresh == truth[: d + 2]
+        cut = truncated(lambda p: pi_scaled(p, wider), d)
+        assert truncated(pi_scaled, d) == cut == truth[: d + 2]
 
 
 def test_even_table_runs_the_series_only_when_the_memo_widens(monkeypatch, capsys):
-    _forget_pi(monkeypatch)
     scales = _count_series(monkeypatch)
     asked: list[int] = []
     pi = exact.pi_scaled
-    monkeypatch.setattr(exact, "pi_scaled", lambda p: asked.append(p) or pi(p))
+    monkeypatch.setattr(exact, "pi_scaled", lambda p, widest=None: asked.append(p) or pi(p, widest))
     assert cli.main(["even", "--n", "60", "--digits", "1000", "--format", "csv"]) == 0
     capsys.readouterr()
     assert len(asked) >= 60  # render_decimal still asks once per row and retry
