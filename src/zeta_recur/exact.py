@@ -159,14 +159,16 @@ class ZetaEvenValue(namedtuple("ZetaEvenValue", "n coeff")):
             raise ValueError("zeta(2n) coefficient must be positive")
         return super().__new__(cls, n, coeff)
 
-    def approx(self) -> float:
+    def approx(self, *, table: Table | None = None) -> float:
         """Double-precision value of q_n * pi^(2n), within one unit in the last place.
 
         Read from the exact expansion truncated to 17 decimals, less than 0.05 ulp
         below zeta(2n) >= 1; float(q_n) * math.pi ** (2n) would scale math.pi's
-        relative error by 2n, and overflows from n = 311 on.
+        relative error by 2n, and overflows from n = 311 on.  ``table`` goes to
+        ``render_decimal``: a caller walking rows keeps one pi for every guard
+        retry and every row, and the value is the same either way.
         """
-        return float(render_decimal(self, 17))
+        return float(render_decimal(self, 17, table=table))
 
 
 def zeta_even_euler(n: int, *, table: Table | None = None) -> ZetaEvenValue:

@@ -563,14 +563,15 @@ def _lhs_terms(s: int) -> tuple[float, ...]:
     """EQ10's left-side terms at s: Gamma(s) zeta(s), then ``_real_part_terms``.
 
     zeta(m) comes from the exact coefficients at even m, walked down one
-    table, and from the series oracle at its tightest tolerance, 1e-17, at
-    odd m, so that neither adds an error the residual would count.  Memoized
+    table that also serves their renders' pi, and from the series oracle at
+    its tightest tolerance, 1e-17, at odd m, so that neither adds an error
+    the residual would count.  Memoized
     per s: eq10 refuses s above 171, so at most 170 tuples are ever kept."""
     table = Table()
 
     def zeta(m: int) -> float:
         if m % 2 == 0:
-            return zeta_even_recursive(m // 2, table=table).approx()
+            return zeta_even_recursive(m // 2, table=table).approx(table=table)
         return zeta_series(m, 1e-17)
 
     return (gamma_int(s) * zeta(s), *_real_part_terms(s, zeta))

@@ -65,9 +65,6 @@ __all__ = [
 DEFAULT_EVAL_BUDGET = 1_000_000
 
 _EPS = sys.float_info.epsilon
-# integrate_finite's running sums: the relative margin that covers the
-# rounding of fsum and of its stop tests
-_SUM_MARGIN = 1e-12
 # the least positive double
 _TINY = 5e-324
 
@@ -383,11 +380,13 @@ def integrate_finite(f, a: float, b: float, tol: float,
     reach tol; for a sign-changing or complex f, R - E is an estimate, like
     each panel's own floor.  Each panel is one heap entry
     (-err, a, b, value, floor, at_floor), and the worst is the heap's top.
-    Both stop tests read running sums of the entries' errors and floors, at
-    O(1) per bisection, with a proven bound on how far rounding has moved
-    them; a test that the running sums cannot settle by that bound is decided
-    on fsum over the heap, so every decision and the returned estimate are
-    the exact sums' own.
+    Before every bisection both stop tests are decided on fsum over the
+    entries' errors and floors, and the last error sum is the returned
+    estimate.  That is O(n) per bisection and O(n^2) over n of them.  The
+    deepest integral found over about 17,000 inputs the CLI accepts bisects
+    12 times (a CLI test fails past 64), while a long library integral pays
+    for it: sin(300x) over [0, 100] to 1e-9, 4,025 bisections, takes
+    0.8-0.9 s where O(1) running sums took 0.05 s.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("integration bounds must be finite with a < b")
@@ -404,25 +403,19 @@ def integrate_finite(f, a: float, b: float, tol: float,
     # the panels are disjoint, so (-err, a) decides every comparison of two
     # entries and a value, which may be complex, is never compared
     heap = [(-err, a, b, value, floor, at_floor)]
-    # running sums of the panels' errors and floors, within drift of the exact sums
-    err_sum, floor_sum, drift = err, floor, 0.0
     evaluations = 21
     reason = ""
     while True:
-        slack = drift + _SUM_MARGIN * (err_sum + abs(floor_sum) + tol) + _TINY
-        if not (err_sum - slack > tol and floor_sum + slack - 2.0 * _EPS * (err_sum - slack) <= tol):
-            # near a stop test, or a sum is not finite: decide on the exact sums
-            err_sum = math.fsum(-entry[0] for entry in heap)
-            floor_sum, drift = math.fsum(entry[4] for entry in heap), 0.0
-            if err_sum <= tol:
-                break
-            if floor_sum - 2.0 * _EPS * err_sum > tol:
-                reason = ROUNDOFF_FLOOR
-                break
+        err_sum = math.fsum(-entry[0] for entry in heap)
+        if err_sum <= tol:
+            break
+        if math.fsum(entry[4] for entry in heap) - 2.0 * _EPS * err_sum > tol:
+            reason = ROUNDOFF_FLOOR
+            break
         if evaluations + 42 > budget:
             reason = BUDGET_EXHAUSTED
             break
-        neg_err, wa, wb, _, old_floor, at_floor = heap[0]
+        _, wa, wb, _, _, at_floor = heap[0]
         if at_floor:
             # worst interval already reports its roundoff floor; bisection
             # conserves the floor sum, so no further progress is possible
@@ -432,23 +425,18 @@ def integrate_finite(f, a: float, b: float, tol: float,
         if not (_nodes_interior(wa, mid) and _nodes_interior(mid, wb)):
             reason = FLOAT_EXHAUSTION  # cannot refine further
             break
-        old_err = -neg_err
-        value, left_err, at_floor, left_floor = _gk21(f, wa, mid)
-        heapq.heapreplace(heap, (-left_err, wa, mid, value, left_floor, at_floor))
+        value, err, at_floor, floor = _gk21(f, wa, mid)
+        heapq.heapreplace(heap, (-err, wa, mid, value, floor, at_floor))
         value, err, at_floor, floor = _gk21(f, mid, wb)
         heapq.heappush(heap, (-err, mid, wb, value, floor, at_floor))
         evaluations += 42
-        err_sum += left_err + err - old_err
-        floor_sum += left_floor + floor - old_floor
-        drift += 2.0 * _EPS * (abs(err_sum) + abs(floor_sum) + left_err + err + old_err
-                               + left_floor + floor + old_floor) + _TINY
 
     values = [entry[3] for entry in heap]
     if any(isinstance(v, complex) for v in values):
         total = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
     else:
         total = math.fsum(values)
-    return QuadratureResult(total, math.fsum(-entry[0] for entry in heap), evaluations, reason)
+    return QuadratureResult(total, err_sum, evaluations, reason)
 
 
 # ---------------------------------------------------------------------------

@@ -480,6 +480,51 @@ def test_contour_failure_note_says_why(capsys, monkeypatch, argv):
 
 
 # ---------------------------------------------------------------------------
+# quadrature traffic
+#
+# integrate_finite decides its stops on fsum over every panel, O(n) per
+# bisection, which is cheap only while the integrals the CLI asks for stay
+# short; a change that breaks this bound must revisit that design
+
+def _traffic_grid():
+    for tol in ("1e-3", "1e-9", "1e-12", "1e-16", "5e-324"):
+        for identity, ss in (("eq2", (2, 30, 108)), ("eq7", (2, 30, 108)),
+                             ("eq9", (2, 30, 108)), ("eq10", (2, 60, 171)),
+                             ("odd", (3, 41, 171))):
+            for s in ss:
+                yield ["verify", identity, "--s", str(s), "--tol", tol]
+        yield ["verify", "s2", "--tol", tol]
+        yield ["verify", "log2", "--tol", tol]
+        for radius in ("1e-300", "30", "700"):
+            for s in ("2", "8", "100"):
+                yield ["verify", "closure", "--s", s, "--radius", radius, "--tol", tol]
+                yield ["contour", "--s", s, "--radius", radius, "--tol", tol]
+    # the deepest integrals found on a wider grid: 10 and 12 bisections
+    yield ["contour", "--s", "8", "--radius", "700", "--tol", "1e-10"]
+    yield ["contour", "--s", "12", "--radius", "700", "--tol", "2e-7"]
+
+
+def test_no_cli_integral_bisects_more_than_64_times(capsys, monkeypatch):
+    monkeypatch.delenv("ZETA_RECUR_EVAL_BUDGET", raising=False)
+    deepest = []  # (bisections, argv) of every integral
+    for name in ("integrate_finite", "integrate_semi_infinite", "integrate_segment"):
+        def counted(*args, integrate=getattr(identities, name), **kwargs):
+            result = integrate(*args, **kwargs)
+            deepest.append(((result.evaluations - 21) // 42, argv))
+            return result
+        monkeypatch.setattr(identities, name, counted)
+    for argv in _traffic_grid():
+        try:
+            cli.main(argv)
+        except SystemExit as exc:  # a refusal integrates nothing
+            assert exc.code == 2
+    capsys.readouterr()
+    assert len(deepest) > 100
+    worst = max(deepest, key=lambda item: item[0])
+    assert worst[0] <= 64, worst
+
+
+# ---------------------------------------------------------------------------
 # determinism
 
 @pytest.mark.parametrize("argv", [
@@ -511,7 +556,33 @@ GOLDEN_STDOUT = [
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT)
+# sha256 of the json stdout of verify and contour at inputs above their roundoff
+# floors: the numeric core's values, estimates, notes and verdicts, to the bit
+GOLDEN_NUMERIC_STDOUT = [
+    (["verify", "eq2", "--s", "3", "--tol", "1e-10", "--format", "json"],
+     "72ebab524660001ffd2910eddb00377c019bf53761126d596bb6170cd4973e7b"),
+    (["verify", "eq7", "--s", "5", "--tol", "1e-10", "--format", "json"],
+     "c9a620c3de7c956a0ada94675fd4bddbc2d2845b64763fea082879481ea63f53"),
+    (["verify", "eq9", "--s", "5", "--tol", "1e-8", "--format", "json"],
+     "4360c7684ca78172700fd83effda374c1fb5cb3df1dcf1552c3c623cb7aace34"),
+    (["verify", "odd", "--s", "41", "--tol", "1e-10", "--format", "json"],
+     "7dc22705396a735c0c245cd5e8e2b8cd6fe90ac92c2a4c0703455fb11904109f"),
+    (["verify", "eq10", "--s", "13", "--tol", "1e-5", "--format", "json"],
+     "a9008f4415071cbb1937376d30eaf89dbe54b411be1659bd832ff4947200bdd7"),
+    (["verify", "s2", "--tol", "1e-12", "--format", "json"],
+     "c36a7d60c534a93856715e0df7633675696699b93cce81f78dbae30c5dbc35e8"),
+    (["verify", "log2", "--tol", "1e-10", "--format", "json"],
+     "0f72ecec52dab4fd609c5c977beb19cfbe97d834b617e0628778c158684a4ef2"),
+    (["verify", "closure", "--s", "4", "--radius", "25", "--tol", "1e-8", "--format", "json"],
+     "9bbb3767a84130e7510f90b427cb51bf0dbf7913f8698f76424d30ca6b81e933"),
+    (["contour", "--s", "7", "--radius", "40", "--tol", "1e-9", "--format", "json"],
+     "9a841e61b2db667aedcb7c280496c3cd16f9670c5f76e499b57c9d054fcb812d"),
+    (["contour", "--s", "2", "--radius", "5e-324", "--format", "json"],
+     "2c54364826746714cc40bd0e53f786dae3717dede67bfad29a0255e20051f2ad"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT + GOLDEN_NUMERIC_STDOUT)
 def test_golden_stdout(capsys, argv, digest):
     code, out = run(capsys, argv)
     assert code == 0

@@ -232,6 +232,13 @@ def test_approx_is_finite_for_every_n():
         assert value(n).approx() == 1.0
 
 
+def test_approx_along_one_table_is_the_one_shot_value():
+    table = Table()
+    for n in range(1, 201):
+        value = zeta_even_recursive(n, table=table)
+        assert value.approx(table=table) == value.approx(), n
+
+
 def test_zeta_even_value_contract():
     # a value is an immutable, hashable record compared field by field
     v = ZetaEvenValue(2, Fraction(1, 90))
