@@ -10,12 +10,10 @@ Defaults: --s 2, --tol 1e-9, --radius 30, --format plain.  `verify` takes
 --radius only for closure; a flag the identity does not take is a usage
 error.  Exit codes: 0 success, 1 verification failure, 2 usage error or an
 input `identities` refuses.
-ZETA_RECUR_EVAL_BUDGET overrides the quadrature evaluation budget of one
-verify or contour invocation; even and bernoulli ignore it.  The argument
-parser is built once, at import, and shared by every `main` call in the
-process; parsing leaves no state in it.  `identities` and `quadrature` are
-imported by the first verify or contour call, so even and bernoulli load
-only the exact core.
+The argument parser is built once, at import, and shared by every `main`
+call in the process; parsing leaves no state in it.  `identities` and
+`quadrature` are imported by the first verify or contour call, so even and
+bernoulli load only the exact core.
 
 Output is deterministic: identical argv yields byte-identical stdout.
 """
@@ -25,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -143,22 +140,21 @@ def _contour_fields(report) -> list[tuple[str, object]]:
     return fields
 
 
-# `verify` identity -> report of (identities module, s, tol, radius, budget); each
-# check is looked up on the module at call time, so rebinding it there (as a
-# tracer does) takes effect
-_VERIFIERS = {
-    "eq2": lambda ids, s, tol, radius, budget: ids.verify_bose_integral(s, tol, budget),
-    "eq5": lambda ids, s, tol, radius, budget: ids.verify_eq5(tol),
-    "eq7": lambda ids, s, tol, radius, budget: ids.verify_fermi_integral(s, tol, budget),
-    "closure": lambda ids, s, tol, radius, budget: ids.contour_closure(s, radius, tol, budget),
-    "eq9": lambda ids, s, tol, radius, budget: ids.verify_eq9(s, tol, budget),
-    "s2": lambda ids, s, tol, radius, budget: ids.verify_zeta2(tol, budget),
-    "log2": lambda ids, s, tol, radius, budget: ids.verify_log2_identity(tol, budget),
-    "eq10": lambda ids, s, tol, radius, budget: ids.expanded_real_identity(s, tol, budget),
-    "odd": lambda ids, s, tol, radius, budget: ids.verify_odd_zeta(s, tol, budget),
+# `verify` identity -> (its check in `identities`, the flags the check takes
+# before --tol); `contour` runs closure.  The check is looked up on the module
+# at call time, so rebinding it there (as a tracer does) takes effect
+_CHECKS = {
+    "eq2": ("verify_bose_integral", ("s",)),
+    "eq5": ("verify_eq5", ()),
+    "eq7": ("verify_fermi_integral", ("s",)),
+    "closure": ("contour_closure", ("s", "radius")),
+    "eq9": ("verify_eq9", ("s",)),
+    "s2": ("verify_zeta2", ()),
+    "log2": ("verify_log2_identity", ()),
+    "eq10": ("expanded_real_identity", ("s",)),
+    "odd": ("verify_odd_zeta", ("s",)),
 }
-# the identities whose check reads no s; of the others only closure reads radius
-_WITHOUT_S = ("eq5", "s2", "log2")
+_FLAG_DEFAULTS = {"s": DEFAULT_S, "radius": DEFAULT_RADIUS}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -184,11 +180,13 @@ def _build_parser() -> argparse.ArgumentParser:
                       help=f"largest index, 0..{MAX_BERNOULLI} (default: 10)")
 
     verify = sub.add_parser("verify", parents=[common], help="check one identity")
-    verify.add_argument("identity", choices=_VERIFIERS)
-    verify.add_argument("--s", type=int,
-                        help=f"integer exponent, not for {', '.join(_WITHOUT_S)} (default: {DEFAULT_S})")
+    # --s and --radius are absent from the parsed args unless given
+    without_s = ", ".join(i for i, (_, flags) in _CHECKS.items() if "s" not in flags)
+    verify.add_argument("identity", choices=_CHECKS)
+    verify.add_argument("--s", type=int, default=argparse.SUPPRESS,
+                        help=f"integer exponent, not for {without_s} (default: {DEFAULT_S})")
     verify.add_argument("--tol", type=float, default=1e-9, help="tolerance (default: 1e-9)")
-    verify.add_argument("--radius", type=float,
+    verify.add_argument("--radius", type=float, default=argparse.SUPPRESS,
                         help=f"rectangle extent R, closure only (default: {DEFAULT_RADIUS:g})")
 
     contour = sub.add_parser("contour", parents=[common],
@@ -222,33 +220,20 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_bernoulli(args.n, args.format)
 
     # verify and contour (the closure check); `identities` decides what it accepts
-    if args.command == "verify":
-        if args.s is not None and args.identity in _WITHOUT_S:
-            parser.error(f"verify {args.identity} takes no --s")
-        if args.radius is not None and args.identity != "closure":
-            parser.error(f"verify {args.identity} takes no --radius (only closure does)")
-        if args.s is None:
-            args.s = DEFAULT_S
-        if args.radius is None:
-            args.radius = DEFAULT_RADIUS
-    from . import identities
-    from .quadrature import DEFAULT_EVAL_BUDGET
-
-    raw_budget = os.environ.get("ZETA_RECUR_EVAL_BUDGET")
-    budget = DEFAULT_EVAL_BUDGET
-    if raw_budget is not None:
-        try:
-            budget = int(raw_budget)
-        except ValueError:
-            budget = -1
-        if budget < 100:
-            parser.error(f"ZETA_RECUR_EVAL_BUDGET must be an integer >= 100, got {raw_budget!r}")
-    for flag, value in (("--tol", args.tol), ("--radius", args.radius)):
-        if not 0.0 < value < math.inf:
-            parser.error(f"{flag} must be finite and > 0, got {value!r}")
     identity = "closure" if args.command == "contour" else args.identity
+    name, flags = _CHECKS[identity]
+    for flag in _FLAG_DEFAULTS:
+        if flag in vars(args) and flag not in flags:
+            parser.error(f"verify {identity} takes no --{flag}")
+    values = {flag: getattr(args, flag, _FLAG_DEFAULTS[flag]) for flag in flags}
+    values["tol"] = args.tol
+    for flag in ("tol", "radius"):
+        if flag in values and not 0.0 < values[flag] < math.inf:
+            parser.error(f"--{flag} must be finite and > 0, got {values[flag]!r}")
+    from . import identities
+
     try:
-        report = _VERIFIERS[identity](identities, args.s, args.tol, args.radius, budget)
+        report = getattr(identities, name)(*values.values())
     except identities.Refused as exc:
         parser.error(str(exc))
     fields = _contour_fields(report) if identity == "closure" else _report_fields(report)

@@ -34,7 +34,6 @@ from decimal import Context, Decimal, localcontext
 
 from .exact import Table, gamma_int, zeta_even_recursive
 from .quadrature import (
-    DEFAULT_EVAL_BUDGET,
     QuadratureResult,
     Segment,
     bose,
@@ -278,20 +277,18 @@ def _odd_divisor(m: int) -> float:
     return (2.0 - 2.0 ** (1 - m)) * gamma_int(m)
 
 
-def verify_bose_integral(s: int, tol: float = 1e-9,
-                         budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
+def verify_bose_integral(s: int, tol: float = 1e-9) -> IdentityReport:
     """EQ2: quadrature of x^(s-1)/(e^x-1) against Gamma(s) * zeta_series(s)."""
     _require_s("verify_bose_integral", s, *_REAL_AXIS_S)
-    quad = integrate_semi_infinite(bose(s), s, _share(0.5, tol), budget=budget)
+    quad = integrate_semi_infinite(bose(s), s, _share(0.5, tol))
     rhs = _oracle(s, tol, gamma_int(s))
     return IdentityReport(IdentityId.EQ2, s, quad.value, rhs, tol, quad.reason)
 
 
-def verify_fermi_integral(s: int, tol: float = 1e-9,
-                          budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
+def verify_fermi_integral(s: int, tol: float = 1e-9) -> IdentityReport:
     """EQ7: quadrature of x^(s-1)/(e^x+1) against (1-2^(1-s)) Gamma(s) zeta_series(s)."""
     _require_s("verify_fermi_integral", s, *_REAL_AXIS_S)
-    quad = integrate_semi_infinite(fermi(s), s, _share(0.5, tol), budget=budget)
+    quad = integrate_semi_infinite(fermi(s), s, _share(0.5, tol))
     rhs = _oracle(s, tol, _fermi_weight(s))
     return IdentityReport(IdentityId.EQ7, s, quad.value, rhs, tol, quad.reason)
 
@@ -398,8 +395,7 @@ def verify_eq5(tol: float = 1e-9) -> IdentityReport:
                           remark=f"max pointwise residual over {_EQ5_SAMPLES} samples")
 
 
-def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9,
-                    budget: int = DEFAULT_EVAL_BUDGET) -> ContourReport:
+def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9) -> ContourReport:
     """EQ8: the four side integrals, counterclockwise, their sum and its verdict.
 
     pi |R + i pi|^(s-1), the size of the integrand times a side's length, must fit
@@ -426,7 +422,7 @@ def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9,
         Segment(top, corner),
         Segment(corner, complex(0.0)),
     )
-    results = [integrate_segment(s, seg, 0.25 * tol, budget) for seg in sides]
+    results = [integrate_segment(s, seg, 0.25 * tol) for seg in sides]
     # the bottom side's integral is a float; every side value is reported complex
     values = tuple(complex(r.value) for r in results)
     error_estimate = math.fsum(r.error_estimate for r in results)
@@ -444,7 +440,7 @@ class LimitComponents(namedtuple("LimitComponents", "a b c error_estimate reason
     __slots__ = ()
 
 
-def eq9_components(s: int, tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -> LimitComponents:
+def eq9_components(s: int, tol: float = 1e-9) -> LimitComponents:
     """EQ9: A = int_0^inf x^(s-1)/(e^x-1); B = int_0^inf (x+i pi)^(s-1)/(e^(x+i pi)-1);
     C = i int_0^pi (iy)^(s-1)/(e^(iy)-1).
 
@@ -465,7 +461,7 @@ def eq9_components(s: int, tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET)
     _refuse_below_floor("eq9_components", s, tol,
                         ((0.125, _lower_gamma(s, x_max)), (0.25, _pi_side_bound(s))))
 
-    a_quad = integrate_finite(bose(s), 0.0, x_max, 0.125 * tol, budget)
+    a_quad = integrate_finite(bose(s), 0.0, x_max, 0.125 * tol)
     a = complex(a_quad.value)
     err = a_quad.error_estimate + tail
     quads = [a_quad]
@@ -480,7 +476,7 @@ def eq9_components(s: int, tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET)
             # Gamma(m) is infeasible in doubles; clamp the request there and
             # let the reported error estimate carry the truth
             f_tol = max(part / (s * max(1.0, coef)), 5e-15 * gamma_int(m))
-            f_quad = integrate_semi_infinite(fermi(m), m, f_tol, budget=budget)
+            f_quad = integrate_semi_infinite(fermi(m), m, f_tol)
             f_j = f_quad.value
             err += coef * f_quad.error_estimate
             quads.append(f_quad)
@@ -490,42 +486,41 @@ def eq9_components(s: int, tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET)
         math.fsum(t.imag for t in terms),
     )
 
-    c_quad = _eq9_c(s, tol, budget)
+    c_quad = _eq9_c(s, tol)
     quads.append(c_quad)
     reason = _stop_reason(quads)
     return LimitComponents(a, b, c_quad.value, err + c_quad.error_estimate, reason)
 
 
-def _eq9_c(s: int, tol: float, budget: int) -> QuadratureResult:
+def _eq9_c(s: int, tol: float) -> QuadratureResult:
     """EQ9's C at tol/4: the segment integral of z^(s-1)/(e^z-1) from 0 to i pi,
     which is C, as z = iy gives dz = i dy."""
-    return integrate_segment(s, Segment(complex(0.0), complex(0.0, math.pi)), 0.25 * tol, budget)
+    return integrate_segment(s, Segment(complex(0.0), complex(0.0, math.pi)), 0.25 * tol)
 
 
-def verify_eq9(s: int, tol: float = 1e-8, budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
+def verify_eq9(s: int, tol: float = 1e-8) -> IdentityReport:
     """EQ9: A - B against C.  The verdict reads the residual and the stop reasons,
     not LimitComponents.error_estimate, which exceeds tol on 74 of the 485 eq9
     passes of the first 8 seeded verify-sweep rounds of seeds 1-3."""
-    comp = eq9_components(s, tol, budget)
+    comp = eq9_components(s, tol)
     return IdentityReport(IdentityId.EQ9, s, comp.a - comp.b, comp.c, tol, comp.reason)
 
 
-def verify_log2_identity(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
+def verify_log2_identity(tol: float = 1e-9) -> IdentityReport:
     """S2_IMAG: pi * int_0^inf dx/(e^x+1) against (1/2) int_0^pi y sin y/(1-cos y) dy.
 
     The right-hand integrand equals y * cot(y/2) (removable limit 2 at 0)
     and both sides equal pi ln 2.
     """
-    lhs_quad = integrate_semi_infinite(fermi(1), 1, _share(0.125, tol), budget=budget)
-    rhs_quad = cot_power_integral(2, _share(0.25, tol), budget)
+    lhs_quad = integrate_semi_infinite(fermi(1), 1, _share(0.125, tol))
+    rhs_quad = cot_power_integral(2, _share(0.25, tol))
     return IdentityReport(IdentityId.S2_IMAG, 2, math.pi * lhs_quad.value, 0.5 * rhs_quad.value,
                           tol, _stop_reason((lhs_quad, rhs_quad)))
 
 
-def cot_power_integral(s: int, tol: float = 1e-10,
-                       budget: int = DEFAULT_EVAL_BUDGET) -> QuadratureResult:
+def cot_power_integral(s: int, tol: float = 1e-10) -> QuadratureResult:
     """K(s) = int_0^pi y^(s-1) cot(y/2) dy, the transcendental piece of EQ10."""
-    return integrate_finite(cot_power(s), 0.0, math.pi, tol, budget)
+    return integrate_finite(cot_power(s), 0.0, math.pi, tol)
 
 
 def _binomial_terms(s: int):
@@ -579,8 +574,7 @@ def _k_coef(s: int) -> float:
     return -0.5 * _I_POW[(s + 1) % 4].real
 
 
-def expanded_real_identity(s: int, tol: float = 1e-9,
-                           budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
+def expanded_real_identity(s: int, tol: float = 1e-9) -> IdentityReport:
     """EQ10_NUMERIC: the real part of EQ9 expanded into zeta values and K(s).
 
         Gamma(s) zeta(s) + sum_{j even} C(s-1,j) Re((i pi)^j) F(j)
@@ -609,12 +603,12 @@ def expanded_real_identity(s: int, tol: float = 1e-9,
     k_coef = _k_coef(s)
     if not k_coef:
         return IdentityReport(IdentityId.EQ10_NUMERIC, s, lhs, rhs, tol)
-    k_quad = cot_power_integral(s, tol, budget)
+    k_quad = cot_power_integral(s, tol)
     return IdentityReport(IdentityId.EQ10_NUMERIC, s, lhs, rhs + k_coef * k_quad.value, tol,
                           k_quad.reason)
 
 
-def _odd_extraction(s: int, tol: float, budget: int) -> tuple[float, float, str]:
+def _odd_extraction(s: int, tol: float) -> tuple[float, float, str]:
     """(zeta(s), error estimate, stop reason) of the odd extraction; see
     odd_zeta_from_contour.
 
@@ -626,9 +620,8 @@ def _odd_extraction(s: int, tol: float, budget: int) -> tuple[float, float, str]
     per unit, so each of the n = (s-1)/2 integrals is asked for (tol/2) / (n w_m),
     and one panel (tolerance inf) when w_m underflows to 0.  The estimate sums
     w_m err_m and, for each numerator k_m K(m) - known_m, eps times the sum of
-    its terms' magnitudes, weighted by |adj[m] / D_m|.  A K(m) that evaluates
-    nothing, on a budget below one panel, ends the chain: zeta(s) is nan and
-    the estimate infinite.
+    its terms' magnitudes, weighted by |adj[m] / D_m|.  A K(m) that evaluated
+    nothing ends the chain: zeta(s) is nan and the estimate infinite.
     """
     _require_s("odd_zeta_from_contour", s, *_GAMMA_S, odd=True)
     odd = range(3, s + 1, 2)
@@ -648,10 +641,10 @@ def _odd_extraction(s: int, tol: float, budget: int) -> tuple[float, float, str]
         k_coef = _k_coef(m)
         w = abs(k_coef) * gain
         k_tol = _share(0.5 / len(odd) / w, tol) if w else math.inf
-        k_quad = cot_power_integral(m, k_tol, budget)
+        k_quad = cot_power_integral(m, k_tol)
         quads.append(k_quad)
         if not k_quad.evaluations:
-            # a budget below one panel: K(m) has no estimate at all, and each
+            # K(m) evaluated nothing, so it has no estimate at all, and each
             # later row would amplify the gap, up to overflow
             return math.nan, math.inf, _stop_reason(quads)
         known_terms = list(_real_part_terms(m, extracted.__getitem__, first_j=2))
@@ -662,8 +655,7 @@ def _odd_extraction(s: int, tol: float, budget: int) -> tuple[float, float, str]
     return extracted[s], estimate, _stop_reason(quads)
 
 
-def odd_zeta_from_contour(s: int, tol: float = 1e-8,
-                          budget: int = DEFAULT_EVAL_BUDGET) -> float:
+def odd_zeta_from_contour(s: int, tol: float = 1e-8) -> float:
     """zeta(s) for odd s: EQ10 solved for its j = 0 term.
 
     For odd s the pi^s term of EQ10 vanishes, and the Gamma(s) zeta(s) and
@@ -681,11 +673,10 @@ def odd_zeta_from_contour(s: int, tol: float = 1e-8,
     error estimate, which verify_odd_zeta judges, stays within about tol/2
     when every K converges.
     """
-    return _odd_extraction(s, tol, budget)[0]
+    return _odd_extraction(s, tol)[0]
 
 
-def verify_odd_zeta(s: int, tol: float = 1e-8,
-                    budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
+def verify_odd_zeta(s: int, tol: float = 1e-8) -> IdentityReport:
     """ODD_ZETA: extracted zeta(s) against the series oracle.
 
     Passes only when the residual is within tol, every K(m) of the chain
@@ -693,12 +684,12 @@ def verify_odd_zeta(s: int, tol: float = 1e-8,
     tol.  A failure names the K stop reasons, then the estimate if it is above
     tol; failing neither way, it names the residual.
     """
-    lhs, estimate, reason = _odd_extraction(s, tol, budget)
+    lhs, estimate, reason = _odd_extraction(s, tol)
     rhs = _oracle(s, tol)
     return IdentityReport(IdentityId.ODD_ZETA, s, lhs, rhs, tol, reason=reason, estimate=estimate)
 
 
-def verify_zeta2(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -> IdentityReport:
+def verify_zeta2(tol: float = 1e-9) -> IdentityReport:
     """S2_REAL: zeta(2) extracted from the contour against the series oracle.
 
     Re C = (3/2) zeta(2) at s = 2, so of eq9_components only C runs, at tol/4,
@@ -706,7 +697,7 @@ def verify_zeta2(tol: float = 1e-9, budget: int = DEFAULT_EVAL_BUDGET) -> Identi
     of |f|.  That bound also dominates A's in eq9_components at s = 2.
     """
     _refuse_below_floor("verify_zeta2", 2, tol, ((0.25, _pi_side_bound(2)),))
-    c_quad = _eq9_c(2, tol, budget)
+    c_quad = _eq9_c(2, tol)
     lhs = c_quad.value.real * 2.0 / 3.0
     rhs = _oracle(2, tol)
     return IdentityReport(IdentityId.S2_REAL, 2, lhs, rhs, tol, c_quad.reason)

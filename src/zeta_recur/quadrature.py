@@ -386,7 +386,7 @@ def integrate_finite(f, a: float, b: float, tol: float,
     deepest integral found over about 17,000 inputs the CLI accepts bisects
     12 times (a CLI test fails past 64), while a long library integral pays
     for it: sin(300x) over [0, 100] to 1e-9, 4,025 bisections, takes
-    0.8-0.9 s where O(1) running sums took 0.05 s.
+    0.8-0.9 s.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("integration bounds must be finite with a < b")

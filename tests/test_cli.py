@@ -1,4 +1,5 @@
 import ast
+import functools
 import hashlib
 import importlib
 import json
@@ -9,15 +10,19 @@ from fractions import Fraction
 
 import pytest
 
-from zeta_recur import cli, identities
+from zeta_recur import cli, identities, quadrature
 
 
-def run(capsys, argv, env=None, monkeypatch=None):
-    if env:
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
+def run(capsys, argv):
     code = cli.main(argv)
     return code, capsys.readouterr().out
+
+
+def starve(monkeypatch, budget):
+    """Cap every integral the checks run at budget evaluations."""
+    for name in ("integrate_finite", "integrate_semi_infinite", "integrate_segment"):
+        monkeypatch.setattr(identities, name,
+                            functools.partial(getattr(quadrature, name), budget=budget))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +139,7 @@ def test_every_command_runs_without_mpmath():
         "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
         "print(json.dumps(codes), file=sys.stderr)\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "ZETA_RECUR_EVAL_BUDGET"}
+    env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
@@ -167,7 +172,7 @@ def test_even_and_bernoulli_load_only_the_exact_core():
         "assert 'zeta_recur.identities' in sys.modules\n"
         "assert not unused(), unused()\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "ZETA_RECUR_EVAL_BUDGET"}
+    env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, env=env,
@@ -241,6 +246,20 @@ def test_verify_rejects_a_flag_its_identity_ignores(capsys, argv, flag):
         cli.main(argv)
     assert exc.value.code == 2
     assert f"verify {argv[1]} takes no {flag}" in capsys.readouterr().err
+
+
+# (identity, its --s, the s its report names): the identities with an exponent
+# take --s; eq5 is pointwise and reports s = 0, s2 and log2 hold at s = 2
+@pytest.mark.parametrize("identity,flags,s", [
+    *[(ident, ["--s", "5"], 5) for ident in ("eq2", "eq7", "closure", "eq9", "eq10", "odd")],
+    ("eq5", [], 0),
+    ("s2", [], 2),
+    ("log2", [], 2),
+])
+def test_verify_hands_each_identity_the_flags_it_takes(capsys, identity, flags, s):
+    code, out = run(capsys, ["verify", identity, *flags, "--tol", "1e-7", "--format", "json"])
+    doc = json.loads(out)
+    assert (code, doc["s"], doc["tolerance"]) == (0, s, 1e-7)
 
 
 def test_radius_reaches_closure_and_contour(capsys):
@@ -355,7 +374,7 @@ def test_s2_refusal_names_its_own_check_and_bound(capsys):
 
 
 def test_tolerance_past_the_double_floor_finishes():
-    env = {k: v for k, v in os.environ.items() if k != "ZETA_RECUR_EVAL_BUDGET"}
+    env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-m", "zeta_recur.cli", "verify", "eq2",
@@ -366,35 +385,45 @@ def test_tolerance_past_the_double_floor_finishes():
 
 
 def test_verify_failure_exit_code_on_starved_budget(capsys, monkeypatch):
-    code, out = run(capsys, ["verify", "eq2", "--s", "2"], env={"ZETA_RECUR_EVAL_BUDGET": "100"},
-                    monkeypatch=monkeypatch)
+    starve(monkeypatch, 100)
+    code, out = run(capsys, ["verify", "eq2", "--s", "2"])
     assert code == 1
     assert "did not converge" in out
 
 
-@pytest.mark.parametrize("argv,env,reason", [
+def _ids(rows):
+    """The ids pytest gave these rows while their second column was named env,
+    so that each test keeps its name now that the column holds a budget."""
+    return [f"argv{i}-env{i}-" + "-".join(map(str, rest)) for i, (_, _, *rest) in enumerate(rows)]
+
+
+# (argv, evaluation budget of every integral or None, the stop reason its note names)
+STOP_NOTES = [
     # the panels' floors exceed tol after 165 evaluations, long before the default budget
-    (["verify", "eq2", "--s", "2", "--tol", "1e-300"], {}, "roundoff floor"),
-    (["verify", "eq2", "--s", "2"], {"ZETA_RECUR_EVAL_BUDGET": "100"},
-     "evaluation budget exhausted"),
-    (["verify", "eq9", "--s", "5"], {"ZETA_RECUR_EVAL_BUDGET": "100"},
-     "evaluation budget exhausted"),
-])
-def test_failure_note_says_why_quadrature_stopped(capsys, monkeypatch, argv, env, reason):
-    monkeypatch.delenv("ZETA_RECUR_EVAL_BUDGET", raising=False)
-    code, out = run(capsys, argv + ["--format", "json"], env=env, monkeypatch=monkeypatch)
+    (["verify", "eq2", "--s", "2", "--tol", "1e-300"], None, "roundoff floor"),
+    (["verify", "eq2", "--s", "2"], 100, "evaluation budget exhausted"),
+    (["verify", "eq9", "--s", "5"], 100, "evaluation budget exhausted"),
+]
+
+
+@pytest.mark.parametrize("argv,budget,reason", STOP_NOTES, ids=_ids(STOP_NOTES))
+def test_failure_note_says_why_quadrature_stopped(capsys, monkeypatch, argv, budget, reason):
+    if budget:
+        starve(monkeypatch, budget)
+    code, out = run(capsys, argv + ["--format", "json"])
     assert code == 1
     assert json.loads(out)["note"] == f"quadrature did not converge; {reason}"
 
 
-def test_budget_env_applies_to_one_invocation_only(capsys, monkeypatch):
-    code, _ = run(capsys, ["verify", "eq2", "--s", "2"], env={"ZETA_RECUR_EVAL_BUDGET": "100"},
-                  monkeypatch=monkeypatch)
-    assert code == 1
-    monkeypatch.delenv("ZETA_RECUR_EVAL_BUDGET")
-    code, out = run(capsys, ["verify", "eq2", "--s", "2"])
-    assert code == 0, out
-    assert "did not converge" not in out
+@pytest.mark.parametrize("value", ["100", "banana"])
+def test_eval_budget_variable_is_ignored(capsys, monkeypatch, value):
+    # no environment variable caps the evaluations of a check's integrals
+    argvs = (["verify", "eq2", "--s", "2"], ["contour", "--s", "3", "--format", "json"])
+    monkeypatch.delenv("ZETA_RECUR_EVAL_BUDGET", raising=False)
+    expected = [run(capsys, argv) for argv in argvs]
+    monkeypatch.setenv("ZETA_RECUR_EVAL_BUDGET", value)
+    assert [run(capsys, argv) for argv in argvs] == expected
+    assert [code for code, _ in expected] == [0, 0]
 
 
 def test_nonfinite_bound_is_named(capsys):
@@ -403,10 +432,10 @@ def test_nonfinite_bound_is_named(capsys):
     assert "--radius must be finite and > 0, got nan" in capsys.readouterr().err
 
 
-def test_parser_reuse_leaks_nothing_between_calls(capsys, monkeypatch):
+def test_parser_reuse_leaks_nothing_between_calls(capsys):
     # the parser is built once per process, so a first call is one in a fresh process
     argv = ["verify", "eq2"]
-    env = {k: v for k, v in os.environ.items() if k != "ZETA_RECUR_EVAL_BUDGET"}
+    env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     fresh = subprocess.run([sys.executable, "-m", "zeta_recur.cli", *argv],
@@ -416,32 +445,10 @@ def test_parser_reuse_leaks_nothing_between_calls(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "eq2", "--tol", "banana"])
     assert exc.value.code == 2
-    monkeypatch.setenv("ZETA_RECUR_EVAL_BUDGET", "banana")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    monkeypatch.delenv("ZETA_RECUR_EVAL_BUDGET")
     code, _ = run(capsys, ["verify", "eq2", "--s", "5", "--tol", "1e-6"])
     assert code == 0
     code, out = run(capsys, argv)
     assert (code, out) == (0, fresh.stdout.decode())
-
-
-def test_invalid_budget_env(capsys, monkeypatch):
-    monkeypatch.setenv("ZETA_RECUR_EVAL_BUDGET", "banana")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "eq2"])
-    assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("argv", [["even", "--n", "3"], ["bernoulli", "--n", "3"]])
-def test_budget_env_ignored_without_quadrature(capsys, monkeypatch, argv):
-    # the budget caps quadrature only, so a bad value cannot fail a table
-    monkeypatch.delenv("ZETA_RECUR_EVAL_BUDGET", raising=False)
-    expected = run(capsys, argv)
-    assert expected[0] == 0
-    assert run(capsys, argv, env={"ZETA_RECUR_EVAL_BUDGET": "banana"},
-               monkeypatch=monkeypatch) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +479,8 @@ def test_contour_at_a_tiny_radius(capsys, radius):
 
 @pytest.mark.parametrize("argv", [["contour", "--s", "3"], ["verify", "closure", "--s", "3"]])
 def test_contour_failure_note_says_why(capsys, monkeypatch, argv):
-    monkeypatch.delenv("ZETA_RECUR_EVAL_BUDGET", raising=False)
-    code, out = run(capsys, argv + ["--format", "json"], env={"ZETA_RECUR_EVAL_BUDGET": "100"},
-                    monkeypatch=monkeypatch)
+    starve(monkeypatch, 100)
+    code, out = run(capsys, argv + ["--format", "json"])
     assert code == 1
     assert json.loads(out)["note"] == "quadrature did not converge; evaluation budget exhausted"
 
@@ -505,7 +511,6 @@ def _traffic_grid():
 
 
 def test_no_cli_integral_bisects_more_than_64_times(capsys, monkeypatch):
-    monkeypatch.delenv("ZETA_RECUR_EVAL_BUDGET", raising=False)
     deepest = []  # (bisections, argv) of every integral
     for name in ("integrate_finite", "integrate_semi_infinite", "integrate_segment"):
         def counted(*args, integrate=getattr(identities, name), **kwargs):
@@ -589,28 +594,29 @@ def test_golden_stdout(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# (argv, env, exit code, sha256 of stdout) of one report per branch of the
+# (argv, evaluation budget of every integral or None, exit code, sha256 of stdout) of one report per branch of the
 # verdict's note: a stop reason (eq2, log2, contour), a stop reason and an error
 # estimate (odd), a residual (eq9) and a caller's remark on a pass (eq5)
 GOLDEN_NOTES = [
-    (["verify", "eq2", "--s", "3", "--tol", "5e-324", "--format", "json"], {}, 1,
+    (["verify", "eq2", "--s", "3", "--tol", "5e-324", "--format", "json"], None, 1,
      "759ab342f81b095f972df8c0a5908bcffb66429afea95fc597aa627fee569f87"),
-    (["verify", "log2", "--tol", "5e-324", "--format", "json"], {}, 1,
+    (["verify", "log2", "--tol", "5e-324", "--format", "json"], None, 1,
      "f83fe4629a6bb8ae704fdee8815da49d273ad8883f4270fa6e40a76c2de060cf"),
-    (["verify", "odd", "--s", "171", "--tol", "1e-13", "--format", "json"], {}, 1,
+    (["verify", "odd", "--s", "171", "--tol", "1e-13", "--format", "json"], None, 1,
      "6ad2a6dedc3844e86c30924727fe944c477f248f4f0a8a111f4e97f3391b735d"),
-    (["verify", "eq9", "--s", "14", "--tol", "3.3e-5", "--format", "json"], {}, 1,
+    (["verify", "eq9", "--s", "14", "--tol", "3.3e-5", "--format", "json"], None, 1,
      "b49223841ca2759860ee39d190aea49f3f6666848e2bdf3cf2f3732f77a0e13b"),
-    (["verify", "eq5"], {}, 0,
+    (["verify", "eq5"], None, 0,
      "b2a6b8b043f4b39a1b540ce362871c6dfd54a2a1656af1e7b1a42ea1d3713845"),
-    (["contour", "--s", "3", "--format", "json"], {"ZETA_RECUR_EVAL_BUDGET": "100"}, 1,
+    (["contour", "--s", "3", "--format", "json"], 100, 1,
      "7e742fa3da1b19edb4ac8cb04007c238064477b0998b59630b95e9644d77e01b"),
 ]
 
 
-@pytest.mark.parametrize("argv,env,exit_code,digest", GOLDEN_NOTES)
-def test_golden_notes(capsys, monkeypatch, argv, env, exit_code, digest):
-    monkeypatch.delenv("ZETA_RECUR_EVAL_BUDGET", raising=False)
-    code, out = run(capsys, argv, env, monkeypatch)
+@pytest.mark.parametrize("argv,budget,exit_code,digest", GOLDEN_NOTES, ids=_ids(GOLDEN_NOTES))
+def test_golden_notes(capsys, monkeypatch, argv, budget, exit_code, digest):
+    if budget:
+        starve(monkeypatch, budget)
+    code, out = run(capsys, argv)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

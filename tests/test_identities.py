@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import random
 from decimal import Context, Decimal, localcontext
@@ -222,9 +223,16 @@ def test_right_side_decreasing_and_bounded(s):
         assert mag < math.pi * (radius**2 + math.pi**2) ** (0.5 * (s - 1)) / math.expm1(radius)
 
 
+def starve(monkeypatch, name, budget):
+    """Cap the integrals identities runs through quadrature's `name` at budget evaluations."""
+    monkeypatch.setattr(identities, name,
+                        functools.partial(getattr(quadrature, name), budget=budget))
+
+
 @pytest.mark.parametrize("budget", [100, 1_000_000])
-def test_contour_verdict_is_the_reports(budget):
-    report = contour_closure(3, 30.0, 1e-9, budget)
+def test_contour_verdict_is_the_reports(monkeypatch, budget):
+    starve(monkeypatch, "integrate_segment", budget)
+    report = contour_closure(3, 30.0, 1e-9)
     assert report.tolerance == 1e-9
     assert report.passed == (report.converged and abs(report.closure) <= 1e-9)
     assert report.passed is (budget > 100)
@@ -232,10 +240,11 @@ def test_contour_verdict_is_the_reports(budget):
 
 def test_contour_note_names_why_it_failed(monkeypatch):
     assert contour_closure(3, 30.0, 1e-9).note == ""
-    starved = contour_closure(3, 30.0, 1e-9, budget=100)
+    starve(monkeypatch, "integrate_segment", 100)
+    starved = contour_closure(3, 30.0, 1e-9)
     assert starved.note == "quadrature did not converge; evaluation budget exhausted"
 
-    def offset_side(s, seg, tol, budget):
+    def offset_side(s, seg, tol):
         return QuadratureResult(1.0, 0.0, 15)
 
     monkeypatch.setattr(identities, "integrate_segment", offset_side)
@@ -334,11 +343,13 @@ def test_zeta2_report():
     assert verify_zeta2(1e-9).passed
 
 
-def test_zeta2_report_fails_when_quadrature_does_not_converge():
-    assert eq9_components(2, 1e-9, 100).reason
+def test_zeta2_report_fails_when_quadrature_does_not_converge(monkeypatch):
+    starve(monkeypatch, "integrate_finite", 100)
+    assert eq9_components(2, 1e-9).reason
     # s2 runs only C, which meets every tol s2 accepts in one panel: only a
     # budget below one panel starves it
-    report = verify_zeta2(1e-12, budget=20)
+    starve(monkeypatch, "integrate_segment", 20)
+    report = verify_zeta2(1e-12)
     assert not report.passed
     assert report.note == "quadrature did not converge; evaluation budget exhausted"
 
@@ -405,12 +416,14 @@ def test_expanded_identity_failure_always_carries_a_reason(monkeypatch):
             outcomes.add(report.passed)
             assert (report.note == "") == report.passed, report
     assert outcomes == {"refused", True}
-    starved = expanded_real_identity(5, 1e-12, budget=20)  # K(5) needs one panel
+    with monkeypatch.context() as patch:
+        starve(patch, "integrate_finite", 20)  # K(5) needs one panel
+        starved = expanded_real_identity(5, 1e-12)
     assert not starved.passed
     assert starved.note == "quadrature did not converge; evaluation budget exhausted"
     # a converged K(s) that is wrong leaves a residual, which the note names
     monkeypatch.setattr(identities, "cot_power_integral",
-                        lambda s, tol, budget: QuadratureResult(0.0, 0.0, 21))
+                        lambda s, tol: QuadratureResult(0.0, 0.0, 21))
     wrong = expanded_real_identity(5, 1e-12)
     assert not wrong.passed
     assert wrong.note == f"residual {wrong.residual:.3g} above tolerance 1e-12"
@@ -482,10 +495,11 @@ def test_fraction_free_weights_match_the_fraction_forms():
         assert repr(identities._odd_divisor(m)) == repr(gamma_int(m) * float(2 - half)), m
 
 
-def test_budget_starved_odd_extraction_names_its_reason():
+def test_budget_starved_odd_extraction_names_its_reason(monkeypatch):
     # each K(m) meets its share in one panel: a budget below one panel ends the
     # chain with nothing extracted
-    report = verify_odd_zeta(21, 1e-8, budget=20)
+    starve(monkeypatch, "integrate_finite", 20)
+    report = verify_odd_zeta(21, 1e-8)
     assert not report.passed and math.isnan(report.lhs)
     assert report.note.startswith("quadrature did not converge; evaluation budget exhausted")
 
@@ -532,7 +546,7 @@ def test_odd_extraction_estimate_covers_the_error_within_tol():
         for s in range(3, 42, 2):
             exact = mp.zeta(s)
             for tol in ODD_TOLS:
-                value, estimate, reason = identities._odd_extraction(s, tol, 1_000_000)
+                value, estimate, reason = identities._odd_extraction(s, tol)
                 assert reason == "", (s, tol)
                 assert abs(mp.mpf(value) - exact) <= estimate <= tol, (s, tol)
 
@@ -584,7 +598,7 @@ def _identity_case(monkeypatch):
 def _contour_case(monkeypatch):
     # each side integrates 1 to its displacement, so the sides sum to exactly 0,
     # and stops at its roundoff floor
-    monkeypatch.setattr(identities, "integrate_segment", lambda s, seg, tol, budget:
+    monkeypatch.setattr(identities, "integrate_segment", lambda s, seg, tol:
                         QuadratureResult(seg.end - seg.start, 1e-12, 15, ROUNDOFF_FLOOR))
     record = contour_closure(2, 30.0, 1e-9)
     sides = (30 + 0j, math.pi * 1j, -30 + 0j, -math.pi * 1j)
