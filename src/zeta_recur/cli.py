@@ -227,9 +227,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"verify {identity} takes no --{flag}")
     values = {flag: getattr(args, flag, _FLAG_DEFAULTS[flag]) for flag in flags}
     values["tol"] = args.tol
-    for flag in ("tol", "radius"):
-        if flag in values and not 0.0 < values[flag] < math.inf:
-            parser.error(f"--{flag} must be finite and > 0, got {values[flag]!r}")
+    if not 0.0 < args.tol < math.inf:
+        parser.error(f"--tol must be finite and > 0, got {args.tol!r}")
     from . import identities
 
     try:

@@ -62,7 +62,6 @@ __all__ = [
     "verify_log2_identity",
     "cot_power_integral",
     "expanded_real_identity",
-    "odd_zeta_from_contour",
     "verify_odd_zeta",
 ]
 
@@ -125,7 +124,8 @@ def _pi_side_bound(s: int) -> float:
     return _SHAVE * math.pi ** (s - 1) / (s - 1)
 
 
-def _refuse_below_floor(name: str, s: int, tol: float, requests) -> None:
+def _refuse_below_floor(name: str, s: int, tol: float, requests, why: str = (
+        "eps times a lower bound on the integral of |f| it must resolve")) -> None:
     """Refuse tol when a quadrature a check runs cannot converge in doubles.
 
     Each request (share, bound) is one integral the check runs at share * tol,
@@ -133,12 +133,14 @@ def _refuse_below_floor(name: str, s: int, tol: float, requests) -> None:
     Every K21 panel reports at least 2 eps times its integral of |f|, so the
     estimates of all panels sum to about 2 eps * bound: share * tol below
     eps * bound can never be met, and the quadrature would run into its
-    roundoff floor.  The floor named is the smallest tol every request meets.
+    roundoff floor.  The floor named is the smallest tol every request meets,
+    and why says what the bounds are: eq10's is an estimate of the rounding
+    of its summed terms.
     """
     floor = max(_EPS * bound / share for share, bound in requests)
     if tol < floor:
-        raise Refused(f"{name} requires tol >= {floor:.3g} at s = {s} (eps times a lower "
-                      f"bound on the integral of |f| it must resolve), got tol = {tol!r}")
+        raise Refused(f"{name} requires tol >= {floor:.3g} at s = {s} ({why}), "
+                      f"got tol = {tol!r}")
 
 
 def _share(k: float, tol: float) -> float:
@@ -583,7 +585,7 @@ def expanded_real_identity(s: int, tol: float = 1e-9) -> IdentityReport:
     Even arguments of zeta come from the exact coefficients, odd ones from
     the series oracle.  For even s the K(s) coefficient vanishes and the
     identity is the numeric shadow of the exact recursion; for odd s it
-    carries zeta(s) information (see odd_zeta_from_contour).
+    carries zeta(s) information (see verify_odd_zeta).
 
     tol is refused, before K(s) runs, below eps times the summed magnitudes of
     the terms: the left side's, the pi^s term's, and |lhs - pi^s term| in place
@@ -595,11 +597,10 @@ def expanded_real_identity(s: int, tol: float = 1e-9) -> IdentityReport:
     lhs_terms = _lhs_terms(s)
     lhs = math.fsum(lhs_terms)
     rhs = -_I_POW[s % 4].real * math.pi**s / (2 * s)
-    floor = _EPS * (math.fsum(map(abs, lhs_terms)) + abs(rhs) + abs(lhs - rhs))
-    if tol < floor:
-        raise Refused(f"expanded_real_identity requires tol >= {floor:.3g} at s = {s} (eps "
-                      f"times the summed magnitudes of its terms: an estimate of their "
-                      f"rounding, not a proven bound), got tol = {tol!r}")
+    _refuse_below_floor("expanded_real_identity", s, tol,
+                        ((1.0, math.fsum(map(abs, lhs_terms)) + abs(rhs) + abs(lhs - rhs)),),
+                        "eps times the summed magnitudes of its terms: an estimate of "
+                        "their rounding, not a proven bound")
     k_coef = _k_coef(s)
     if not k_coef:
         return IdentityReport(IdentityId.EQ10_NUMERIC, s, lhs, rhs, tol)
@@ -610,7 +611,7 @@ def expanded_real_identity(s: int, tol: float = 1e-9) -> IdentityReport:
 
 def _odd_extraction(s: int, tol: float) -> tuple[float, float, str]:
     """(zeta(s), error estimate, stop reason) of the odd extraction; see
-    odd_zeta_from_contour.
+    verify_odd_zeta.
 
     zeta(m) = (k_m K(m) - known_m) / D_m for odd m = 3..s, with k_m = _k_coef(m),
     D_m = Gamma(m) (2 - 2^(1-m)) and known_m built from the lower zeta(m - j).
@@ -623,7 +624,7 @@ def _odd_extraction(s: int, tol: float) -> tuple[float, float, str]:
     its terms' magnitudes, weighted by |adj[m] / D_m|.  A K(m) that evaluated
     nothing ends the chain: zeta(s) is nan and the estimate infinite.
     """
-    _require_s("odd_zeta_from_contour", s, *_GAMMA_S, odd=True)
+    _require_s("verify_odd_zeta", s, *_GAMMA_S, odd=True)
     odd = range(3, s + 1, 2)
     divisor = {m: _odd_divisor(m) for m in odd}
     adj = dict.fromkeys(odd, 0.0)
@@ -655,8 +656,9 @@ def _odd_extraction(s: int, tol: float) -> tuple[float, float, str]:
     return extracted[s], estimate, _stop_reason(quads)
 
 
-def odd_zeta_from_contour(s: int, tol: float = 1e-8) -> float:
-    """zeta(s) for odd s: EQ10 solved for its j = 0 term.
+def verify_odd_zeta(s: int, tol: float = 1e-8) -> IdentityReport:
+    """ODD_ZETA: zeta(s) for odd s, EQ10 solved for its j = 0 term, against the
+    series oracle.
 
     For odd s the pi^s term of EQ10 vanishes, and the Gamma(s) zeta(s) and
     j = 0 terms carry zeta(s) with total weight Gamma(s) (2 - 2^(1-s)), so
@@ -670,19 +672,13 @@ def odd_zeta_from_contour(s: int, tol: float = 1e-8) -> float:
     Each K(m) of the chain is asked only for the accuracy zeta(s) needs from
     it: tol/2 split evenly over the K's and divided by the sensitivity of
     zeta(s) to K(m), from one backward pass over the chain.  The propagated
-    error estimate, which verify_odd_zeta judges, stays within about tol/2
-    when every K converges.
-    """
-    return _odd_extraction(s, tol)[0]
+    error estimate stays within about tol/2 when every K converges.
 
-
-def verify_odd_zeta(s: int, tol: float = 1e-8) -> IdentityReport:
-    """ODD_ZETA: extracted zeta(s) against the series oracle.
-
-    Passes only when the residual is within tol, every K(m) of the chain
-    converged, and the error estimate propagated through the chain is at most
-    tol.  A failure names the K stop reasons, then the estimate if it is above
-    tol; failing neither way, it names the residual.
+    The report's lhs is the extracted zeta(s), and it passes only when the
+    residual is within tol, every K(m) of the chain converged, and the
+    propagated error estimate is at most tol.  A failure names the K stop
+    reasons, then the estimate if it is above tol; failing neither way, it
+    names the residual.
     """
     lhs, estimate, reason = _odd_extraction(s, tol)
     rhs = _oracle(s, tol)

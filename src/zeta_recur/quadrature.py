@@ -15,8 +15,8 @@ the reason: the evaluation budget ran out; the roundoff floor, either
 because the panels' floors alone already exceed the tolerance (as QUADPACK's
 QAGS stops with ier = 2) or because the worst subinterval sits at its own
 floor; or its halves would be too narrow in doubles for every node to fall
-strictly inside.  A first panel whose estimate already meets the tolerance
-is the result, with no loop around it.
+strictly inside.  The value is the fsum of the panels' values, so a part that
+sums to zero, even one panel's -0.0, comes back as 0.0.
 
 Semi-infinite integrals of the Bose/Fermi-weight integrands are truncated
 at a point X chosen from the analytic tail bound
@@ -366,10 +366,9 @@ def integrate_finite(f, a: float, b: float, tol: float,
     BUDGET_EXHAUSTED, ROUNDOFF_FLOOR or FLOAT_EXHAUSTION.  A panel
     whose nodes would round onto or past its ends is never made; when [a, b]
     itself is that narrow, or budget is below the one panel's 21 evaluations,
-    nothing is evaluated and the estimate is infinite.  When the first panel's
-    estimate already meets tol, its value and estimate are returned as they
-    stand, with 21 evaluations: what the loop below would return, but for the
-    fsum of one entry, which would only turn a zero part -0.0 into 0.0.
+    nothing is evaluated and the estimate is infinite.  Otherwise there is
+    one exit: the value is the fsum of the panels' values (a zero part comes
+    back as 0.0, never -0.0), and the estimate the fsum of their errors.
 
     The roundoff floor stops the loop in two ways.  Either the worst panel
     already sits at its own floor, or the floors of all panels alone exceed
@@ -398,8 +397,6 @@ def integrate_finite(f, a: float, b: float, tol: float,
         return QuadratureResult(0.0, math.inf, 0, BUDGET_EXHAUSTED)
 
     value, err, at_floor, floor = _gk21(f, a, b)
-    if err <= tol:
-        return QuadratureResult(value, err, 21)
     # the panels are disjoint, so (-err, a) decides every comparison of two
     # entries and a value, which may be complex, is never compared
     heap = [(-err, a, b, value, floor, at_floor)]

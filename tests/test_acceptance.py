@@ -15,11 +15,11 @@ from zeta_recur.identities import (
     contour_closure,
     cot_power_integral,
     expanded_real_identity,
-    odd_zeta_from_contour,
     verify_bose_integral,
     verify_eq5,
     verify_fermi_integral,
     verify_log2_identity,
+    verify_odd_zeta,
     verify_zeta2,
     zeta_series,
 )
@@ -134,12 +134,12 @@ def test_a06_imaginary_part_log2():
 
 def test_a07_odd_zeta_extraction():
     residuals = {
-        s: abs(odd_zeta_from_contour(s, 1e-8) - zeta_series(s, 1e-13))
+        s: abs(verify_odd_zeta(s, 1e-8).lhs - zeta_series(s, 1e-13))
         for s in (3, 5, 7, 9)
     }
     k3 = cot_power_integral(3, 1e-11).value
     reduction = (2.0 * math.pi**2 * math.log(2.0) - k3) / 7.0
-    reduction_res = abs(odd_zeta_from_contour(3, 1e-9) - reduction)
+    reduction_res = abs(verify_odd_zeta(3, 1e-9).lhs - reduction)
     ok = all(r < 1e-7 for r in residuals.values()) and reduction_res < 1e-12
     _report(
         "A07",

@@ -429,7 +429,7 @@ def test_eval_budget_variable_is_ignored(capsys, monkeypatch, value):
 def test_nonfinite_bound_is_named(capsys):
     with pytest.raises(SystemExit):
         cli.main(["contour", "--s", "2", "--radius", "nan"])
-    assert "--radius must be finite and > 0, got nan" in capsys.readouterr().err
+    assert "got R = nan" in capsys.readouterr().err
 
 
 def test_parser_reuse_leaks_nothing_between_calls(capsys):

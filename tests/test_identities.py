@@ -17,7 +17,6 @@ from zeta_recur.identities import (
     cot_power_integral,
     eq9_components,
     expanded_real_identity,
-    odd_zeta_from_contour,
     verify_bose_integral,
     verify_eq5,
     verify_eq9,
@@ -455,11 +454,67 @@ def test_expanded_identity_rejects_small_s():
 
 
 # ---------------------------------------------------------------------------
+# K(s) against its closed form
+
+@functools.cache
+def _k_closed_form(s_max=41, terms=60):
+    """{s: K(s)} for s = 2..s_max at 40 digits, K(s) = int_0^pi y^(s-1) cot(y/2) dy.
+
+    pi cot(pi x) = 1/x - 2 sum_{k>=1} zeta(2k) x^(2k-1) on (0, 1/2], with y = 2 pi x,
+    gives K(s) = pi^(s-1) [2/(s-1) - sum_{k>=1} 4^(1-k) zeta(2k)/(s+2k-1)], where
+    zeta(2k) = q_k pi^(2k) and each q_k comes from one Table walk.  The k-th
+    term is below 4^(1-k), so 60 terms leave about 1e-35 of K(s): no quadrature."""
+    import mpmath as mp
+
+    from zeta_recur.exact import Table
+
+    table = Table()
+    with mp.workdps(40):
+        zeta = []
+        for k in range(1, terms + 1):
+            q = zeta_even_recursive(k, table=table).coeff
+            zeta.append(mp.mpf(q.numerator) / q.denominator * mp.pi ** (2 * k))
+        return {s: mp.pi ** (s - 1) * (mp.mpf(2) / (s - 1) - mp.fsum(
+                    mp.mpf(4) ** -k * z / (s + 2 * k + 1) for k, z in enumerate(zeta)))
+                for s in range(2, s_max + 1)}
+
+
+def test_k_closed_form_against_mpmath_quadrature():
+    import mpmath as mp
+
+    k = _k_closed_form()
+    with mp.workdps(40):
+        assert abs(k[2] / (2 * mp.pi * mp.log(2)) - 1) < 1e-35  # K(2) = 2 pi ln 2
+        for s in (3, 7, 20, 41):
+            quad = mp.quad(lambda y: y ** (s - 1) * mp.cot(y / 2), [0, mp.pi])
+            assert abs(quad / k[s] - 1) < 1e-30, s
+
+
+@pytest.mark.parametrize("rel", [1e-4, 1e-8, 1e-12, 1e-15])
+def test_cot_power_integral_within_tol_of_its_closed_form(rel):
+    import mpmath as mp
+
+    # K(m) >= 0 is the integral of |f|, so every panel's floor sums to about
+    # 2 eps K(m): each tol down to 1e-15 K(m) must converge and be met
+    for m, exact in _k_closed_form().items():
+        tol = rel * float(exact)
+        result = cot_power_integral(m, tol)
+        assert result.converged, (m, result)
+        assert abs(mp.mpf(result.value) - exact) <= tol, (m, result)
+
+
+def test_cot_power_integral_below_its_floor_says_so():
+    for m, exact in _k_closed_form().items():
+        result = cot_power_integral(m, 1e-16 * float(exact))
+        assert result.reason == ROUNDOFF_FLOOR, (m, result)
+
+
+# ---------------------------------------------------------------------------
 # odd zeta extraction
 
 @pytest.mark.parametrize("s", [3, 5, 7])
 def test_odd_zeta_extraction(s):
-    extracted = odd_zeta_from_contour(s, 1e-8)
+    extracted = verify_odd_zeta(s, 1e-8).lhs
     assert abs(extracted - zeta_series(s, 1e-13)) < 1e-8
 
 
@@ -467,7 +522,7 @@ def test_zeta3_reduction_formula():
     # the solved s=3 form: zeta(3) = (2 pi^2 ln 2 - K(3)) / 7
     k3 = cot_power_integral(3, 1e-11).value
     closed = (2.0 * math.pi**2 * math.log(2.0) - k3) / 7.0
-    assert abs(odd_zeta_from_contour(3, 1e-9) - closed) < 1e-12
+    assert abs(verify_odd_zeta(3, 1e-9).lhs - closed) < 1e-12
     assert abs(closed - zeta_series(3, 1e-13)) < 1e-9
 
 
@@ -476,10 +531,10 @@ def test_odd_zeta_report():
 
 
 def test_odd_zeta_rejects_bad_s():
+    with pytest.raises(ValueError, match="verify_odd_zeta requires an odd s"):
+        verify_odd_zeta(4, 1e-8)
     with pytest.raises(ValueError):
-        odd_zeta_from_contour(4, 1e-8)
-    with pytest.raises(ValueError):
-        odd_zeta_from_contour(1, 1e-8)
+        verify_odd_zeta(1, 1e-8)
 
 
 def test_fraction_free_weights_match_the_fraction_forms():
@@ -535,7 +590,7 @@ def _odd_zeta_uniform_reference(s, tol):
 def test_odd_extraction_bit_for_bit_against_uniform_requests():
     for s in range(3, 42, 2):
         for tol in ODD_TOLS:
-            value = odd_zeta_from_contour(s, tol)
+            value = verify_odd_zeta(s, tol).lhs
             assert repr(value) == repr(_odd_zeta_uniform_reference(s, tol)), (s, tol)
 
 
@@ -561,7 +616,7 @@ def test_odd_extraction_asks_each_k_only_for_what_zeta_s_needs(monkeypatch):
         return result
 
     monkeypatch.setattr(identities, "cot_power_integral", counted)
-    odd_zeta_from_contour(41, 1e-10)
+    verify_odd_zeta(41, 1e-10)
     assert len(evaluations) == 20
     assert sum(evaluations) <= 600
 

@@ -21,6 +21,7 @@ from zeta_recur.identities import (
     verify_eq9,
     verify_fermi_integral,
     verify_log2_identity,
+    verify_odd_zeta,
     verify_zeta2,
 )
 from zeta_recur.quadrature import (
@@ -253,3 +254,66 @@ def test_eq10_passes_agree_with_mpmath():
 
     prop()
     assert len(passes) > 100
+
+
+@functools.cache
+def _mp_value(identity, s):
+    """mpmath's value, at 30 digits, of both sides of a check at s: Gamma(s) zeta(s)
+    for eq2, (1 - 2^(1-s)) Gamma(s) zeta(s) for eq7, zeta(s) for odd and s2, and
+    pi ln 2 for log2."""
+    with mp.workdps(30):
+        if identity == "log2":
+            return mp.pi * mp.log(2)
+        value = mp.zeta(s)
+        if identity in ("eq2", "eq7"):
+            value *= mp.gamma(s)
+        if identity == "eq7":
+            value *= 1 - mp.mpf(2) ** (1 - s)
+        return value
+
+
+# identity -> (its check at (s, tol), draws, the least number of them that pass)
+_CHECKS = {
+    "eq2": (verify_bose_integral, 400, 300),
+    "eq7": (verify_fermi_integral, 400, 300),
+    "odd": (verify_odd_zeta, 150, 90),
+    "s2": (lambda s, tol: verify_zeta2(tol), 100, 60),
+    "log2": (lambda s, tol: verify_log2_identity(tol), 100, 60),
+}
+
+
+@pytest.mark.parametrize("identity", _CHECKS)
+def test_passes_agree_with_mpmath(identity):
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # a pass is never a wrong answer: both sides lie within tol of mpmath's
+    # value.  eq2 and eq7 draw tol from 1e-16 to 1e2 times that value, the
+    # others from 1e-17 to 1e-2; the pass count shows the property is exercised
+    check, draws, least = _CHECKS[identity]
+    if identity in ("eq2", "eq7"):
+        s_draw, decades = st.integers(2, 108), st.floats(-16.0, 2.0)
+    elif identity == "odd":
+        s_draw, decades = st.integers(1, 85).map(lambda h: 2 * h + 1), st.floats(-17.0, -2.0)
+    else:
+        s_draw, decades = st.just(2), st.floats(-17.0, -2.0)
+    passes = []
+
+    @hyp.settings(max_examples=draws, deadline=None, derandomize=True, database=None)
+    @hyp.given(s=s_draw, decades=decades)
+    def prop(s, decades):
+        value = _mp_value(identity, s)
+        tol = 10.0 ** decades * (float(value) if identity in ("eq2", "eq7") else 1.0)
+        try:
+            report = check(s, tol)
+        except Refused:  # s2, below the floor of its one integral
+            assert identity == "s2" and tol < 4 * EPS * math.pi
+            return
+        if report.passed:
+            passes.append(s)
+            with mp.workdps(30):
+                assert abs(report.lhs - value) <= tol, (s, tol)
+                assert abs(report.rhs - value) <= tol, (s, tol)
+
+    prop()
+    assert len(passes) >= least
