@@ -15,17 +15,21 @@ call in the process; parsing leaves no state in it.  `identities` and
 `quadrature` are imported by the first verify or contour call, so even and
 bernoulli load only the exact core.
 
+`json` is imported only to print --format json.
+
 Output is deterministic: identical argv yields byte-identical stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
 
+from . import exact
+# `even` compares b_n with B_2n instead of calling zeta_even_euler; the name stays
+# bound here only because perfbench's tracer wraps it on this module
 from .exact import Table, bernoulli, render_decimal, zeta_even_euler, zeta_even_recursive
 from .machin import decimal_str
 
@@ -60,6 +64,8 @@ def _jsonable(x):
 
 def _emit_table(header: list[str], rows: list[list], fmt: str, command: str) -> None:
     if fmt == "json":
+        import json
+
         doc = {"command": command,
                "rows": [dict(zip(header, (_jsonable(v) for v in row))) for row in rows]}
         print(json.dumps(doc, sort_keys=True))
@@ -76,6 +82,8 @@ def _emit_table(header: list[str], rows: list[list], fmt: str, command: str) -> 
 
 def _emit_record(fields: list[tuple[str, object]], fmt: str, command: str) -> None:
     if fmt == "json":
+        import json
+
         doc = {"command": command}
         doc.update({k: _jsonable(v) for k, v in fields})
         print(json.dumps(doc, sort_keys=True))
@@ -89,11 +97,20 @@ def _emit_record(fields: list[tuple[str, object]], fmt: str, command: str) -> No
 
 
 def cmd_zeta_even(n_max: int, digits: int, fmt: str) -> int:
+    """The `even` table: q_n from the recursion, checked against Euler's closed form.
+
+    The recursion stores b_n = 2^(1-2n) (2n)! q_n, and Euler's q_n rescaled
+    the same way is (-1)^(n+1) B_(2n), so the two q_n are equal exactly when
+    those two numbers are, sign included.  B_(2n) comes from the tangent
+    numbers, which never enter the recursion.  It is looked up on `exact` at
+    call time, so rebinding it there (as a tracer does) takes effect.
+    """
     table = Table()
     rows = []
     for n in range(1, n_max + 1):
         recursive = zeta_even_recursive(n, table=table)
-        equal = recursive.coeff == zeta_even_euler(n, table=table).coeff
+        euler = exact.bernoulli(2 * n, table=table)
+        equal = table.b[n - 1] == (euler if n % 2 else -euler)
         zeta = render_decimal(recursive, digits, table=table)
         rows.append([n, _coeff_str(recursive.coeff), equal, zeta])
     _emit_table(["n", "coeff", "equal", "zeta"], rows, fmt, "even")

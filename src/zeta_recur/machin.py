@@ -16,7 +16,9 @@ Guard-digit policy for truncated decimal output, owned by ``truncated``
 and keep the proven error bound ``err`` in last-place units.  Accept the
 truncation only when the discarded guard block sits at least ``err`` units
 away from both the borrow and the carry boundary; otherwise retry with the
-guard doubled, starting from 12 digits.  The retry loop terminates for an
+guard doubled, starting from the caller's guard (12 digits by default).  Any
+guard that passes the test settles the same digits, so where the loop starts
+changes its cost, never its result.  The retry loop terminates for an
 irrational value, which never lands exactly on a boundary.
 
 ``pi_scaled`` keeps nothing: a caller that asks for many precisions (as
@@ -97,19 +99,18 @@ def pi_scaled(precision: int, widest: tuple[int, int, int] | None = None) -> tup
     return 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
 
 
-def truncated(scaled: Callable[[int], tuple[int, int]], d: int) -> str:
+def truncated(scaled: Callable[[int], tuple[int, int]], d: int, guard: int = _GUARD_START) -> str:
     """x truncated (not rounded) to d digits after the point, for irrational 1 < x < 10.
 
     ``scaled(p)`` returns (v, err) with |v - x * 10**p| <= err.  It is asked
-    for p = d + guard with guard = 12, 24, 48, ... until the guard block
-    settles floor(x * 10**d).
+    for p = d + guard with guard = g, 2g, 4g, ... from the given start g
+    until the guard block settles floor(x * 10**d).
     """
     if not isinstance(d, int) or isinstance(d, bool):
         raise ValueError("digit count must be an integer")
     if not 1 <= d <= MAX_DIGITS:
         raise ValueError(f"digit count must be in 1..{MAX_DIGITS}, got {d}")
 
-    guard = _GUARD_START
     while True:
         v, err = scaled(d + guard)
         block = 10**guard

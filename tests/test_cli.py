@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from zeta_recur import cli, identities, quadrature
+from zeta_recur import cli, exact, identities, quadrature
 
 
 def run(capsys, argv):
@@ -48,6 +48,23 @@ def test_even_full_cross_check(capsys):
     assert code == 0
     assert out.count("true") == 50
     assert "false" not in out
+
+
+@pytest.mark.parametrize("wrong", [3, 4])
+def test_even_equal_column_checks_the_sign(capsys, monkeypatch, wrong):
+    # B_2n with its sign flipped at one n has the right magnitude; only that row
+    # may read false, and the table must then exit 1
+    bernoulli = exact.bernoulli
+
+    def flipped(m, **kwargs):
+        b = bernoulli(m, **kwargs)
+        return -b if m == 2 * wrong else b
+
+    monkeypatch.setattr(exact, "bernoulli", flipped)
+    code, out = run(capsys, ["even", "--n", "6", "--digits", "5", "--format", "csv"])
+    assert code == 1
+    equal = [line.split(",")[2] for line in out.splitlines()[1:]]
+    assert equal == ["false" if n == wrong else "true" for n in range(1, 7)]
 
 
 def test_even_json_round_trip(capsys):
@@ -151,7 +168,8 @@ def test_every_command_runs_without_mpmath():
 def test_even_and_bernoulli_load_only_the_exact_core():
     # -S keeps the environment's site hooks from importing stdlib modules first;
     # `random` and `cmath` are imported only by `identities` and `quadrature`,
-    # and no command loads `dataclasses`, `inspect` or `typing`
+    # `json` only by --format json, and no command loads `dataclasses`,
+    # `inspect` or `typing`
     script = (
         "import contextlib, io, sys\n"
         "from zeta_recur import cli\n"
@@ -159,18 +177,24 @@ def test_even_and_bernoulli_load_only_the_exact_core():
         "unused = lambda: [m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules]\n"
         "assert loaded() == ['zeta_recur', 'zeta_recur.cli', 'zeta_recur.exact',\n"
         "                    'zeta_recur.machin'], loaded()\n"
+        "assert 'json' not in sys.modules\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(['even', '--n', '5']), cli.main(['bernoulli', '--n', '5'])]\n"
         "assert codes == [0, 0], codes\n"
-        "numeric = ('zeta_recur.identities', 'zeta_recur.quadrature', 'random', 'cmath')\n"
+        "numeric = ('zeta_recur.identities', 'zeta_recur.quadrature', 'random', 'cmath', 'json')\n"
         "assert not [m for m in numeric if m in sys.modules], loaded()\n"
         "assert not unused(), unused()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['verify', 'eq2']) == 0\n"
+        "assert 'json' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['contour', '--s', '2']) == 0\n"
         "    assert cli.main(['verify', 'eq5']) == 0\n"
         "assert 'zeta_recur.identities' in sys.modules\n"
         "assert not unused(), unused()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', 'eq5', '--format', 'json']) == 0\n"
+        "assert 'json' in sys.modules\n"
     )
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

@@ -192,6 +192,14 @@ def test_triangle_consistent_under_concurrent_growth(in_threads):
         assert values == [zeta_even_euler(n, table=euler).coeff for n in ns]
 
 
+def test_b_is_the_signed_bernoulli_number_through_300():
+    # b_n = 2^(1-2n) (2n)! q_n = (-1)^(n+1) B_2n: what `even` compares for recursion == Euler
+    walked, euler = Table(), Table()
+    for n in range(1, 301):
+        zeta_even_recursive(n, table=walked)
+        assert walked.b[n - 1] == (-1) ** (n + 1) * bernoulli(2 * n, table=euler), n
+
+
 def test_recursion_touches_no_bernoulli_or_tangent_numbers(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the contour recursion must stay independent of Euler's route")
@@ -424,6 +432,32 @@ def test_render_decimal_matches_mpmath_floor_along_memo_paths():
             expected = int(mpmath.floor(mpmath.zeta(2 * n) * mpmath.mpf(10) ** d))
         value = zeta_even_recursive(n, table=table)
         assert render_decimal(value, d, table=table) == f"{str(expected)[0]}.{str(expected)[1:]}"
+
+
+def test_render_guard_carries_along_a_table(monkeypatch):
+    # past n ~ 20 at d = 10 every row needs a guard above 12; a table starts
+    # each row from the last guard that settled, so the retries are paid once
+    asked: list[int] = []
+    pi = exact.pi_scaled
+    monkeypatch.setattr(exact, "pi_scaled", lambda p, widest=None: asked.append(p) or pi(p, widest))
+    table = Table()
+    guards = []
+    for n in range(1, 151):
+        render_decimal(zeta_even_recursive(n, table=table), 10, table=table)
+        assert len(asked) <= n + 8, n  # a cold start on every row makes 414 calls by n = 150
+        guards.append(table.guard)
+    assert guards == sorted(guards) and guards[0] == 12 and guards[-1] > 48
+
+
+def test_render_guard_carried_down_the_rows_keeps_the_digits():
+    # eq10 walks one table from its largest n down, so every row after the
+    # first starts from a guard wider than it needs
+    table = Table()
+    for n in range(85, 0, -1):
+        with mpmath.workdps(17 + n + 40):
+            expected = int(mpmath.floor(mpmath.zeta(2 * n) * mpmath.mpf(10) ** 17))
+        assert zeta_even_recursive(n, table=table).approx(table=table) == expected / 10**17, n
+    assert table.guard > 12
 
 
 def test_render_decimal_validation():

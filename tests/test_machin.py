@@ -167,3 +167,15 @@ def test_truncated_guard_clears_both_boundaries(x, offset, expected):
 
     assert truncated(scaled, 10) == expected
     assert requested == [22, 34, 58]  # guard 12, doubled until 10**(p-40) clears the bound
+
+
+def test_truncated_starts_from_the_given_guard():
+    # a caller that knows the guard the value needs skips the narrower attempts
+    requested = []
+
+    def scaled(p):
+        requested.append(p)
+        return pi_scaled(p)
+
+    assert truncated(scaled, 10, 48) == truncated(pi_scaled, 10)
+    assert requested == [58]  # d + 48, settled at once
