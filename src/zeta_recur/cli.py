@@ -15,7 +15,9 @@ call in the process; parsing leaves no state in it.  `identities` and
 `quadrature` are imported by the first verify or contour call, so even and
 bernoulli load only the exact core.
 
-`json` is imported only to print --format json.
+`json` is imported only to print --format json, `fractions` by the exact
+core's first rational (even, bernoulli and eq10), and `decimal` and `random`
+only by eq5, so --help, contour and every other verify load none of them.
 
 Output is deterministic: identical argv yields byte-identical stdout.
 """
@@ -25,7 +27,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from fractions import Fraction
 
 from . import exact
 # `even` compares b_n with B_2n instead of calling zeta_even_euler; the name stays

@@ -57,6 +57,10 @@ step, and each render starts from the guard the render before it settled
 at.  Without a table a call builds what it needs, starts at machin's default
 guard and keeps nothing.  The value returned is the same either way.  A
 table is not locked: it belongs to the one caller (or thread) that walks it.
+
+``fractions`` is imported by the first function that builds a rational, not
+at import: ``cli`` imports this module for every command, and only ``even``,
+``bernoulli`` and eq10 need a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import accumulate
 
 from .machin import _GUARD_START, pi_scaled, truncated
@@ -103,8 +106,10 @@ class Table:
     __slots__ = ("tangent", "bernoulli", "b", "diagonal", "scale", "pi", "pi_powers", "guard")
 
     def __init__(self) -> None:
+        import fractions
+
         self.tangent = []
-        self.bernoulli = [Fraction(1), Fraction(-1, 2)]
+        self.bernoulli = [fractions.Fraction(1), fractions.Fraction(-1, 2)]
         self.b = []
         self.diagonal = [0]
         self.scale = 1
@@ -139,6 +144,8 @@ def bernoulli(m: int, *, table: Table | None = None) -> Fraction:
     tangent column just far enough for it, so the table never holds more
     than B_(2K+1) for K = m // 2 of the largest m asked of it.
     """
+    import fractions
+
     if m < 0:
         raise ValueError("Bernoulli index must be nonnegative")
     if table is None:
@@ -146,8 +153,8 @@ def bernoulli(m: int, *, table: Table | None = None) -> Fraction:
     start = len(table.tangent) + 1
     for k, t in enumerate(_tangent_numbers(table.tangent, m // 2), start=start):
         four_k = 1 << (2 * k)
-        b = Fraction(2 * k * t, four_k * (four_k - 1))
-        table.bernoulli.extend((b if k % 2 else -b, Fraction(0)))
+        b = fractions.Fraction(2 * k * t, four_k * (four_k - 1))
+        table.bernoulli.extend((b if k % 2 else -b, fractions.Fraction(0)))
     return table.bernoulli[m]
 
 
@@ -178,11 +185,13 @@ class ZetaEvenValue(namedtuple("ZetaEvenValue", "n coeff")):
 
 def zeta_even_euler(n: int, *, table: Table | None = None) -> ZetaEvenValue:
     """zeta(2n) coefficient from the Bernoulli closed form."""
+    import fractions
+
     if n < 1:
         raise ValueError("n must be >= 1")
     sign = 1 if n % 2 == 1 else -1
     b = bernoulli(2 * n, table=table)
-    coeff = Fraction(sign * 2 ** (2 * n)) * b / (2 * math.factorial(2 * n))
+    coeff = fractions.Fraction(sign * 2 ** (2 * n)) * b / (2 * math.factorial(2 * n))
     return ZetaEvenValue(n, coeff)
 
 
@@ -194,11 +203,13 @@ def _grow_b(table: Table, n: int) -> None:
     b_m with y_(2m) = 0, then c_(2m) with L (-1)^m y_(2m) added to every entry.
     L widens, and the odd diagonal with it, only when b_m's denominator needs it.
     """
+    import fractions
+
     for m in range(len(table.b) + 1, n + 1):
         scale = table.scale
         odd = list(accumulate(table.diagonal, initial=0))
         num = scale + 2 * sum(odd)  # L (1 + 2 c_(2m)[2m]) with y_(2m) = 0
-        b = Fraction(num if m % 2 else -num, 2 * scale * ((1 << (2 * m)) - 1))
+        b = fractions.Fraction(num if m % 2 else -num, 2 * scale * ((1 << (2 * m)) - 1))
         widen = b.denominator // math.gcd(scale, b.denominator)
         if widen > 1:
             scale *= widen
@@ -211,14 +222,16 @@ def _grow_b(table: Table, n: int) -> None:
 
 def zeta_even_recursive(n: int, *, table: Table | None = None) -> ZetaEvenValue:
     """zeta(2n) coefficient from the contour recursion."""
+    import fractions
+
     if n < 1:
         raise ValueError("n must be >= 1")
     if table is None:
         table = Table()
     _grow_b(table, n)
     b = table.b[n - 1]
-    return ZetaEvenValue(n, Fraction(b.numerator << (2 * n - 1),
-                                     b.denominator * math.factorial(2 * n)))
+    return ZetaEvenValue(n, fractions.Fraction(b.numerator << (2 * n - 1),
+                                               b.denominator * math.factorial(2 * n)))
 
 
 def _fixed_mul(a: int, a_err: int, b: int, b_err: int, scale: int) -> tuple[int, int]:

@@ -27,10 +27,8 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import random
 import sys
 from collections import namedtuple
-from decimal import Context, Decimal, localcontext
 
 from .exact import Table, gamma_int, zeta_even_recursive
 from .quadrature import (
@@ -321,11 +319,14 @@ def _exp60(t: float, wide: Context) -> Decimal:
       so lo < X < hi = floor((lo + 1) S / (S - c)) + 1.  q gives lo
       floor(0.3 B) - 3 digits: 73 at B = 256, where hi - lo is below 70.
 
-    Rounding is monotone, so when lo and hi round half-even to the same 60
-    digits, X rounds to them too: the correctly rounded e^t that
-    ``Decimal.exp`` returns.  Otherwise B doubles (Ziv's strategy): e^t is
-    irrational, so it lies on no rounding boundary, and q grows with B while
-    hi - lo stays below about 100, which settles the rounding at some B.
+    ``wide.scaleb(lo, -q)`` rounds lo 10^-q to 60 digits: the same ``scaleb``
+    as ``Decimal(lo).scaleb(-q, wide)`` on the same exactly converted lo, with
+    no ``Decimal`` name to import.  Rounding is monotone, so when lo and hi
+    round half-even to the same 60 digits, X rounds to them too: the correctly
+    rounded e^t that ``Decimal.exp`` returns.  Otherwise B doubles (Ziv's
+    strategy): e^t is irrational, so it lies on no rounding boundary, and q
+    grows with B while hi - lo stays below about 100, which settles the
+    rounding at some B.
     """
     num, den = t.as_integer_ratio()
     k = max(0, math.frexp(t)[1] + 10)
@@ -347,14 +348,16 @@ def _exp60(t: float, wide: Context) -> Decimal:
             q = bits * 3 // 10 - 4 - exponent
             lo = e * 10**q >> bits
             hi = (lo + 1) * one // (one - c) + 1
-            rounded = Decimal(lo).scaleb(-q, wide)
-            if rounded == Decimal(hi).scaleb(-q, wide):
+            rounded = wide.scaleb(lo, -q)
+            if rounded == wide.scaleb(hi, -q):
                 return rounded
         bits *= 2
 
 
 def _eq5_points():
     """The seeded t of verify_eq5, alternately log-uniform and uniform on (1e-6, 30)."""
+    import random
+
     rng = random.Random(_EQ5_SEED)
     log_hi = math.log10(30.0)
     for i in range(_EQ5_SAMPLES):
@@ -383,6 +386,8 @@ def verify_eq5(tol: float = 1e-9) -> IdentityReport:
     digits, whose argument error 2t 5e-50 moves e^(2t) by up to 3e-48
     relative at t = 30.
     """
+    from decimal import Context, localcontext
+
     worst = 0.0
     with localcontext() as ctx:
         ctx.prec = 50

@@ -167,9 +167,9 @@ def test_every_command_runs_without_mpmath():
 
 def test_even_and_bernoulli_load_only_the_exact_core():
     # -S keeps the environment's site hooks from importing stdlib modules first;
-    # `random` and `cmath` are imported only by `identities` and `quadrature`,
-    # `json` only by --format json, and no command loads `dataclasses`,
-    # `inspect` or `typing`
+    # `cmath` is imported only by `quadrature`, `random` only by eq5, `json`
+    # only by --format json, and no command loads `dataclasses`, `inspect` or
+    # `typing`
     script = (
         "import contextlib, io, sys\n"
         "from zeta_recur import cli\n"
@@ -195,6 +195,42 @@ def test_even_and_bernoulli_load_only_the_exact_core():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['verify', 'eq5', '--format', 'json']) == 0\n"
         "assert 'json' in sys.modules\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+
+
+LAZY_STDLIB = ["fractions", "decimal", "numbers", "random"]
+
+
+@pytest.mark.parametrize("argvs,needed,unloaded", [
+    ([["--help"], ["verify", "eq2"], ["contour", "--s", "2"]], [], LAZY_STDLIB),
+    ([["verify", "eq5"]], ["decimal", "random"], ["fractions"]),
+    ([["even", "--n", "5"]], ["fractions"], ["random"]),
+    ([["bernoulli", "--n", "5"]], ["fractions"], ["random"]),
+    ([["verify", "eq10", "--s", "12", "--tol", "1e-6"]], ["fractions"], ["random"]),
+], ids=["help-verify-contour", "eq5", "even", "bernoulli", "eq10"])
+def test_each_command_loads_only_the_stdlib_it_uses(argvs, needed, unloaded):
+    # one fresh -S process per group, so each assertion sees only its own
+    # commands' imports: import itself loads none of LAZY_STDLIB, `fractions`
+    # comes with the exact core's first rational, `decimal` and `random` with eq5
+    script = (
+        "import contextlib, io, sys\n"
+        "from zeta_recur import cli\n"
+        f"assert not [m for m in {LAZY_STDLIB!r} if m in sys.modules]\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            code = cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    assert code == 0, (argv, code)\n"
+        f"    assert not [m for m in {unloaded!r} if m in sys.modules], argv\n"
+        f"assert all(m in sys.modules for m in {needed!r})\n"
     )
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

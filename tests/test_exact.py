@@ -192,6 +192,22 @@ def test_triangle_consistent_under_concurrent_growth(in_threads):
         assert values == [zeta_even_euler(n, table=euler).coeff for n in ns]
 
 
+def test_imaginary_part_at_odd_s_gives_the_same_coefficients_through_200():
+    # a third exact route, sharing no arithmetic with the triangle or the tangent
+    # numbers: Im (9) at s = 2n+1 (docs/derivation.md), where K(s) drops out,
+    #   sum_{k=0}^{n-1} (-1)^k C(2n,2k+1) (1 - 2^(1-2(n-k))) Gamma(2(n-k)) q_(n-k)
+    #       = (-1)^(n+1) / (2(2n+1)),
+    # solved for its k = 0 term, whose weight 2n (1 - 2^(1-2n)) (2n-1)! is positive
+    q = [None]
+    table = Table()
+    for n in range(1, 201):
+        rest = sum((-1) ** k * math.comb(2 * n, 2 * k + 1) * (1 - Fraction(2, 4 ** (n - k)))
+                   * math.factorial(2 * (n - k) - 1) * q[n - k] for k in range(1, n))
+        weight = 2 * n * (1 - Fraction(2, 4 ** n)) * math.factorial(2 * n - 1)
+        q.append((Fraction((-1) ** (n + 1), 2 * (2 * n + 1)) - rest) / weight)
+        assert q[n] == zeta_even_recursive(n, table=table).coeff, n
+
+
 def test_b_is_the_signed_bernoulli_number_through_300():
     # b_n = 2^(1-2n) (2n)! q_n = (-1)^(n+1) B_2n: what `even` compares for recursion == Euler
     walked, euler = Table(), Table()

@@ -259,8 +259,10 @@ def test_eq10_passes_agree_with_mpmath():
 @functools.cache
 def _mp_value(identity, s):
     """mpmath's value, at 30 digits, of both sides of a check at s: Gamma(s) zeta(s)
-    for eq2, (1 - 2^(1-s)) Gamma(s) zeta(s) for eq7, zeta(s) for odd and s2, and
-    pi ln 2 for log2."""
+    for eq2, (1 - 2^(1-s)) Gamma(s) zeta(s) for eq7, zeta(s) for odd and s2,
+    pi ln 2 for log2, and eq9's C from its closed form at 40 digits."""
+    if identity == "eq9":
+        return _eq9_c_closed_form(s)
     with mp.workdps(30):
         if identity == "log2":
             return mp.pi * mp.log(2)
@@ -272,6 +274,20 @@ def _mp_value(identity, s):
         return value
 
 
+def _eq9_c_closed_form(s, terms=60):
+    """EQ9's C = -(i^s/2) pi^s/s - (i^(s+1)/2) K(s) at 40 digits, without quadrature.
+
+    K(s) = int_0^pi y^(s-1) cot(y/2) dy = pi^(s-1) [2/(s-1) - sum_{k>=1} 4^(1-k)
+    zeta(2k)/(s+2k-1)], from pi cot(pi x) = 1/x - 2 sum_k zeta(2k) x^(2k-1) with
+    y = 2 pi x.  zeta(2k) is mpmath's own, so nothing here comes from the package;
+    the k-th term is below 4^(1-k), so 60 terms leave about 1e-35 of K(s)."""
+    with mp.workdps(40):
+        k_s = mp.pi ** (s - 1) * (mp.mpf(2) / (s - 1) - mp.fsum(
+            mp.mpf(4) ** (1 - k) * mp.zeta(2 * k) / (s + 2 * k - 1) for k in range(1, terms + 1)))
+        i_pow = (1, 1j, -1, -1j)
+        return -i_pow[s % 4] / 2 * mp.pi ** s / s - i_pow[(s + 1) % 4] / 2 * k_s
+
+
 # identity -> (its check at (s, tol), draws, the least number of them that pass)
 _CHECKS = {
     "eq2": (verify_bose_integral, 400, 300),
@@ -279,6 +295,7 @@ _CHECKS = {
     "odd": (verify_odd_zeta, 150, 90),
     "s2": (lambda s, tol: verify_zeta2(tol), 100, 60),
     "log2": (lambda s, tol: verify_log2_identity(tol), 100, 60),
+    "eq9": (verify_eq9, 300, 200),
 }
 
 
@@ -288,11 +305,14 @@ def test_passes_agree_with_mpmath(identity):
     st = pytest.importorskip("hypothesis.strategies")
 
     # a pass is never a wrong answer: both sides lie within tol of mpmath's
-    # value.  eq2 and eq7 draw tol from 1e-16 to 1e2 times that value, the
-    # others from 1e-17 to 1e-2; the pass count shows the property is exercised
+    # value.  eq2 and eq7 draw tol from 1e-16 to 1e2 times that value, eq9
+    # from 1e-16 to 1 times Gamma(s), the others from 1e-17 to 1e-2; the pass
+    # count shows the property is exercised
     check, draws, least = _CHECKS[identity]
     if identity in ("eq2", "eq7"):
         s_draw, decades = st.integers(2, 108), st.floats(-16.0, 2.0)
+    elif identity == "eq9":
+        s_draw, decades = st.integers(2, 108), st.floats(-16.0, 0.0)
     elif identity == "odd":
         s_draw, decades = st.integers(1, 85).map(lambda h: 2 * h + 1), st.floats(-17.0, -2.0)
     else:
@@ -303,10 +323,17 @@ def test_passes_agree_with_mpmath(identity):
     @hyp.given(s=s_draw, decades=decades)
     def prop(s, decades):
         value = _mp_value(identity, s)
-        tol = 10.0 ** decades * (float(value) if identity in ("eq2", "eq7") else 1.0)
+        scale = (float(value) if identity in ("eq2", "eq7")
+                 else math.gamma(s) if identity == "eq9" else 1.0)
+        tol = 10.0 ** decades * scale
         try:
             report = check(s, tol)
-        except Refused:  # s2, below the floor of its one integral
+        except Refused as exc:
+            if identity == "eq9":  # the floor is printed to 3 digits
+                floor = float(str(exc).split("requires tol >= ")[1].split()[0])
+                assert tol < floor * (1 + 5e-3), (s, tol, str(exc))
+                return
+            # s2, below the floor of its one integral
             assert identity == "s2" and tol < 4 * EPS * math.pi
             return
         if report.passed:
