@@ -20,6 +20,8 @@ paths it is used to check.
 
 This module alone decides what each check accepts (``Refused``, raised
 before any quadrature, names the bound), whether it passed and why not.
+Checks that run several integrals or refuse below a floor declare each integral
+once, with its share of tol, weight and bound: ``_integrate`` refuses, runs and sums them.
 """
 
 from __future__ import annotations
@@ -133,9 +135,10 @@ def _refuse_below_floor(name: str, s: int, tol: float, requests, why: str = (
     eps * bound can never be met, and the quadrature would run into its
     roundoff floor.  The floor named is the smallest tol every request meets,
     and why says what the bounds are: eq10's is an estimate of the rounding
-    of its summed terms.
+    of its summed terms.  An empty list never refuses.  The callers are
+    ``_integrate`` and eq10.
     """
-    floor = max(_EPS * bound / share for share, bound in requests)
+    floor = max((_EPS * bound / share for share, bound in requests), default=0.0)
     if tol < floor:
         raise Refused(f"{name} requires tol >= {floor:.3g} at s = {s} ({why}), "
                       f"got tol = {tol!r}")
@@ -146,6 +149,20 @@ def _share(k: float, tol: float) -> float:
     at least the least positive double: a subnormal tol must reach the
     quadrature, stop at its roundoff floor and say so, not underflow to 0."""
     return max(k * tol, math.ulp(0.0))
+
+
+def _integrate(name: str, s: int, tol: float, integrals):
+    """Refuse tol, then run and sum a check's integrals, each declared once as
+    (weight, share, bound, integral): integral(t) runs at t = _share(share, tol),
+    weight is the size of its coefficient in the identity and bound a proven
+    lower bound on its integral of |f|, 0.0 for none.  Returns the values in
+    order, the fsum of weight times error estimate, the evaluations and why any
+    quadrature stopped short."""
+    _refuse_below_floor(name, s, tol, [(share, bound) for _, share, bound, _ in integrals if bound])
+    quads = [integral(_share(share, tol)) for _, share, _, integral in integrals]
+    estimate = math.fsum([w * q.error_estimate for (w, _, _, _), q in zip(integrals, quads)])
+    return ([q.value for q in quads], estimate, sum([q.evaluations for q in quads]),
+            _stop_reason(quads))
 
 
 class _Verdict:
@@ -278,7 +295,8 @@ def _odd_divisor(m: int) -> float:
 
 
 def verify_bose_integral(s: int, tol: float = 1e-9) -> IdentityReport:
-    """EQ2: quadrature of x^(s-1)/(e^x-1) against Gamma(s) * zeta_series(s)."""
+    """EQ2: quadrature of x^(s-1)/(e^x-1) against Gamma(s) * zeta_series(s).  One
+    integral at tol/2 with no floor, so not through _integrate until it has a bound."""
     _require_s("verify_bose_integral", s, *_REAL_AXIS_S)
     quad = integrate_semi_infinite(bose(s), s, _share(0.5, tol))
     rhs = _oracle(s, tol, gamma_int(s))
@@ -286,7 +304,8 @@ def verify_bose_integral(s: int, tol: float = 1e-9) -> IdentityReport:
 
 
 def verify_fermi_integral(s: int, tol: float = 1e-9) -> IdentityReport:
-    """EQ7: quadrature of x^(s-1)/(e^x+1) against (1-2^(1-s)) Gamma(s) zeta_series(s)."""
+    """EQ7: quadrature of x^(s-1)/(e^x+1) against (1-2^(1-s)) Gamma(s) zeta_series(s).
+    Like EQ2, one integral at tol/2 with no floor, not through _integrate."""
     _require_s("verify_fermi_integral", s, *_REAL_AXIS_S)
     quad = integrate_semi_infinite(fermi(s), s, _share(0.5, tol))
     rhs = _oracle(s, tol, _fermi_weight(s))
@@ -406,11 +425,11 @@ def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9) -> ContourReport
     """EQ8: the four side integrals, counterclockwise, their sum and its verdict.
 
     pi |R + i pi|^(s-1), the size of the integrand times a side's length, must fit
-    a double.  Each side runs at tol/4, and tol is refused below the floor of
-    these lower bounds on a side's integral of |f|:
+    a double.  Each side runs at tol/4 with weight 1, and tol is refused below
+    the floor of these lower bounds on a side's integral of |f|:
       bottom  gamma(s, R), since 1/(e^x - 1) >= e^-x;
       top     gamma(s, R)/2, since |e^(x + i pi) - 1| = e^x + 1 <= 2 e^x, so
-              its floor never exceeds the bottom's and it is left out;
+              its floor never exceeds the bottom's and it declares none;
       left    pi^(s-1)/(s-1), since |e^(iy) - 1| = 2 sin(y/2) <= y;
       right   none needed.
     """
@@ -419,30 +438,23 @@ def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9) -> ContourReport
                       f"(e^R must fit a double), got R = {R!r}")
     s_max = 1 + int((_LN_MAX - math.log(math.pi)) / math.log(abs(complex(R, math.pi))))
     _require_s("contour_closure", s, s_max, f"pi |R + i pi|^(s-1) must fit a double at R = {R!r}")
-    _refuse_below_floor("contour_closure", s, tol,
-                        ((0.25, _lower_gamma(s, R)), (0.25, _pi_side_bound(s))))
-    top = complex(R, math.pi)
-    corner = complex(0.0, math.pi)
-    sides = (
-        Segment(complex(0.0), complex(R)),
-        Segment(complex(R), top),
-        Segment(top, corner),
-        Segment(corner, complex(0.0)),
-    )
-    results = [integrate_segment(s, seg, 0.25 * tol) for seg in sides]
+    corners = (complex(0.0), complex(R), complex(R, math.pi), complex(0.0, math.pi), complex(0.0))
+    bounds = (_lower_gamma(s, R), 0.0, 0.0, _pi_side_bound(s))
+    values, estimate, evaluations, reason = _integrate("contour_closure", s, tol, [
+        (1.0, 0.25, bound, functools.partial(integrate_segment, s, Segment(start, end)))
+        for bound, start, end in zip(bounds, corners, corners[1:])])
     # the bottom side's integral is a float; every side value is reported complex
-    values = tuple(complex(r.value) for r in results)
-    error_estimate = math.fsum(r.error_estimate for r in results)
-    evaluations = sum(r.evaluations for r in results)
-    return ContourReport(s, R, values, error_estimate, evaluations, _stop_reason(results), tol)
+    return ContourReport(s, R, tuple(map(complex, values)), estimate, evaluations, reason, tol)
 
 
 class LimitComponents(namedtuple("LimitComponents", "a b c error_estimate reason",
                                  defaults=("",))):
-    """The three pieces of the R -> inf limit A - B = C, their summed error
-    estimate and why the quadratures that fell short stopped.  verify_eq9 reads
-    the residual and the stop reasons, not error_estimate, which exceeds tol on
-    74 of the 485 eq9 passes of the first 8 seeded verify-sweep rounds of seeds 1-3."""
+    """The three pieces of the R -> inf limit A - B = C, their error estimate (A's
+    tail bound plus each integral's estimate times its weight: 1 for A and C,
+    C(s-1,j) pi^j for F(j)) and why the quadratures that fell short stopped.
+    verify_eq9 reads the residual and the stop reasons, not error_estimate, which
+    exceeds tol on 74 of the 485 eq9 passes of the first 8 seeded verify-sweep
+    rounds of seeds 1-3."""
 
     __slots__ = ()
 
@@ -460,55 +472,40 @@ def eq9_components(s: int, tol: float = 1e-9) -> LimitComponents:
       A on [0, X] at tol/8, with X and A's tail bound beyond it from one
         truncation_point(s, tol/8) scan: gamma(s, X), since 1/(e^x - 1) >= e^-x;
       C at tol/4: pi^(s-1)/(s-1), since |e^(iy) - 1| = 2 sin(y/2) <= y.
-    The F(j) requests are clamped above their own floor and need no bound.
+    Each F(j), of weight c = C(s-1,j) pi^j, runs at tol/(4 s max(1, c)),
+    clamped by _eq9_f above its own floor, so it needs no bound.
     """
     _require_s("eq9_components", s, *_REAL_AXIS_S)
-    part = 0.25 * tol
     x_max, tail = truncation_point(s, 0.125 * tol)
-    _refuse_below_floor("eq9_components", s, tol,
-                        ((0.125, _lower_gamma(s, x_max)), (0.25, _pi_side_bound(s))))
+    rows = list(_binomial_terms(s))
+    values, estimate, _, reason = _integrate("eq9_components", s, tol, [
+        (1.0, 0.125, _lower_gamma(s, x_max),
+         functools.partial(integrate_finite, bose(s), 0.0, x_max)),
+        *[(coef, 0.25 / (s * max(1.0, coef)), 0.0, functools.partial(_eq9_f, s - j))
+          for j, coef, _ in rows[:-1]],
+        (1.0, 0.25, _pi_side_bound(s), functools.partial(_eq9_c, s)),
+    ])
+    a, *f_values, c = values
+    terms = [i_pow * (coef * f_j) for (_, coef, i_pow), f_j in zip(rows, f_values + [LN2])]
+    b = -complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    return LimitComponents(complex(a), b, c, estimate + tail, reason)
 
-    a_quad = integrate_finite(bose(s), 0.0, x_max, 0.125 * tol)
-    a = complex(a_quad.value)
-    err = a_quad.error_estimate + tail
-    quads = [a_quad]
 
-    terms = []
-    for j, coef, i_pow in _binomial_terms(s):
-        if j == s - 1:
-            f_j = LN2
-        else:
-            m = s - j
-            # allocation below the roundoff floor of an integral of size
-            # Gamma(m) is infeasible in doubles; clamp the request there and
-            # let the reported error estimate carry the truth
-            f_tol = max(part / (s * max(1.0, coef)), 5e-15 * gamma_int(m))
-            f_quad = integrate_semi_infinite(fermi(m), m, f_tol)
-            f_j = f_quad.value
-            err += coef * f_quad.error_estimate
-            quads.append(f_quad)
-        terms.append(i_pow * (coef * f_j))
-    b = -complex(
-        math.fsum(t.real for t in terms),
-        math.fsum(t.imag for t in terms),
-    )
-
-    c_quad = _eq9_c(s, tol)
-    quads.append(c_quad)
-    reason = _stop_reason(quads)
-    return LimitComponents(a, b, c_quad.value, err + c_quad.error_estimate, reason)
+def _eq9_f(m: int, tol: float) -> QuadratureResult:
+    """EQ9's F(s - m) = int_0^inf x^(m-1)/(e^x+1) dx at tol, clamped at 5e-15 Gamma(m),
+    the roundoff floor of an integral of size Gamma(m): its estimate carries the truth."""
+    return integrate_semi_infinite(fermi(m), m, max(tol, 5e-15 * gamma_int(m)))
 
 
 def _eq9_c(s: int, tol: float) -> QuadratureResult:
-    """EQ9's C at tol/4: the segment integral of z^(s-1)/(e^z-1) from 0 to i pi,
+    """EQ9's C at tol: the segment integral of z^(s-1)/(e^z-1) from 0 to i pi,
     which is C, as z = iy gives dz = i dy."""
-    return integrate_segment(s, Segment(complex(0.0), complex(0.0, math.pi)), 0.25 * tol)
+    return integrate_segment(s, Segment(complex(0.0), complex(0.0, math.pi)), tol)
 
 
 def verify_eq9(s: int, tol: float = 1e-8) -> IdentityReport:
     """EQ9: A - B against C.  The verdict reads the residual and the stop reasons,
-    not LimitComponents.error_estimate, which exceeds tol on 74 of the 485 eq9
-    passes of the first 8 seeded verify-sweep rounds of seeds 1-3."""
+    not LimitComponents.error_estimate (see there)."""
     comp = eq9_components(s, tol)
     return IdentityReport(IdentityId.EQ9, s, comp.a - comp.b, comp.c, tol, comp.reason)
 
@@ -517,12 +514,14 @@ def verify_log2_identity(tol: float = 1e-9) -> IdentityReport:
     """S2_IMAG: pi * int_0^inf dx/(e^x+1) against (1/2) int_0^pi y sin y/(1-cos y) dy.
 
     The right-hand integrand equals y * cot(y/2) (removable limit 2 at 0)
-    and both sides equal pi ln 2.
+    and both sides equal pi ln 2.  The left runs at tol/8, the right at tol/4,
+    and neither has a bound, so no tol is refused.
     """
-    lhs_quad = integrate_semi_infinite(fermi(1), 1, _share(0.125, tol))
-    rhs_quad = cot_power_integral(2, _share(0.25, tol))
-    return IdentityReport(IdentityId.S2_IMAG, 2, math.pi * lhs_quad.value, 0.5 * rhs_quad.value,
-                          tol, _stop_reason((lhs_quad, rhs_quad)))
+    (lhs, rhs), _, _, reason = _integrate("verify_log2_identity", 2, tol, [
+        (math.pi, 0.125, 0.0, functools.partial(integrate_semi_infinite, fermi(1), 1)),
+        (0.5, 0.25, 0.0, functools.partial(cot_power_integral, 2)),
+    ])
+    return IdentityReport(IdentityId.S2_IMAG, 2, math.pi * lhs, 0.5 * rhs, tol, reason)
 
 
 def cot_power_integral(s: int, tol: float = 1e-10) -> QuadratureResult:
@@ -596,7 +595,8 @@ def expanded_real_identity(s: int, tol: float = 1e-9) -> IdentityReport:
     the terms: the left side's, the pi^s term's, and |lhs - pi^s term| in place
     of |K(s) term|, which the identity makes equal.  That floor estimates the
     rounding of the summed terms; it is not a proof that no smaller tol is met.
-    K(s), whose coefficient is +-1/2, is asked for tol itself.
+    K(s), whose coefficient is +-1/2, is asked for tol itself.  Not through
+    _integrate: its floor estimates its terms, and K(s) runs only for odd s.
     """
     _require_s("expanded_real_identity", s, *_GAMMA_S)
     lhs_terms = _lhs_terms(s)
@@ -628,6 +628,7 @@ def _odd_extraction(s: int, tol: float) -> tuple[float, float, str]:
     w_m err_m and, for each numerator k_m K(m) - known_m, eps times the sum of
     its terms' magnitudes, weighted by |adj[m] / D_m|.  A K(m) that evaluated
     nothing ends the chain: zeta(s) is nan and the estimate infinite.
+    Not through _integrate: its fsum would reorder this printed estimate and not stop early.
     """
     _require_s("verify_odd_zeta", s, *_GAMMA_S, odd=True)
     odd = range(3, s + 1, 2)
@@ -693,12 +694,10 @@ def verify_odd_zeta(s: int, tol: float = 1e-8) -> IdentityReport:
 def verify_zeta2(tol: float = 1e-9) -> IdentityReport:
     """S2_REAL: zeta(2) extracted from the contour against the series oracle.
 
-    Re C = (3/2) zeta(2) at s = 2, so of eq9_components only C runs, at tol/4,
-    and tol is refused below the floor of C's lower bound pi on the integral
-    of |f|.  That bound also dominates A's in eq9_components at s = 2.
+    Re C = (3/2) zeta(2) at s = 2, so of eq9_components only C runs, at tol/4
+    with weight 2/3, and tol is refused below the floor of C's lower bound pi on
+    the integral of |f|, which also dominates A's in eq9_components at s = 2.
     """
-    _refuse_below_floor("verify_zeta2", 2, tol, ((0.25, _pi_side_bound(2)),))
-    c_quad = _eq9_c(2, tol)
-    lhs = c_quad.value.real * 2.0 / 3.0
-    rhs = _oracle(2, tol)
-    return IdentityReport(IdentityId.S2_REAL, 2, lhs, rhs, tol, c_quad.reason)
+    (c,), _, _, reason = _integrate("verify_zeta2", 2, tol, [
+        (2.0 / 3.0, 0.25, _pi_side_bound(2), functools.partial(_eq9_c, 2))])
+    return IdentityReport(IdentityId.S2_REAL, 2, c.real * 2.0 / 3.0, _oracle(2, tol), tol, reason)

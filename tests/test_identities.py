@@ -298,6 +298,52 @@ def test_eq9_scans_its_truncation_point_once(monkeypatch):
     assert scans.count((10, 1.25e-09)) == 1, scans
 
 
+def _record_requests(monkeypatch):
+    """(name, its arguments but the integrand) of each quadrature identities asks for;
+    tol is the last argument."""
+    asked = []
+    for name in ("integrate_finite", "integrate_semi_infinite", "integrate_segment",
+                 "cot_power_integral"):
+        def recorded(*args, name=name, run=getattr(identities, name)):
+            asked.append((name, *(arg for arg in args if not callable(arg))))
+            return run(*args)
+
+        monkeypatch.setattr(identities, name, recorded)
+    return asked
+
+
+def test_each_check_asks_for_its_declared_split(monkeypatch):
+    asked = _record_requests(monkeypatch)
+    contour_closure(5, 20.0, 1e-9)
+    assert [(name, tol) for name, *_, tol in asked] == [("integrate_segment", 2.5e-10)] * 4
+    asked.clear()
+    verify_zeta2(1e-9)
+    assert [(name, tol) for name, *_, tol in asked] == [("integrate_segment", 2.5e-10)]
+    for tol, share in ((1e-9, (1.25e-10, 2.5e-10)), (5e-324, (5e-324, 5e-324))):
+        asked.clear()
+        verify_log2_identity(tol)
+        # cot_power_integral runs its K(2) through integrate_finite at the same tol
+        assert asked == [("integrate_semi_infinite", 1, share[0]),
+                         ("cot_power_integral", 2, share[1]),
+                         ("integrate_finite", 0.0, math.pi, share[1])]
+
+
+@pytest.mark.parametrize("s,tol", [(2, 1e-9), (10, 1e-9), (30, 1e25)])
+def test_eq9_asks_for_its_declared_split(monkeypatch, s, tol):
+    # A on [0, X] at tol/8, each F(m) at tol / (4 s max(1, C(s-1, s-m) pi^(s-m))),
+    # clamped at 5e-15 Gamma(m), to within one rounding, then C at tol/4
+    asked = _record_requests(monkeypatch)
+    eq9_components(s, tol)
+    assert asked[0] == ("integrate_finite", 0.0, quadrature.truncation_point(s, tol / 8)[0],
+                        tol / 8)
+    for (name, m, f_tol), m_want in zip(asked[1:-1], range(s, 1, -1), strict=True):
+        coef = math.comb(s - 1, s - m) * math.pi ** (s - m)
+        want = max(tol / (4 * s * max(1.0, coef)), 5e-15 * math.factorial(m - 1))
+        assert (name, m) == ("integrate_semi_infinite", m_want)
+        assert abs(f_tol - want) <= math.ulp(want), (m, f_tol, want)
+    assert (asked[-1][0], asked[-1][-1]) == ("integrate_segment", tol / 4)
+
+
 def test_s2_component_values():
     comp = eq9_components(2, 1e-10)
     z2 = zeta_series(2, 1e-13)

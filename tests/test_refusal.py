@@ -344,3 +344,75 @@ def test_passes_agree_with_mpmath(identity):
 
     prop()
     assert len(passes) >= least
+
+
+def _closure_sides(s, radius):
+    """The four side integrals of the rectangle 0, R, R + i pi, i pi from mpmath alone,
+    at 50 digits, for R >= 1.
+
+    With G_k(m) = Gamma(m, kR), expanded as 1/(e^x -+ 1) = sum_k (+-1)^(k+1) e^-kx:
+      bottom = Gamma(s) zeta(s) - sum_k k^-s G_k(s);
+      top    = sum_j C(s-1,j) (i pi)^j [F_m - sum_k (-1)^(k+1) k^-m G_k(m)], m = s - j,
+               with F_m = (1 - 2^(1-m)) Gamma(m) zeta(m) and F_1 = ln 2;
+      left   = -C, from _eq9_c_closed_form; right = -(bottom + top + left).
+    G_k(m) comes up from G_k(1) = e^-kR by G_k(m+1) = m G_k(m) + (kR)^m e^-kR, all
+    terms positive.  The k-sums stop once kR > s and their terms fall below
+    1e-60 Gamma(s), far inside the tol >= 1e-17 (s-1)! they are compared at."""
+    with mp.workdps(50):
+        negligible = 1e-60 * mp.gamma(s)
+        bottom_tail = mp.mpf(0)
+        top_tails = [mp.mpf(0)] * (s + 1)
+        k = 0
+        while True:
+            k += 1
+            x = k * mp.mpf(radius)
+            power = g = mp.exp(-x)
+            upper = [None, g]
+            for m in range(1, s):
+                power *= x
+                upper.append(m * upper[m] + power)
+            terms = [upper[m] / mp.mpf(k) ** m for m in range(1, s + 1)]
+            bottom_tail += terms[-1]
+            for m in range(1, s + 1):
+                top_tails[m] += terms[m - 1] if k % 2 else -terms[m - 1]
+            if x > s and max(terms) < negligible:
+                break
+        bottom = mp.gamma(s) * mp.zeta(s) - bottom_tail
+        top = mp.fsum(
+            mp.binomial(s - 1, j) * mp.mpc(0, mp.pi) ** j
+            * ((mp.log(2) if m == 1 else (1 - mp.mpf(2) ** (1 - m)) * mp.gamma(m) * mp.zeta(m))
+               - top_tails[m])
+            for j, m in ((j, s - j) for j in range(s)))
+        left = -_eq9_c_closed_form(s)
+        return bottom, -(bottom + top + left), top, left
+
+
+def test_closure_sides_agree_with_mpmath():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # a pass is never a wrong answer: each of the four sides lies within tol of
+    # its value from mpmath alone, and a refusal states a floor above tol.  R is
+    # drawn from 1 to 700 (below 1 the k-sums would need the Bernoulli series),
+    # tol from 1e-17 to 1e-2 times (s-1)!
+    passes = []
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hyp.given(s=st.integers(2, 40), log_radius=st.floats(0.0, math.log10(700.0)),
+               decades=st.floats(-17.0, -2.0))
+    def prop(s, log_radius, decades):
+        radius = 10.0 ** log_radius
+        tol = 10.0 ** decades * math.gamma(s)
+        try:
+            report = contour_closure(s, radius, tol)
+        except Refused as exc:  # the floor is printed to 3 digits
+            floor = float(str(exc).split("requires tol >= ")[1].split()[0])
+            assert tol < floor * (1 + 5e-3), (s, radius, tol, str(exc))
+            return
+        if report.passed:
+            passes.append(s)
+            for side, value in zip(_closure_sides(s, radius), report.side_values):
+                assert abs(value - side) <= tol, (s, radius, tol)
+
+    prop()
+    assert len(passes) >= 100
