@@ -18,10 +18,10 @@ no tag: ``contour_closure`` reports it as a ``ContourReport``.
 Euler-Maclaurin tail, touching none of the quadrature or exact-arithmetic
 paths it is used to check.
 
-This module alone decides what each check accepts (``Refused``, raised
-before any quadrature, names the bound), whether it passed and why not.
+This module alone decides what each check accepts (``Refused``, raised before
+the check builds any integral, names the bound), whether it passed and why not.
 Checks that run several integrals or refuse below a floor declare each integral
-once, with its share of tol, weight and bound: ``_integrate`` refuses, runs and sums them.
+once, with its share of tol, weight and bound: ``_integrate`` refuses, then runs and sums them.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ _GAMMA_S = (171, "Gamma(s) must fit a double")
 
 
 class Refused(ValueError):
-    """An input a check cannot evaluate in doubles, refused before any quadrature."""
+    """An input a check cannot evaluate in doubles, refused before it builds any integral."""
 
 
 def _require_s(name: str, s: int, s_max: int, why: str, odd: bool = False) -> None:
@@ -138,7 +138,7 @@ def _refuse_below_floor(name: str, s: int, tol: float, requests, why: str = (
     of its summed terms.  An empty list never refuses.  The callers are
     ``_integrate`` and eq10.
     """
-    floor = max((_EPS * bound / share for share, bound in requests), default=0.0)
+    floor = max([_EPS * bound / share for share, bound in requests] or [0.0])
     if tol < floor:
         raise Refused(f"{name} requires tol >= {floor:.3g} at s = {s} ({why}), "
                       f"got tol = {tol!r}")
@@ -151,18 +151,17 @@ def _share(k: float, tol: float) -> float:
     return max(k * tol, math.ulp(0.0))
 
 
-def _integrate(name: str, s: int, tol: float, integrals):
-    """Refuse tol, then run and sum a check's integrals, each declared once as
-    (weight, share, bound, integral): integral(t) runs at t = _share(share, tol),
-    weight is the size of its coefficient in the identity and bound a proven
-    lower bound on its integral of |f|, 0.0 for none.  Returns the values in
-    order, the fsum of weight times error estimate, the evaluations and why any
-    quadrature stopped short."""
-    _refuse_below_floor(name, s, tol, [(share, bound) for _, share, bound, _ in integrals if bound])
-    quads = [integral(_share(share, tol)) for _, share, _, integral in integrals]
-    estimate = math.fsum([w * q.error_estimate for (w, _, _, _), q in zip(integrals, quads)])
-    return ([q.value for q in quads], estimate, sum([q.evaluations for q in quads]),
-            _stop_reason(quads))
+def _integrate(name: str, s: int, tol: float, floors, integrals):
+    """Refuse tol on ``floors``, the (share, bound) of each integral with a proven lower
+    bound on its integral of |f|; only then consume ``integrals``, a lazy iterable of
+    (weight, share, integral, *args), running integral(*args, _share(share, tol)), with
+    weight the size of its coefficient in the identity.  Returns the values in order,
+    the fsum of weight times error estimate, the evaluations and why any stopped short."""
+    _refuse_below_floor(name, s, tol, floors)
+    runs = [(w, integral(*args, _share(share, tol))) for w, share, integral, *args in integrals]
+    quads = [q for _, q in runs]
+    return ([q.value for q in quads], math.fsum([w * q.error_estimate for w, q in runs]),
+            sum([q.evaluations for q in quads]), _stop_reason(quads))
 
 
 class _Verdict:
@@ -438,11 +437,14 @@ def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9) -> ContourReport
                       f"(e^R must fit a double), got R = {R!r}")
     s_max = 1 + int((_LN_MAX - math.log(math.pi)) / math.log(abs(complex(R, math.pi))))
     _require_s("contour_closure", s, s_max, f"pi |R + i pi|^(s-1) must fit a double at R = {R!r}")
-    corners = (complex(0.0), complex(R), complex(R, math.pi), complex(0.0, math.pi), complex(0.0))
-    bounds = (_lower_gamma(s, R), 0.0, 0.0, _pi_side_bound(s))
+    share = 0.25
+
+    def integrals():
+        corners = (0j, complex(R), complex(R, math.pi), complex(0.0, math.pi), 0j)
+        for side in map(Segment, corners, corners[1:]):
+            yield 1.0, share, integrate_segment, s, side
     values, estimate, evaluations, reason = _integrate("contour_closure", s, tol, [
-        (1.0, 0.25, bound, functools.partial(integrate_segment, s, Segment(start, end)))
-        for bound, start, end in zip(bounds, corners, corners[1:])])
+        (share, _lower_gamma(s, R)), (share, _pi_side_bound(s))], integrals())
     # the bottom side's integral is a float; every side value is reported complex
     return ContourReport(s, R, tuple(map(complex, values)), estimate, evaluations, reason, tol)
 
@@ -476,15 +478,18 @@ def eq9_components(s: int, tol: float = 1e-9) -> LimitComponents:
     clamped by _eq9_f above its own floor, so it needs no bound.
     """
     _require_s("eq9_components", s, *_REAL_AXIS_S)
-    x_max, tail = truncation_point(s, 0.125 * tol)
-    rows = list(_binomial_terms(s))
+    a_share, c_share = 0.125, 0.25
+    x_max, tail = truncation_point(s, a_share * tol)
+    rows = []
+
+    def integrals():
+        yield 1.0, a_share, integrate_finite, bose(s), 0.0, x_max
+        rows.extend(_binomial_terms(s))
+        for j, coef, _ in rows[:-1]:
+            yield coef, 0.25 / (s * max(1.0, coef)), _eq9_f, s - j
+        yield 1.0, c_share, _eq9_c, s
     values, estimate, _, reason = _integrate("eq9_components", s, tol, [
-        (1.0, 0.125, _lower_gamma(s, x_max),
-         functools.partial(integrate_finite, bose(s), 0.0, x_max)),
-        *[(coef, 0.25 / (s * max(1.0, coef)), 0.0, functools.partial(_eq9_f, s - j))
-          for j, coef, _ in rows[:-1]],
-        (1.0, 0.25, _pi_side_bound(s), functools.partial(_eq9_c, s)),
-    ])
+        (a_share, _lower_gamma(s, x_max)), (c_share, _pi_side_bound(s))], integrals())
     a, *f_values, c = values
     terms = [i_pow * (coef * f_j) for (_, coef, i_pow), f_j in zip(rows, f_values + [LN2])]
     b = -complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
@@ -517,10 +522,9 @@ def verify_log2_identity(tol: float = 1e-9) -> IdentityReport:
     and both sides equal pi ln 2.  The left runs at tol/8, the right at tol/4,
     and neither has a bound, so no tol is refused.
     """
-    (lhs, rhs), _, _, reason = _integrate("verify_log2_identity", 2, tol, [
-        (math.pi, 0.125, 0.0, functools.partial(integrate_semi_infinite, fermi(1), 1)),
-        (0.5, 0.25, 0.0, functools.partial(cot_power_integral, 2)),
-    ])
+    (lhs, rhs), _, _, reason = _integrate("verify_log2_identity", 2, tol, [], [
+        (math.pi, 0.125, integrate_semi_infinite, fermi(1), 1),
+        (0.5, 0.25, cot_power_integral, 2)])
     return IdentityReport(IdentityId.S2_IMAG, 2, math.pi * lhs, 0.5 * rhs, tol, reason)
 
 
@@ -698,6 +702,7 @@ def verify_zeta2(tol: float = 1e-9) -> IdentityReport:
     with weight 2/3, and tol is refused below the floor of C's lower bound pi on
     the integral of |f|, which also dominates A's in eq9_components at s = 2.
     """
-    (c,), _, _, reason = _integrate("verify_zeta2", 2, tol, [
-        (2.0 / 3.0, 0.25, _pi_side_bound(2), functools.partial(_eq9_c, 2))])
+    share = 0.25
+    (c,), _, _, reason = _integrate("verify_zeta2", 2, tol, [(share, _pi_side_bound(2))],
+                                    [(2.0 / 3.0, share, _eq9_c, 2)])
     return IdentityReport(IdentityId.S2_REAL, 2, c.real * 2.0 / 3.0, _oracle(2, tol), tol, reason)

@@ -397,10 +397,12 @@ def test_radius_overflow_bound_from_both_sides(capsys):
     ["verify", "eq10", "--s", "21", "--tol", "1e-10"],  # odd s: K(21) would run
 ])
 def test_refusal_runs_before_any_quadrature(capsys, monkeypatch, argv):
+    # a refusal builds no integral either: no integrand and no segment
     def no_quadrature(*args, **kwargs):
-        raise AssertionError("quadrature ran")
+        raise AssertionError("quadrature ran or an integral was built")
 
-    for name in ("integrate_finite", "integrate_semi_infinite", "integrate_segment"):
+    for name in ("integrate_finite", "integrate_semi_infinite", "integrate_segment",
+                 "Segment", "bose", "fermi"):
         monkeypatch.setattr(identities, name, no_quadrature)
     with pytest.raises(AssertionError):  # the patch is on the path the checks take
         cli.main(["verify", "odd" if "odd" in argv else "eq9", "--s", "3"])
@@ -409,19 +411,41 @@ def test_refusal_runs_before_any_quadrature(capsys, monkeypatch, argv):
     assert exc.value.code == 2
 
 
+# the floor each sub-floor refusal below names, byte for byte; where a check has
+# two bounds, one case lets each of them win
+_FLOORS = {
+    "verify eq9 --s 20 --tol 1e-10": "216",  # A's gamma(s, X)
+    "verify eq9 --s 2 --tol 1e-16": "2.79e-15",  # C's pi^(s-1)/(s-1)
+    "contour --s 20 --radius 30 --tol 1e-10": "106",  # the bottom side's
+    "verify closure --s 20 --tol 1e-10": "106",
+    "contour --s 2 --radius 0.01 --tol 1e-17": "2.79e-15",  # the left side's
+    "verify s2 --tol 1e-16": "2.79e-15",
+    "verify eq10 --s 20 --tol 1e-10": "340",
+}
+
+
 @pytest.mark.parametrize("argv,name", [
     (["verify", "eq9", "--s", "20", "--tol", "1e-10"], "eq9_components"),
     (["contour", "--s", "20", "--radius", "30", "--tol", "1e-10"], "contour_closure"),
     (["verify", "eq10", "--s", "20", "--tol", "1e-10"], "expanded_real_identity"),
+    (["verify", "eq9", "--s", "2", "--tol", "1e-16"], "eq9_components"),
+    (["verify", "closure", "--s", "20", "--tol", "1e-10"], "contour_closure"),
+    (["contour", "--s", "2", "--radius", "0.01", "--tol", "1e-17"], "contour_closure"),
+    (["verify", "s2", "--tol", "1e-16"], "verify_zeta2"),
 ])
 def test_sub_floor_refusal_names_check_s_tol_and_floor(capsys, argv, name):
+    why = ("eps times the summed magnitudes of its terms: an estimate of their rounding, "
+           "not a proven bound" if "eq10" in argv
+           else "eps times a lower bound on the integral of |f| it must resolve")
+    s = argv[argv.index("--s") + 1] if "--s" in argv else "2"
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{name} requires tol >= " in captured.err
-    assert "at s = 20 " in captured.err and captured.err.rstrip().endswith("got tol = 1e-10")
+    assert captured.err.splitlines()[-1] == (
+        f"zeta-recur: error: {name} requires tol >= {_FLOORS[' '.join(argv)]} at s = {s} "
+        f"({why}), got tol = {argv[-1]}")
 
 
 def test_s2_refusal_names_its_own_check_and_bound(capsys):

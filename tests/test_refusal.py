@@ -387,32 +387,77 @@ def _closure_sides(s, radius):
         return bottom, -(bottom + top + left), top, left
 
 
+def _bernoulli_sides(s, radius):
+    """The four side integrals of the rectangle 0, R, R + i fl(pi), i fl(pi) from mpmath
+    alone, at 50 digits, for R <= 1: the rectangle closure integrates, whose corners
+    are doubles, so its top lies at the double fl(pi), 1.2e-16 below pi.
+
+    The rectangle lies inside |z| < 2 pi, where z^(s-1)/(e^z - 1) = sum_k B_k z^(k+s-2)/k!,
+    so each side is a difference of the antiderivative
+    G(z) = sum_k B_k z^(k+s-1)/(k! (k+s-1)), with mpmath's own B_k.  On the rectangle
+    |z| <= |1 + i pi| < 3.3, and |B_k|/k! < 4/(2 pi)^k, so the terms from k = 200 on
+    sum to below 1e-55 of z^(s-1)."""
+    with mp.workdps(50):
+        top = mp.mpf(math.pi)
+        coefs = [mp.bernoulli(k) / (mp.factorial(k) * (k + s - 1)) for k in range(200)]
+        corners = [mp.mpc(0), mp.mpc(radius), mp.mpc(radius, top), mp.mpc(0, top), mp.mpc(0)]
+        g = [z ** (s - 1) * mp.polyval(coefs[::-1], z) for z in corners]
+        return tuple(b - a for a, b in zip(g, g[1:]))
+
+
+def _check_closure_sides(s, radius, tol, sides, passes):
+    """closure at (s, R, tol): a refusal states a floor above tol, and on a pass each of
+    the four sides lies within tol of its value from sides(s, R)."""
+    try:
+        report = contour_closure(s, radius, tol)
+    except Refused as exc:  # the floor is printed to 3 digits
+        floor = float(str(exc).split("requires tol >= ")[1].split()[0])
+        assert tol < floor * (1 + 5e-3), (s, radius, tol, str(exc))
+        return
+    if report.passed:
+        passes.append(s)
+        for side, value in zip(sides(s, radius), report.side_values):
+            assert abs(value - side) <= tol, (s, radius, tol)
+
+
 def test_closure_sides_agree_with_mpmath():
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
     # a pass is never a wrong answer: each of the four sides lies within tol of
     # its value from mpmath alone, and a refusal states a floor above tol.  R is
-    # drawn from 1 to 700 (below 1 the k-sums would need the Bernoulli series),
-    # tol from 1e-17 to 1e-2 times (s-1)!
+    # drawn from 1 to 700 (below 1 see the next test), tol from 1e-17 to 1e-2
+    # times (s-1)!
     passes = []
 
     @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @hyp.given(s=st.integers(2, 40), log_radius=st.floats(0.0, math.log10(700.0)),
                decades=st.floats(-17.0, -2.0))
     def prop(s, log_radius, decades):
-        radius = 10.0 ** log_radius
-        tol = 10.0 ** decades * math.gamma(s)
-        try:
-            report = contour_closure(s, radius, tol)
-        except Refused as exc:  # the floor is printed to 3 digits
-            floor = float(str(exc).split("requires tol >= ")[1].split()[0])
-            assert tol < floor * (1 + 5e-3), (s, radius, tol, str(exc))
-            return
-        if report.passed:
-            passes.append(s)
-            for side, value in zip(_closure_sides(s, radius), report.side_values):
-                assert abs(value - side) <= tol, (s, radius, tol)
+        _check_closure_sides(s, 10.0 ** log_radius, 10.0 ** decades * math.gamma(s),
+                             _closure_sides, passes)
 
     prop()
     assert len(passes) >= 100
+
+
+def test_closure_sides_below_radius_one_agree_with_mpmath():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # the same property below R = 1, against the Bernoulli series.  R is drawn
+    # from 10^U(-3, 0), every fourth draw from 10^U(-300, 0), and tol from 1e-17
+    # to 1e-2 times pi^(s-1)/(s-1), the left side's bound, which sets the floor
+    passes, draws = [], []
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hyp.given(s=st.integers(2, 40), log_radius=st.floats(-3.0, 0.0),
+               decades=st.floats(-17.0, -2.0))
+    def prop(s, log_radius, decades):
+        draws.append(s)
+        radius = 10.0 ** (log_radius * (100 if len(draws) % 4 == 0 else 1))
+        tol = 10.0 ** decades * math.pi ** (s - 1) / (s - 1)
+        _check_closure_sides(s, radius, tol, _bernoulli_sides, passes)
+
+    prop()
+    assert len(passes) >= 20
