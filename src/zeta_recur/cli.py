@@ -11,7 +11,15 @@ Defaults: --s 2, --tol 1e-9, --radius 30, --format plain.  `verify` takes
 error.  Exit codes: 0 success, 1 verification failure, 2 usage error or an
 input `identities` refuses.
 The argument parser is built once, at import, and shared by every `main`
-call in the process; parsing leaves no state in it.  `identities` and
+call in the process; parsing leaves no state in it.  `main` first reads a
+plain argv itself: an exact command, its positional, then exact `--flag
+value` pairs, each flag once and no value starting with "-", converted and
+checked by the parser's own actions.  Anything else (help, abbreviations,
+--flag=value, a repeat, a missing value, a failed conversion or choice) goes
+to argparse, which parses it and writes its usage error or help.  A usage
+error found after parsing (a range, a flag the identity does not take, a
+refusal) writes the bytes `parser.error` would, with the usage line formatted
+once per terminal width.  `identities` and
 `quadrature` are imported by the first verify or contour call, so even and
 bernoulli load only the exact core.
 
@@ -49,8 +57,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _coeff_str(q: Fraction) -> str:
-    """str(q) for a q_n in (0, 1), without CPython's cap on int-to-str digits.
+def _coeff_str(q) -> str:
+    """str(q) for a q_n in (0, 1), a `fractions.Fraction`, without CPython's cap
+    on int-to-str digits.
 
     The denominator of q_858 already has more than the default 4300 digits.
     """
@@ -175,66 +184,157 @@ _CHECKS = {
 _FLAG_DEFAULTS = {"s": DEFAULT_S, "radius": DEFAULT_RADIUS}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The parser, and per command what `_plain_args` reads from its actions.
+
+    Each command maps to its positional action (or None), its options by flag
+    and the namespace argparse starts from: the command and each default that
+    is not SUPPRESS.  The actions are the ones `add_argument` returned;
+    `--format` is `common`'s, which every subparser shares.
+    """
     parser = argparse.ArgumentParser(
         prog="zeta-recur",
         description="Exact zeta(2n) tables and numerical verification of the "
                     "contour identities behind them.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("plain", "json", "csv"), default="plain",
-                        help="output format (default: plain)")
+    fmt = common.add_argument("--format", choices=("plain", "json", "csv"), default="plain",
+                              help="output format (default: plain)")
 
     sub = parser.add_subparsers(dest="command", required=True)
+    actions: dict[str, list[argparse.Action]] = {}
 
     even = sub.add_parser("even", parents=[common],
                           help="table of zeta(2n): exact coefficient, recursion==Euler, decimal")
-    even.add_argument("--n", type=int, default=10, help=f"largest n, 1..{MAX_N} (default: 10)")
-    even.add_argument("--digits", type=int, default=10,
-                      help=f"decimal digits, 1..{MAX_DIGITS} (default: 10)")
+    actions["even"] = [
+        even.add_argument("--n", type=int, default=10, help=f"largest n, 1..{MAX_N} (default: 10)"),
+        even.add_argument("--digits", type=int, default=10,
+                          help=f"decimal digits, 1..{MAX_DIGITS} (default: 10)"),
+    ]
 
     bern = sub.add_parser("bernoulli", parents=[common], help="table of Bernoulli numbers")
-    bern.add_argument("--n", type=int, default=10,
-                      help=f"largest index, 0..{MAX_BERNOULLI} (default: 10)")
+    actions["bernoulli"] = [
+        bern.add_argument("--n", type=int, default=10,
+                          help=f"largest index, 0..{MAX_BERNOULLI} (default: 10)"),
+    ]
 
     verify = sub.add_parser("verify", parents=[common], help="check one identity")
     # --s and --radius are absent from the parsed args unless given
     without_s = ", ".join(i for i, (_, flags) in _CHECKS.items() if "s" not in flags)
-    verify.add_argument("identity", choices=_CHECKS)
-    verify.add_argument("--s", type=int, default=argparse.SUPPRESS,
-                        help=f"integer exponent, not for {without_s} (default: {DEFAULT_S})")
-    verify.add_argument("--tol", type=float, default=1e-9, help="tolerance (default: 1e-9)")
-    verify.add_argument("--radius", type=float, default=argparse.SUPPRESS,
-                        help=f"rectangle extent R, closure only (default: {DEFAULT_RADIUS:g})")
+    actions["verify"] = [
+        verify.add_argument("identity", choices=_CHECKS),
+        verify.add_argument("--s", type=int, default=argparse.SUPPRESS,
+                            help=f"integer exponent, not for {without_s} (default: {DEFAULT_S})"),
+        verify.add_argument("--tol", type=float, default=1e-9, help="tolerance (default: 1e-9)"),
+        verify.add_argument("--radius", type=float, default=argparse.SUPPRESS,
+                            help=f"rectangle extent R, closure only (default: {DEFAULT_RADIUS:g})"),
+    ]
 
     contour = sub.add_parser("contour", parents=[common],
                              help="rectangle contour study: four sides and their sum")
-    contour.add_argument("--s", type=int, default=DEFAULT_S,
-                         help=f"integer exponent (default: {DEFAULT_S})")
-    contour.add_argument("--radius", type=float, default=DEFAULT_RADIUS,
-                         help=f"rectangle extent R (default: {DEFAULT_RADIUS:g})")
-    contour.add_argument("--tol", type=float, default=1e-9, help="closure tolerance (default: 1e-9)")
+    actions["contour"] = [
+        contour.add_argument("--s", type=int, default=DEFAULT_S,
+                             help=f"integer exponent (default: {DEFAULT_S})"),
+        contour.add_argument("--radius", type=float, default=DEFAULT_RADIUS,
+                             help=f"rectangle extent R (default: {DEFAULT_RADIUS:g})"),
+        contour.add_argument("--tol", type=float, default=1e-9,
+                             help="closure tolerance (default: 1e-9)"),
+    ]
 
-    return parser
+    commands = {}
+    for command, taken in actions.items():
+        taken.append(fmt)
+        positional = [action for action in taken if not action.option_strings]
+        options = {flag: action for action in taken for flag in action.option_strings}
+        defaults = {action.dest: action.default for action in taken
+                    if action.default is not argparse.SUPPRESS}
+        commands[command] = (positional[0] if positional else None, options,
+                             {sub.dest: command, **defaults})
+    return parser, commands
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
+# _PARSER.format_usage() per terminal width, filled by the first usage error at each
+_USAGE: dict[int, str] = {}
+
+
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """What `_PARSER.parse_args(argv)` returns for an argv in plain form, else None.
+
+    The plain form is an exact command name, then its positional if it takes
+    one, then exact `--flag value` pairs, each flag at most once and no value
+    starting with "-".  Each value goes through its action's `type` and
+    `choices`, and every action not given takes its default.  For any other
+    argv, or a value its action rejects, this returns None: argparse then
+    parses the argv and writes any usage error or help.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    positional, options, defaults = _COMMANDS[argv[0]]
+    rest = argv[1:]
+    given = []
+    if positional is not None:
+        if not rest:
+            return None
+        given.append((positional, rest[0]))
+        rest = rest[1:]
+    flags = rest[::2]
+    if len(rest) % 2 or len(set(flags)) < len(flags):  # a flag without a value, or repeated
+        return None
+    given += [(options.get(flag), value) for flag, value in zip(flags, rest[1::2])]
+    args = dict(defaults)
+    for action, value in given:
+        if action is None or value.startswith("-"):  # not an exact flag, or a value like one
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        args[action.dest] = value
+    return argparse.Namespace(**args)
+
+
+def _usage_error(message: str):
+    """Exit 2 after writing to stderr what `_PARSER.error(message)` writes.
+
+    argparse formats the usage line on every error.  For a fixed parser it
+    depends on the terminal width its HelpFormatter reads, so it is formatted
+    once per width; the catalogue that translates its "usage: " is taken as
+    fixed for the process.
+    """
+    import shutil
+    from gettext import gettext
+
+    columns = shutil.get_terminal_size().columns
+    usage = _USAGE.get(columns)
+    if usage is None:
+        usage = _USAGE[columns] = _PARSER.format_usage()
+    text = gettext("%(prog)s: error: %(message)s\n") % {"prog": _PARSER.prog, "message": message}
+    try:
+        sys.stderr.write(usage + text)
+    except (AttributeError, OSError):  # as argparse: no stderr, or a closed one
+        pass
+    sys.exit(2)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _PARSER
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv) or _PARSER.parse_args(argv)
 
     if args.command == "even":
         if not 1 <= args.n <= MAX_N:
-            parser.error(f"--n must be in 1..{MAX_N}")
+            _usage_error(f"--n must be in 1..{MAX_N}")
         if not 1 <= args.digits <= MAX_DIGITS:
-            parser.error(f"--digits must be in 1..{MAX_DIGITS}")
+            _usage_error(f"--digits must be in 1..{MAX_DIGITS}")
         return cmd_zeta_even(args.n, args.digits, args.format)
 
     if args.command == "bernoulli":
         if not 0 <= args.n <= MAX_BERNOULLI:
-            parser.error(f"--n must be in 0..{MAX_BERNOULLI}")
+            _usage_error(f"--n must be in 0..{MAX_BERNOULLI}")
         return cmd_bernoulli(args.n, args.format)
 
     # verify and contour (the closure check); `identities` decides what it accepts
@@ -242,17 +342,17 @@ def main(argv: list[str] | None = None) -> int:
     name, flags = _CHECKS[identity]
     for flag in _FLAG_DEFAULTS:
         if flag in vars(args) and flag not in flags:
-            parser.error(f"verify {identity} takes no --{flag}")
+            _usage_error(f"verify {identity} takes no --{flag}")
     values = {flag: getattr(args, flag, _FLAG_DEFAULTS[flag]) for flag in flags}
     values["tol"] = args.tol
     if not 0.0 < args.tol < math.inf:
-        parser.error(f"--tol must be finite and > 0, got {args.tol!r}")
+        _usage_error(f"--tol must be finite and > 0, got {args.tol!r}")
     from . import identities
 
     try:
         report = getattr(identities, name)(*values.values())
     except identities.Refused as exc:
-        parser.error(str(exc))
+        _usage_error(str(exc))
     fields = _contour_fields(report) if identity == "closure" else _report_fields(report)
     _emit_record(fields, args.format, args.command)
     return 0 if report.passed else 1

@@ -1,7 +1,9 @@
 import ast
+import contextlib
 import functools
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -533,6 +535,126 @@ def test_parser_reuse_leaks_nothing_between_calls(capsys):
     assert code == 0
     code, out = run(capsys, argv)
     assert (code, out) == (0, fresh.stdout.decode())
+
+
+# ---------------------------------------------------------------------------
+# the plain reader and the usage line
+
+# each command's positional values and flags, and values each flag's type
+# converts: argparse reads "-5" as a value but "-1e-9" and "-inf" as flags
+_COMMAND_TOKENS = {"even": ((), ("--n", "--digits", "--format")),
+                   "bernoulli": ((), ("--n", "--format")),
+                   "verify": (tuple(cli._CHECKS), ("--s", "--tol", "--radius", "--format")),
+                   "contour": ((), ("--s", "--radius", "--tol", "--format"))}
+_INTS = ("0", "2", "3", "20", "1001", " 7", "1_0", "-5")
+_FLOATS = ("1e-9", "30.0", "2", "nan", "inf", "1e400", "5e-324", "-1e-9", "-inf")
+_GOOD = {"--format": ("plain", "json", "csv"), "--n": _INTS, "--digits": _INTS, "--s": _INTS,
+         "--tol": _FLOATS, "--radius": _FLOATS}
+_JUNK = ("", "banana", "eq", "VERIFY", "1.5", "-h", "--", "--s")
+_TOKENS = (*_COMMAND_TOKENS, *cli._CHECKS, *_GOOD, *_INTS, *_FLOATS, *_JUNK, "--help",
+           "--rad", "--to", "--dig", "--form", "--s=3", "--tol=1e-9", "plain", "json")
+
+
+def _argparse_reads(argv):
+    """(exit code, None) if `_PARSER.parse_args(argv)` exits, else (None, its items)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            args = cli._PARSER.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, None
+    return None, sorted(vars(args).items())
+
+
+def test_plain_reader_agrees_with_argparse():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # any token string, and argvs shaped like the plain form: a command, at
+    # most one positional, then flag-value pairs; the reader may decline any
+    # argv, but what it reads must be argparse's namespace (repr tells 3 from
+    # 3.0 and matches nan), and it must decline every argv argparse exits on
+    def plain_shaped(command):  # values the flag converts, twice as often as junk
+        positionals, flags = _COMMAND_TOKENS[command]
+        pair = st.sampled_from(flags).flatmap(lambda flag: st.tuples(st.just(flag), st.one_of(
+            st.sampled_from(_GOOD[flag]), st.sampled_from(_GOOD[flag]), st.sampled_from(_JUNK))))
+        return st.tuples(
+            st.lists(st.sampled_from(positionals or _JUNK), min_size=bool(positionals), max_size=1),
+            st.one_of(st.lists(pair, max_size=4, unique_by=lambda p: p[0]),
+                      st.lists(pair, max_size=4)),
+        ).map(lambda drawn: [command, *drawn[0], *[token for p in drawn[1] for token in p]])
+
+    shaped = st.sampled_from(tuple(_COMMAND_TOKENS)).flatmap(plain_shaped)
+    read = []
+
+    @hyp.settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @hyp.given(argv=st.one_of(st.lists(st.sampled_from(_TOKENS), max_size=8), shaped, shaped))
+    def prop(argv):
+        code, expected = _argparse_reads(argv)
+        plain = cli._plain_args(argv)
+        if code is not None:
+            assert plain is None, (argv, code)
+        elif plain is not None:
+            assert repr(sorted(vars(plain).items())) == repr(expected), argv
+            read.append(argv)
+
+    prop()
+    assert len(read) >= 100, len(read)
+
+
+def test_plain_reader_reads_every_golden_round_argv():
+    # every op of the golden round and of the CLI's documented calls takes the
+    # fast path; a reader that silently declined them would still pass the rest
+    from test_golden_round import round_argv
+
+    argvs = [*round_argv(), *PASSING_VERIFY_ARGV, ["contour", "--s", "2"], ["even"],
+             ["bernoulli", "--n", "5", "--format", "csv"]]
+    declined = [argv for argv in argvs if cli._plain_args(argv) is None]
+    assert declined == []
+    for argv in argvs[:50]:
+        assert repr(sorted(vars(cli._plain_args(argv)).items())) == repr(_argparse_reads(argv)[1])
+
+
+def test_usage_error_writes_what_parser_error_writes_at_every_width(capsys, monkeypatch):
+    # the usage line is formatted once per terminal width; each width's error
+    # must still be argparse's own, byte for byte, also after another width
+    argv = ["verify", "eq10", "--s", "20", "--tol", "1e-10"]
+    with pytest.raises(identities.Refused) as refused:
+        identities.expanded_real_identity(20, 1e-10)
+    errors = []
+    for columns in ("20", "40", None, "20"):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        got = capsys.readouterr()
+        with pytest.raises(SystemExit) as expected_exc:
+            cli._PARSER.error(str(refused.value))
+        expected = capsys.readouterr()
+        assert (exc.value.code, got.out, got.err) == (expected_exc.value.code, "", expected.err)
+        errors.append(got.err)
+    assert errors[0] == errors[3] != errors[1]  # 20 columns wrap before [-h], 40 do not
+
+
+def test_usage_error_without_stderr_still_exits_2(monkeypatch):
+    # as argparse's error: nothing to write to is not a second error
+    monkeypatch.setattr(sys, "stderr", None)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["even", "--n", "0"])
+    assert exc.value.code == 2
+
+
+def test_type_hints_of_cli_resolve():
+    # every annotation names something cli binds, though cli imports neither
+    # `fractions` nor `typing`
+    import typing
+
+    functions = [value for value in vars(cli).values()
+                 if callable(value) and getattr(value, "__module__", None) == cli.__name__]
+    assert cli._coeff_str in functions and cli.main in functions
+    for function in functions:
+        typing.get_type_hints(function)
 
 
 # ---------------------------------------------------------------------------
