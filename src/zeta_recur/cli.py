@@ -24,8 +24,8 @@ once per terminal width.  `identities` and
 bernoulli load only the exact core.
 
 `json` is imported only to print --format json, `fractions` by the exact
-core's first rational (even, bernoulli and eq10), and `decimal` and `random`
-only by eq5, so --help, contour and every other verify load none of them.
+core's first rational (even, bernoulli and eq10), and `random` only by eq5,
+so --help, contour and every other verify load none of them.
 
 Output is deterministic: identical argv yields byte-identical stdout.
 """

@@ -136,8 +136,8 @@ def _tangent_numbers(column: list[int], count: int) -> Iterator[int]:
         yield nxt[-1]
 
 
-def bernoulli(m: int, *, table: Table | None = None) -> Fraction:
-    """Bernoulli number B_m (convention B_1 = -1/2).
+def bernoulli(m: int, *, table: Table | None = None):
+    """Bernoulli number B_m (convention B_1 = -1/2), a ``fractions.Fraction``.
 
     B_(2k) = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers;
     odd indices above 1 vanish.  A request beyond ``table`` grows its
@@ -159,11 +159,11 @@ def bernoulli(m: int, *, table: Table | None = None) -> Fraction:
 
 
 class ZetaEvenValue(namedtuple("ZetaEvenValue", "n coeff")):
-    """zeta(2n) as the exact rational coefficient of pi^(2n)."""
+    """zeta(2n) as the exact rational coefficient of pi^(2n), a ``fractions.Fraction``."""
 
     __slots__ = ()
 
-    def __new__(cls, n: int, coeff: Fraction) -> ZetaEvenValue:
+    def __new__(cls, n: int, coeff) -> ZetaEvenValue:
         if n < 1:
             raise ValueError("n must be >= 1")
         if coeff <= 0:

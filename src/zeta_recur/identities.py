@@ -314,63 +314,6 @@ def verify_fermi_integral(s: int, tol: float = 1e-9) -> IdentityReport:
 _EQ5_SAMPLES = 1000
 _EQ5_SEED = 53171
 
-_LN10 = math.log(10.0)
-# working bits of _exp60's first attempt, enough to settle the 60-digit
-# rounding of every eq5 sample; a near tie doubles them.  At least 64, so
-# that _exp60's decimal scale q is positive up to t = 30
-_EXP_BITS = 256
-
-
-def _exp60(t: float, wide: Context) -> Decimal:
-    """e^t correctly rounded to 60 digits: exactly ``Decimal(t).exp(wide)``, digits
-    and exponent alike, for a double 0 < t <= 30 and ``wide`` = Context(prec=60).
-
-    In binary fixed point at B bits, S = 2^B, with t = num / 2^m exact:
-    - x = t / 2^k < 2^-10, and E = S e^x from the Taylor series, each term the
-      exact floor of the previous one times x/j, up to the first zero term, the
-      n-th.  Each term is short by below 1.001 units, and the true terms from
-      the n-th on sum to below 1.002, so S e^x - n - 1 < E <= S e^x;
-    - E is squared k times, each square floored.  With E_i = S e^(x 2^i) (1 - d_i),
-      d_(i+1) < 2 d_i + 1/S, so the result falls short of S e^t by a relative
-      d_k < c/S, c = (n + 2) 2^k;
-    - lo = floor(E 10^q / S) then lies below X = e^t 10^q, and X (1 - c/S) < lo + 1,
-      so lo < X < hi = floor((lo + 1) S / (S - c)) + 1.  q gives lo
-      floor(0.3 B) - 3 digits: 73 at B = 256, where hi - lo is below 70.
-
-    ``wide.scaleb(lo, -q)`` rounds lo 10^-q to 60 digits: the same ``scaleb``
-    as ``Decimal(lo).scaleb(-q, wide)`` on the same exactly converted lo, with
-    no ``Decimal`` name to import.  Rounding is monotone, so when lo and hi
-    round half-even to the same 60 digits, X rounds to them too: the correctly
-    rounded e^t that ``Decimal.exp`` returns.  Otherwise B doubles (Ziv's
-    strategy): e^t is irrational, so it lies on no rounding boundary, and q
-    grows with B while hi - lo stays below about 100, which settles the
-    rounding at some B.
-    """
-    num, den = t.as_integer_ratio()
-    k = max(0, math.frexp(t)[1] + 10)
-    shift = den.bit_length() - 1 + k
-    exponent = int(t / _LN10)
-    bits = _EXP_BITS
-    while True:
-        one = 1 << bits
-        term = e = one
-        n = 0
-        while term:
-            n += 1
-            term = (term * num >> shift) // n
-            e += term
-        for _ in range(k):
-            e = e * e >> bits
-        c = (n + 2) << k
-        if c < one:
-            q = bits * 3 // 10 - 4 - exponent
-            lo = e * 10**q >> bits
-            hi = (lo + 1) * one // (one - c) + 1
-            rounded = wide.scaleb(lo, -q)
-            if rounded == wide.scaleb(hi, -q):
-                return rounded
-        bits *= 2
-
 
 def _eq5_points():
     """The seeded t of verify_eq5, alternately log-uniform and uniform on (1e-6, 30)."""
@@ -383,41 +326,18 @@ def _eq5_points():
 
 
 def verify_eq5(tol: float = 1e-9) -> IdentityReport:
-    """EQ5 pointwise: max |2/(e^(2t)-1) - (1/(e^t-1) - 1/(e^t+1))| over seeded random t.
-
-    Both sides are evaluated in a thread-local ``decimal`` context at 50 digits,
-    so the residual reflects the identity, not double-precision cancellation
-    (near t = 1e-6 each side is ~1e6).  No expm1 series is needed: the correctly
-    rounded e^t leaves 1/(e^t - 1) an absolute error near 1e-50/t^2 <= 1e-38.
-    Half the draws are uniform on (1e-6, 30), half log-uniform (small t).
-
-    Each sample takes one e^t at 60 digits, e_wide, from ``_exp60``.  Its
-    256-bit integer fixed point brackets e^t 10^q between 73-digit integers
-    lo < hi, hi - lo below 70 by a proven bound, and doubles the bits until lo
-    and hi round to the same 60 digits.  Rounding is monotone, so those are
-    the correctly rounded digits of e^t, exactly what ``Decimal(t).exp``
-    returns at 60 digits.  Rounded to 50 digits it is e^t, which is
-    the correctly rounded 50-digit e^t unless digits 51..60 of the 60-digit
-    value sit at a rounding tie (they do on none of the samples).  Its square,
-    rounded once to 50 digits, is e^(2t) within half an ulp plus a relative
-    1e-59 (twice the 60-digit rounding): tighter than exp of 2t rounded to 50
-    digits, whose argument error 2t 5e-50 moves e^(2t) by up to 3e-48
-    relative at t = 30.
-    """
-    from decimal import Context, localcontext
-
+    """EQ5 pointwise: max |2/(e^(2t)-1) - (1/(e^t-1) - 1/(e^t+1))| over seeded t, exactly.
+    u = math.exp(t) is a double, an exact rational p/q, and (5) is an identity of rational
+    functions of u, so it holds at that u: the check does not test libm's exp, which (5) does
+    not involve.  Each side is an integer fraction from its formula; they are cross-multiplied."""
     worst = 0.0
-    with localcontext() as ctx:
-        ctx.prec = 50
-        wide = Context(prec=60)
-        for t in _eq5_points():
-            e_wide = _exp60(t, wide)
-            e = +e_wide
-            lhs = 2 / (e_wide * e_wide - 1)
-            rhs = 1 / (e - 1) - 1 / (e + 1)
-            worst = max(worst, abs(float(lhs - rhs)))
-    return IdentityReport(IdentityId.EQ5, 0, worst, 0.0, tol,
-                          remark=f"max pointwise residual over {_EQ5_SAMPLES} samples")
+    for t in _eq5_points():
+        p, q = math.exp(t).as_integer_ratio()
+        lhs, lhs_den = 2 * q * q, p * p - q * q
+        rhs, rhs_den = q * (p + q) - q * (p - q), (p - q) * (p + q)
+        worst = max(worst, abs(lhs * rhs_den - rhs * lhs_den) / (lhs_den * rhs_den))
+    return IdentityReport(IdentityId.EQ5, 0, worst, 0.0, tol, remark=(
+        f"max pointwise residual over {_EQ5_SAMPLES} samples, in exact rational arithmetic"))
 
 
 def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9) -> ContourReport:

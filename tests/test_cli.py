@@ -211,7 +211,7 @@ LAZY_STDLIB = ["fractions", "decimal", "numbers", "random"]
 
 @pytest.mark.parametrize("argvs,needed,unloaded", [
     ([["--help"], ["verify", "eq2"], ["contour", "--s", "2"]], [], LAZY_STDLIB),
-    ([["verify", "eq5"]], ["decimal", "random"], ["fractions"]),
+    ([["verify", "eq5"]], ["random"], ["decimal", "fractions", "numbers"]),
     ([["even", "--n", "5"]], ["fractions"], ["random"]),
     ([["bernoulli", "--n", "5"]], ["fractions"], ["random"]),
     ([["verify", "eq10", "--s", "12", "--tol", "1e-6"]], ["fractions"], ["random"]),
@@ -219,7 +219,8 @@ LAZY_STDLIB = ["fractions", "decimal", "numbers", "random"]
 def test_each_command_loads_only_the_stdlib_it_uses(argvs, needed, unloaded):
     # one fresh -S process per group, so each assertion sees only its own
     # commands' imports: import itself loads none of LAZY_STDLIB, `fractions`
-    # comes with the exact core's first rational, `decimal` and `random` with eq5
+    # comes with the exact core's first rational, `random` with eq5, and no
+    # command loads `decimal`
     script = (
         "import contextlib, io, sys\n"
         "from zeta_recur import cli\n"
@@ -645,14 +646,30 @@ def test_usage_error_without_stderr_still_exits_2(monkeypatch):
     assert exc.value.code == 2
 
 
+def _defined_functions(module):
+    """The functions a module defines, with the methods and property getters of its classes."""
+    functions = []
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        members = vars(value).values() if isinstance(value, type) else [value]
+        functions += [member for member in (getattr(m, "fget", getattr(m, "__func__", m))
+                                            for m in members) if callable(member)]
+    return functions
+
+
 def test_type_hints_of_cli_resolve():
-    # every annotation names something cli binds, though cli imports neither
-    # `fractions` nor `typing`
+    # every annotation names something its module binds, though no module
+    # imports `fractions`, `decimal` or `typing` at import (the lazy-import
+    # tests above hold that)
     import typing
 
-    functions = [value for value in vars(cli).values()
-                 if callable(value) and getattr(value, "__module__", None) == cli.__name__]
+    from zeta_recur import machin
+
+    functions = [f for module in (cli, exact, identities, quadrature, machin)
+                 for f in _defined_functions(module)]
     assert cli._coeff_str in functions and cli.main in functions
+    assert exact.bernoulli in functions and exact.ZetaEvenValue.__new__ in functions
     for function in functions:
         typing.get_type_hints(function)
 
@@ -813,7 +830,7 @@ GOLDEN_NOTES = [
     (["verify", "eq9", "--s", "14", "--tol", "3.3e-5", "--format", "json"], None, 1,
      "b49223841ca2759860ee39d190aea49f3f6666848e2bdf3cf2f3732f77a0e13b"),
     (["verify", "eq5"], None, 0,
-     "b2a6b8b043f4b39a1b540ce362871c6dfd54a2a1656af1e7b1a42ea1d3713845"),
+     "bf0584be1ccef47652d9e6cf575a4215c252a400aa0999c231224175414fbdb4"),
     (["contour", "--s", "3", "--format", "json"], 100, 1,
      "7e742fa3da1b19edb4ac8cb04007c238064477b0998b59630b95e9644d77e01b"),
 ]
