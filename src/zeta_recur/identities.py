@@ -20,8 +20,11 @@ paths it is used to check.
 
 This module alone decides what each check accepts (``Refused``, raised before
 the check builds any integral, names the bound), whether it passed and why not.
-Checks that run several integrals or refuse below a floor declare each integral
-once, with its share of tol, weight and bound: ``_integrate`` refuses, then runs and sums them.
+Every check first refuses a tol that is not finite and > 0, naming itself
+(verify_eq9 through eq9_components, which names every refusal of eq9).
+Every check that integrates, but eq2, eq7 and odd's ordered chain, declares each
+integral once, with its share of tol, weight and floor: ``_integrate`` raises
+every below-floor refusal, then runs and sums them.
 """
 
 from __future__ import annotations
@@ -83,6 +86,12 @@ class Refused(ValueError):
     """An input a check cannot evaluate in doubles, refused before it builds any integral."""
 
 
+def _require_tol(name: str, tol: float) -> None:
+    """Refuse a tol that is not finite and > 0: every check's first test."""
+    if not 0.0 < tol < math.inf:
+        raise Refused(f"{name} requires a finite tol > 0, got tol = {tol!r}")
+
+
 def _require_s(name: str, s: int, s_max: int, why: str, odd: bool = False) -> None:
     """Refuse s outside 2..s_max (odd s in 3..s_max with odd=True)."""
     if not (3 if odd else 2) <= s <= s_max or (odd and s % 2 == 0):
@@ -124,26 +133,6 @@ def _pi_side_bound(s: int) -> float:
     return _SHAVE * math.pi ** (s - 1) / (s - 1)
 
 
-def _refuse_below_floor(name: str, s: int, tol: float, requests, why: str = (
-        "eps times a lower bound on the integral of |f| it must resolve")) -> None:
-    """Refuse tol when a quadrature a check runs cannot converge in doubles.
-
-    Each request (share, bound) is one integral the check runs at share * tol,
-    with bound a proven lower bound on the integral of |f| over its range.
-    Every K21 panel reports at least 2 eps times its integral of |f|, so the
-    estimates of all panels sum to about 2 eps * bound: share * tol below
-    eps * bound can never be met, and the quadrature would run into its
-    roundoff floor.  The floor named is the smallest tol every request meets,
-    and why says what the bounds are: eq10's is an estimate of the rounding
-    of its summed terms.  An empty list never refuses.  The callers are
-    ``_integrate`` and eq10.
-    """
-    floor = max([_EPS * bound / share for share, bound in requests] or [0.0])
-    if tol < floor:
-        raise Refused(f"{name} requires tol >= {floor:.3g} at s = {s} ({why}), "
-                      f"got tol = {tol!r}")
-
-
 def _share(k: float, tol: float) -> float:
     """The share k * tol of a check's tolerance that one quadrature is asked for,
     at least the least positive double: a subnormal tol must reach the
@@ -151,13 +140,25 @@ def _share(k: float, tol: float) -> float:
     return max(k * tol, math.ulp(0.0))
 
 
-def _integrate(name: str, s: int, tol: float, floors, integrals):
-    """Refuse tol on ``floors``, the (share, bound) of each integral with a proven lower
-    bound on its integral of |f|; only then consume ``integrals``, a lazy iterable of
-    (weight, share, integral, *args), running integral(*args, _share(share, tol)), with
-    weight the size of its coefficient in the identity.  Returns the values in order,
-    the fsum of weight times error estimate, the evaluations and why any stopped short."""
-    _refuse_below_floor(name, s, tol, floors)
+def _integrate(name: str, s: int, tol: float, floors, integrals, why: str = (
+        "eps times a lower bound on the integral of |f| it must resolve")):
+    """Refuse tol below the floor of ``floors``; only then consume ``integrals``, a lazy
+    iterable of (weight, share, integral, *args), running integral(*args, _share(share, tol)),
+    with weight the size of its coefficient in the identity.  Returns the values in order,
+    the fsum of weight times error estimate, the evaluations and why any stopped short.
+
+    Each floor (share, bound) is one integral run at share * tol, with bound a lower
+    bound on the integral of |f| over its range.  Every K21 panel reports at least
+    2 eps times its integral of |f|, so the estimates of all panels sum to about
+    2 eps * bound: share * tol below eps * bound can never be met, and the quadrature
+    would run into its roundoff floor.  The floor named is the smallest tol every
+    request meets, and why says what the bounds are: eq10's is an estimate of the
+    rounding of its summed terms.  An empty list never refuses.
+    """
+    floor = max([_EPS * bound / share for share, bound in floors] or [0.0])
+    if tol < floor:
+        raise Refused(f"{name} requires tol >= {floor:.3g} at s = {s} ({why}), "
+                      f"got tol = {tol!r}")
     runs = [(w, integral(*args, _share(share, tol))) for w, share, integral, *args in integrals]
     quads = [q for _, q in runs]
     return ([q.value for q in quads], math.fsum([w * q.error_estimate for w, q in runs]),
@@ -296,6 +297,7 @@ def _odd_divisor(m: int) -> float:
 def verify_bose_integral(s: int, tol: float = 1e-9) -> IdentityReport:
     """EQ2: quadrature of x^(s-1)/(e^x-1) against Gamma(s) * zeta_series(s).  One
     integral at tol/2 with no floor, so not through _integrate until it has a bound."""
+    _require_tol("verify_bose_integral", tol)
     _require_s("verify_bose_integral", s, *_REAL_AXIS_S)
     quad = integrate_semi_infinite(bose(s), s, _share(0.5, tol))
     rhs = _oracle(s, tol, gamma_int(s))
@@ -305,6 +307,7 @@ def verify_bose_integral(s: int, tol: float = 1e-9) -> IdentityReport:
 def verify_fermi_integral(s: int, tol: float = 1e-9) -> IdentityReport:
     """EQ7: quadrature of x^(s-1)/(e^x+1) against (1-2^(1-s)) Gamma(s) zeta_series(s).
     Like EQ2, one integral at tol/2 with no floor, not through _integrate."""
+    _require_tol("verify_fermi_integral", tol)
     _require_s("verify_fermi_integral", s, *_REAL_AXIS_S)
     quad = integrate_semi_infinite(fermi(s), s, _share(0.5, tol))
     rhs = _oracle(s, tol, _fermi_weight(s))
@@ -330,6 +333,7 @@ def verify_eq5(tol: float = 1e-9) -> IdentityReport:
     u = math.exp(t) is a double, an exact rational p/q, and (5) is an identity of rational
     functions of u, so it holds at that u: the check does not test libm's exp, which (5) does
     not involve.  Each side is an integer fraction from its formula; they are cross-multiplied."""
+    _require_tol("verify_eq5", tol)
     worst = 0.0
     for t in _eq5_points():
         p, q = math.exp(t).as_integer_ratio()
@@ -352,6 +356,7 @@ def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9) -> ContourReport
       left    pi^(s-1)/(s-1), since |e^(iy) - 1| = 2 sin(y/2) <= y;
       right   none needed.
     """
+    _require_tol("contour_closure", tol)
     if not 0.0 < R <= _LN_MAX:
         raise Refused(f"contour_closure requires 0 < R <= {_LN_MAX:.2f} "
                       f"(e^R must fit a double), got R = {R!r}")
@@ -367,6 +372,10 @@ def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9) -> ContourReport
         (share, _lower_gamma(s, R)), (share, _pi_side_bound(s))], integrals())
     # the bottom side's integral is a float; every side value is reported complex
     return ContourReport(s, R, tuple(map(complex, values)), estimate, evaluations, reason, tol)
+
+
+# the segment from 0 to i pi, along which EQ9's C is integrated
+_EQ9_C = Segment(complex(0.0), complex(0.0, math.pi))
 
 
 class LimitComponents(namedtuple("LimitComponents", "a b c error_estimate reason",
@@ -388,7 +397,7 @@ def eq9_components(s: int, tol: float = 1e-9) -> LimitComponents:
     B is expanded binomially: e^(x+i pi) = -e^x turns it into
     -sum_j C(s-1,j) (i pi)^j F(j) with F(j) = int_0^inf x^(s-1-j)/(e^x+1) dx,
     each F from quadrature except the closed form F(s-1) = ln 2.
-    C reuses the segment integral from 0 to i*pi (same parameterization).
+    C is the segment integral of z^(s-1)/(e^z-1) along _EQ9_C, as z = iy gives dz = i dy.
 
     tol is refused below the floor of these lower bounds on an integral of |f|:
       A on [0, X] at tol/8, with X and A's tail bound beyond it from one
@@ -397,6 +406,7 @@ def eq9_components(s: int, tol: float = 1e-9) -> LimitComponents:
     Each F(j), of weight c = C(s-1,j) pi^j, runs at tol/(4 s max(1, c)),
     clamped by _eq9_f above its own floor, so it needs no bound.
     """
+    _require_tol("eq9_components", tol)
     _require_s("eq9_components", s, *_REAL_AXIS_S)
     a_share, c_share = 0.125, 0.25
     x_max, tail = truncation_point(s, a_share * tol)
@@ -407,7 +417,7 @@ def eq9_components(s: int, tol: float = 1e-9) -> LimitComponents:
         rows.extend(_binomial_terms(s))
         for j, coef, _ in rows[:-1]:
             yield coef, 0.25 / (s * max(1.0, coef)), _eq9_f, s - j
-        yield 1.0, c_share, _eq9_c, s
+        yield 1.0, c_share, integrate_segment, s, _EQ9_C
     values, estimate, _, reason = _integrate("eq9_components", s, tol, [
         (a_share, _lower_gamma(s, x_max)), (c_share, _pi_side_bound(s))], integrals())
     a, *f_values, c = values
@@ -422,12 +432,6 @@ def _eq9_f(m: int, tol: float) -> QuadratureResult:
     return integrate_semi_infinite(fermi(m), m, max(tol, 5e-15 * gamma_int(m)))
 
 
-def _eq9_c(s: int, tol: float) -> QuadratureResult:
-    """EQ9's C at tol: the segment integral of z^(s-1)/(e^z-1) from 0 to i pi,
-    which is C, as z = iy gives dz = i dy."""
-    return integrate_segment(s, Segment(complex(0.0), complex(0.0, math.pi)), tol)
-
-
 def verify_eq9(s: int, tol: float = 1e-8) -> IdentityReport:
     """EQ9: A - B against C.  The verdict reads the residual and the stop reasons,
     not LimitComponents.error_estimate (see there)."""
@@ -440,8 +444,9 @@ def verify_log2_identity(tol: float = 1e-9) -> IdentityReport:
 
     The right-hand integrand equals y * cot(y/2) (removable limit 2 at 0)
     and both sides equal pi ln 2.  The left runs at tol/8, the right at tol/4,
-    and neither has a bound, so no tol is refused.
+    and neither has a bound, so no finite tol > 0 is refused.
     """
+    _require_tol("verify_log2_identity", tol)
     (lhs, rhs), _, _, reason = _integrate("verify_log2_identity", 2, tol, [], [
         (math.pi, 0.125, integrate_semi_infinite, fermi(1), 1),
         (0.5, 0.25, cot_power_integral, 2)])
@@ -519,41 +524,58 @@ def expanded_real_identity(s: int, tol: float = 1e-9) -> IdentityReport:
     the terms: the left side's, the pi^s term's, and |lhs - pi^s term| in place
     of |K(s) term|, which the identity makes equal.  That floor estimates the
     rounding of the summed terms; it is not a proof that no smaller tol is met.
-    K(s), whose coefficient is +-1/2, is asked for tol itself.  Not through
-    _integrate: its floor estimates its terms, and K(s) runs only for odd s.
+    K(s), whose coefficient is +-1/2, runs only for odd s and is asked for tol itself.
     """
+    _require_tol("expanded_real_identity", tol)
     _require_s("expanded_real_identity", s, *_GAMMA_S)
     lhs_terms = _lhs_terms(s)
     lhs = math.fsum(lhs_terms)
     rhs = -_I_POW[s % 4].real * math.pi**s / (2 * s)
-    _refuse_below_floor("expanded_real_identity", s, tol,
-                        ((1.0, math.fsum(map(abs, lhs_terms)) + abs(rhs) + abs(lhs - rhs)),),
-                        "eps times the summed magnitudes of its terms: an estimate of "
-                        "their rounding, not a proven bound")
     k_coef = _k_coef(s)
-    if not k_coef:
-        return IdentityReport(IdentityId.EQ10_NUMERIC, s, lhs, rhs, tol)
-    k_quad = cot_power_integral(s, tol)
-    return IdentityReport(IdentityId.EQ10_NUMERIC, s, lhs, rhs + k_coef * k_quad.value, tol,
-                          k_quad.reason)
+    k_values, _, _, reason = _integrate(
+        "expanded_real_identity", s, tol,
+        [(1.0, math.fsum(map(abs, lhs_terms)) + abs(rhs) + abs(lhs - rhs))],
+        [(abs(k_coef), 1.0, cot_power_integral, s)] if k_coef else [],
+        "eps times the summed magnitudes of its terms: an estimate of their rounding, "
+        "not a proven bound")
+    return IdentityReport(IdentityId.EQ10_NUMERIC, s, lhs, rhs + k_coef * sum(k_values), tol,
+                          reason)
 
 
-def _odd_extraction(s: int, tol: float) -> tuple[float, float, str]:
-    """(zeta(s), error estimate, stop reason) of the odd extraction; see
-    verify_odd_zeta.
+def verify_odd_zeta(s: int, tol: float = 1e-8) -> IdentityReport:
+    """ODD_ZETA: zeta(s) for odd s, EQ10 solved for its j = 0 term, against the
+    series oracle.
 
-    zeta(m) = (k_m K(m) - known_m) / D_m for odd m = 3..s, with k_m = _k_coef(m),
-    D_m = Gamma(m) (2 - 2^(1-m)) and known_m built from the lower zeta(m - j).
-    One backward pass over the same rows gives adj[m] = d zeta(s) / d zeta(m):
-    adj[s] = 1, and each m hands -adj[m] C(m-1,j) Re((i pi)^j) _fermi_weight(m-j)
-    / D_m down to adj[m-j].  K(m) then moves zeta(s) by w_m = |adj[m] k_m / D_m|
-    per unit, so each of the n = (s-1)/2 integrals is asked for (tol/2) / (n w_m),
-    and one panel (tolerance inf) when w_m underflows to 0.  The estimate sums
-    w_m err_m and, for each numerator k_m K(m) - known_m, eps times the sum of
-    its terms' magnitudes, weighted by |adj[m] / D_m|.  A K(m) that evaluated
-    nothing ends the chain: zeta(s) is nan and the estimate infinite.
-    Not through _integrate: its fsum would reorder this printed estimate and not stop early.
+    For odd s the pi^s term of EQ10 vanishes, and the Gamma(s) zeta(s) and
+    j = 0 terms carry zeta(s) with total weight Gamma(s) (2 - 2^(1-s)), so
+
+        zeta(s) = (Re(-i^(s+1)/2) K(s) - known) / (Gamma(s) (2 - 2^(1-s)))
+
+    where `known` sums EQ10's terms from j = 2 on: the lower odd zetas (extracted
+    recursively, keeping the chain independent of the series oracle) and the
+    (i pi)^(s-1) ln 2 term.  At s = 3, zeta(3) = (2 pi^2 ln 2 - K(3)) / 7.
+
+    Each K(m) of the chain is asked only for the accuracy zeta(s) needs from
+    it.  zeta(m) = (k_m K(m) - known_m) / D_m for odd m = 3..s, with
+    k_m = _k_coef(m) and D_m = Gamma(m) (2 - 2^(1-m)).  One backward pass over
+    the same rows gives adj[m] = d zeta(s) / d zeta(m): adj[s] = 1, and each m
+    hands -adj[m] C(m-1,j) Re((i pi)^j) _fermi_weight(m-j) / D_m down to
+    adj[m-j].  K(m) then moves zeta(s) by w_m = |adj[m] k_m / D_m| per unit, so
+    each of the n = (s-1)/2 integrals is asked for (tol/2) / (n w_m), and one
+    panel (tolerance inf) when w_m underflows to 0.  The estimate sums w_m err_m
+    and, for each numerator k_m K(m) - known_m, eps times the sum of its terms'
+    magnitudes, weighted by |adj[m] / D_m|; it stays within about tol/2 when
+    every K converges.  A K(m) that evaluated nothing ends the chain: zeta(s)
+    is nan and the estimate infinite.  Not through _integrate: its fsum would
+    reorder this printed estimate and not stop early.
+
+    The report's lhs is the extracted zeta(s), and it passes only when the
+    residual is within tol, every K(m) of the chain converged, and the
+    propagated error estimate is at most tol.  A failure names the K stop
+    reasons, then the estimate if it is above tol; failing neither way, it
+    names the residual.
     """
+    _require_tol("verify_odd_zeta", tol)
     _require_s("verify_odd_zeta", s, *_GAMMA_S, odd=True)
     odd = range(3, s + 1, 2)
     divisor = {m: _odd_divisor(m) for m in odd}
@@ -577,42 +599,15 @@ def _odd_extraction(s: int, tol: float) -> tuple[float, float, str]:
         if not k_quad.evaluations:
             # K(m) evaluated nothing, so it has no estimate at all, and each
             # later row would amplify the gap, up to overflow
-            return math.nan, math.inf, _stop_reason(quads)
+            extracted[s], estimate = math.nan, math.inf
+            break
         known_terms = list(_real_part_terms(m, extracted.__getitem__, first_j=2))
         k_term = k_coef * k_quad.value
         extracted[m] = (k_term - math.fsum(known_terms)) / divisor[m]
         estimate += (w * k_quad.error_estimate
                      + gain * _EPS * (math.fsum(map(abs, known_terms)) + abs(k_term)))
-    return extracted[s], estimate, _stop_reason(quads)
-
-
-def verify_odd_zeta(s: int, tol: float = 1e-8) -> IdentityReport:
-    """ODD_ZETA: zeta(s) for odd s, EQ10 solved for its j = 0 term, against the
-    series oracle.
-
-    For odd s the pi^s term of EQ10 vanishes, and the Gamma(s) zeta(s) and
-    j = 0 terms carry zeta(s) with total weight Gamma(s) (2 - 2^(1-s)), so
-
-        zeta(s) = (Re(-i^(s+1)/2) K(s) - known) / (Gamma(s) (2 - 2^(1-s)))
-
-    where `known` sums EQ10's terms from j = 2 on: the lower odd zetas (extracted
-    recursively, keeping the chain independent of the series oracle) and the
-    (i pi)^(s-1) ln 2 term.  At s = 3, zeta(3) = (2 pi^2 ln 2 - K(3)) / 7.
-
-    Each K(m) of the chain is asked only for the accuracy zeta(s) needs from
-    it: tol/2 split evenly over the K's and divided by the sensitivity of
-    zeta(s) to K(m), from one backward pass over the chain.  The propagated
-    error estimate stays within about tol/2 when every K converges.
-
-    The report's lhs is the extracted zeta(s), and it passes only when the
-    residual is within tol, every K(m) of the chain converged, and the
-    propagated error estimate is at most tol.  A failure names the K stop
-    reasons, then the estimate if it is above tol; failing neither way, it
-    names the residual.
-    """
-    lhs, estimate, reason = _odd_extraction(s, tol)
-    rhs = _oracle(s, tol)
-    return IdentityReport(IdentityId.ODD_ZETA, s, lhs, rhs, tol, reason=reason, estimate=estimate)
+    return IdentityReport(IdentityId.ODD_ZETA, s, extracted[s], _oracle(s, tol), tol,
+                          _stop_reason(quads), estimate)
 
 
 def verify_zeta2(tol: float = 1e-9) -> IdentityReport:
@@ -622,7 +617,8 @@ def verify_zeta2(tol: float = 1e-9) -> IdentityReport:
     with weight 2/3, and tol is refused below the floor of C's lower bound pi on
     the integral of |f|, which also dominates A's in eq9_components at s = 2.
     """
+    _require_tol("verify_zeta2", tol)
     share = 0.25
     (c,), _, _, reason = _integrate("verify_zeta2", 2, tol, [(share, _pi_side_bound(2))],
-                                    [(2.0 / 3.0, share, _eq9_c, 2)])
+                                    [(2.0 / 3.0, share, integrate_segment, 2, _EQ9_C)])
     return IdentityReport(IdentityId.S2_REAL, 2, c.real * 2.0 / 3.0, _oracle(2, tol), tol, reason)

@@ -263,6 +263,47 @@ def test_each_check_asks_for_its_declared_split(monkeypatch):
         assert asked == [("integrate_semi_infinite", 1, share[0]),
                          ("cot_power_integral", 2, share[1]),
                          ("integrate_finite", 0.0, math.pi, share[1])]
+    # eq10 asks for K(s) at tol itself at odd s only, and a refused call for nothing
+    for s, k_asked in ((5, [("cot_power_integral", 5, 1e-9)]), (4, [])):
+        asked.clear()
+        expanded_real_identity(s, 1e-9)
+        assert asked == k_asked + [("integrate_finite", 0.0, math.pi, 1e-9)] * len(k_asked)
+    asked.clear()
+    with pytest.raises(Refused):
+        expanded_real_identity(5, 1e-16)
+    assert asked == []
+
+
+_TOL_CHECKS = {  # each check's name in its refusals, and its arguments before tol
+    "verify_bose_integral": ("verify_bose_integral", 3),
+    "verify_fermi_integral": ("verify_fermi_integral", 3),
+    "verify_eq5": ("verify_eq5",),
+    "contour_closure": ("contour_closure", 3, 30.0),
+    "eq9_components": ("eq9_components", 3),
+    "verify_eq9": ("eq9_components", 3),
+    "verify_zeta2": ("verify_zeta2",),
+    "verify_log2_identity": ("verify_log2_identity",),
+    "expanded_real_identity": ("expanded_real_identity", 3),
+    "verify_odd_zeta": ("verify_odd_zeta", 3),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("check", _TOL_CHECKS)
+def test_each_check_refuses_a_tol_not_finite_and_positive(monkeypatch, check, tol):
+    # one rule for every check cli runs and eq9_components: Refused, naming the
+    # check, before any quadrature, truncation scan or eq5 sample
+    from zeta_recur import cli
+
+    assert {name for name, _ in cli._CHECKS.values()} | {"eq9_components"} == set(_TOL_CHECKS)
+    asked = _record_requests(monkeypatch)
+    for name in ("truncation_point", "_eq5_points", "_lhs_terms"):
+        monkeypatch.setattr(identities, name, lambda *args, name=name: asked.append(name))
+    name, *args = _TOL_CHECKS[check]
+    with pytest.raises(Refused) as exc:
+        getattr(identities, check)(*args, tol)
+    assert str(exc.value) == f"{name} requires a finite tol > 0, got tol = {tol!r}"
+    assert asked == []
 
 
 @pytest.mark.parametrize("s,tol", [(2, 1e-9), (10, 1e-9), (30, 1e25)])
@@ -584,9 +625,9 @@ def test_odd_extraction_estimate_covers_the_error_within_tol():
         for s in range(3, 42, 2):
             exact = mp.zeta(s)
             for tol in ODD_TOLS:
-                value, estimate, reason = identities._odd_extraction(s, tol)
-                assert reason == "", (s, tol)
-                assert abs(mp.mpf(value) - exact) <= estimate <= tol, (s, tol)
+                report = verify_odd_zeta(s, tol)
+                assert report.reason == "", (s, tol)
+                assert abs(mp.mpf(report.lhs) - exact) <= report.estimate <= tol, (s, tol)
 
 
 def test_odd_extraction_asks_each_k_only_for_what_zeta_s_needs(monkeypatch):
