@@ -10,16 +10,18 @@ Defaults: --s 2, --tol 1e-9, --radius 30, --format plain.  `verify` takes
 --radius only for closure; a flag the identity does not take is a usage
 error.  Exit codes: 0 success, 1 verification failure, 2 usage error or an
 input `identities` refuses.
-The argument parser is built once, at import, and shared by every `main`
-call in the process; parsing leaves no state in it.  `main` first reads a
-plain argv itself: an exact command, its positional, then exact `--flag
-value` pairs, each flag once and no value starting with "-", converted and
-checked by the parser's own actions.  Anything else (help, abbreviations,
---flag=value, a repeat, a missing value, a failed conversion or choice) goes
-to argparse, which parses it and writes its usage error or help.  A usage
-error found after parsing (a range, a flag the identity does not take, a
-refusal) writes the bytes `parser.error` would, with the usage line formatted
-once per terminal width.  `identities` and
+Each command's flags are written once, in `_COMMANDS`.  `main` first reads
+a plain argv from that table: an exact command, its positional, then exact
+`--flag value` pairs, each flag once and no value starting with "-",
+converted and checked by each flag's type and choices.  Anything else (help,
+abbreviations, --flag=value, a repeat, a missing value, a failed conversion
+or choice) goes to argparse, which parses it and writes its usage error or
+help.  The parser is built from the same table on first need, and shared by
+every later call; parsing leaves no state in it.  So argparse (with gettext
+and locale) is imported only by such an argv or by a usage error found after
+parsing (a range, a flag the identity does not take, a refusal), which
+writes the bytes `parser.error` would, with the usage line formatted once per
+terminal width.  `identities` and
 `quadrature` are imported by the first verify or contour call, so even and
 bernoulli load only the exact core.
 
@@ -32,9 +34,10 @@ Output is deterministic: identical argv yields byte-identical stdout.
 
 from __future__ import annotations
 
-import argparse
+import functools
 import math
 import sys
+from types import SimpleNamespace
 
 from . import exact
 # `even` compares b_n with B_2n instead of calling zeta_even_euler; the name stays
@@ -182,137 +185,126 @@ _CHECKS = {
     "odd": ("verify_odd_zeta", ("s",)),
 }
 _FLAG_DEFAULTS = {"s": DEFAULT_S, "radius": DEFAULT_RADIUS}
+_WITHOUT_S = ", ".join(i for i, (_, flags) in _CHECKS.items() if "s" not in flags)
+_FORMAT = {"format": (None, ("plain", "json", "csv"), "plain", "output format (default: plain)")}
+
+# Each command's flag facts, which `_plain_args` and `_parser` both read: its
+# help, its positional (name, choices) or None, and per flag, by dest, its
+# type, choices, default and help.  A default of None leaves the flag out of
+# the parsed args unless given.
+_COMMANDS = {
+    "even": ("table of zeta(2n): exact coefficient, recursion==Euler, decimal", None, {
+        **_FORMAT,
+        "n": (int, None, 10, f"largest n, 1..{MAX_N} (default: 10)"),
+        "digits": (int, None, 10, f"decimal digits, 1..{MAX_DIGITS} (default: 10)")}),
+    "bernoulli": ("table of Bernoulli numbers", None, {
+        **_FORMAT,
+        "n": (int, None, 10, f"largest index, 0..{MAX_BERNOULLI} (default: 10)")}),
+    "verify": ("check one identity", ("identity", _CHECKS), {
+        **_FORMAT,
+        "s": (int, None, None, f"integer exponent, not for {_WITHOUT_S} (default: {DEFAULT_S})"),
+        "tol": (float, None, 1e-9, "tolerance (default: 1e-9)"),
+        "radius": (float, None, None,
+                   f"rectangle extent R, closure only (default: {DEFAULT_RADIUS:g})")}),
+    "contour": ("rectangle contour study: four sides and their sum", None, {
+        **_FORMAT,
+        "s": (int, None, DEFAULT_S, f"integer exponent (default: {DEFAULT_S})"),
+        "radius": (float, None, DEFAULT_RADIUS,
+                   f"rectangle extent R (default: {DEFAULT_RADIUS:g})"),
+        "tol": (float, None, 1e-9, "closure tolerance (default: 1e-9)")}),
+}
+# _parser().format_usage() per terminal width, filled by the first usage error at each
+_USAGE: dict[int, str] = {}
 
 
-def _build_parser():
-    """The parser, and per command what `_plain_args` reads from its actions.
+@functools.cache
+def _parser():
+    """The argument parser, built from `_COMMANDS` by the first argv that needs it."""
+    import argparse
 
-    Each command maps to its positional action (or None), its options by flag
-    and the namespace argparse starts from: the command and each default that
-    is not SUPPRESS.  The actions are the ones `add_argument` returned;
-    `--format` is `common`'s, which every subparser shares.
-    """
     parser = argparse.ArgumentParser(
         prog="zeta-recur",
         description="Exact zeta(2n) tables and numerical verification of the "
                     "contour identities behind them.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    fmt = common.add_argument("--format", choices=("plain", "json", "csv"), default="plain",
-                              help="output format (default: plain)")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    actions: dict[str, list[argparse.Action]] = {}
-
-    even = sub.add_parser("even", parents=[common],
-                          help="table of zeta(2n): exact coefficient, recursion==Euler, decimal")
-    actions["even"] = [
-        even.add_argument("--n", type=int, default=10, help=f"largest n, 1..{MAX_N} (default: 10)"),
-        even.add_argument("--digits", type=int, default=10,
-                          help=f"decimal digits, 1..{MAX_DIGITS} (default: 10)"),
-    ]
-
-    bern = sub.add_parser("bernoulli", parents=[common], help="table of Bernoulli numbers")
-    actions["bernoulli"] = [
-        bern.add_argument("--n", type=int, default=10,
-                          help=f"largest index, 0..{MAX_BERNOULLI} (default: 10)"),
-    ]
-
-    verify = sub.add_parser("verify", parents=[common], help="check one identity")
-    # --s and --radius are absent from the parsed args unless given
-    without_s = ", ".join(i for i, (_, flags) in _CHECKS.items() if "s" not in flags)
-    actions["verify"] = [
-        verify.add_argument("identity", choices=_CHECKS),
-        verify.add_argument("--s", type=int, default=argparse.SUPPRESS,
-                            help=f"integer exponent, not for {without_s} (default: {DEFAULT_S})"),
-        verify.add_argument("--tol", type=float, default=1e-9, help="tolerance (default: 1e-9)"),
-        verify.add_argument("--radius", type=float, default=argparse.SUPPRESS,
-                            help=f"rectangle extent R, closure only (default: {DEFAULT_RADIUS:g})"),
-    ]
-
-    contour = sub.add_parser("contour", parents=[common],
-                             help="rectangle contour study: four sides and their sum")
-    actions["contour"] = [
-        contour.add_argument("--s", type=int, default=DEFAULT_S,
-                             help=f"integer exponent (default: {DEFAULT_S})"),
-        contour.add_argument("--radius", type=float, default=DEFAULT_RADIUS,
-                             help=f"rectangle extent R (default: {DEFAULT_RADIUS:g})"),
-        contour.add_argument("--tol", type=float, default=1e-9,
-                             help="closure tolerance (default: 1e-9)"),
-    ]
-
-    commands = {}
-    for command, taken in actions.items():
-        taken.append(fmt)
-        positional = [action for action in taken if not action.option_strings]
-        options = {flag: action for action in taken for flag in action.option_strings}
-        defaults = {action.dest: action.default for action in taken
-                    if action.default is not argparse.SUPPRESS}
-        commands[command] = (positional[0] if positional else None, options,
-                             {sub.dest: command, **defaults})
-    return parser, commands
+    for command, (summary, positional, flags) in _COMMANDS.items():
+        subparser = sub.add_parser(command, help=summary)
+        if positional is not None:
+            subparser.add_argument(positional[0], choices=positional[1])
+        for dest, (kind, choices, default, text) in flags.items():
+            subparser.add_argument(f"--{dest}", type=kind, choices=choices, help=text,
+                                   default=argparse.SUPPRESS if default is None else default)
+    return parser
 
 
-_PARSER, _COMMANDS = _build_parser()
-# _PARSER.format_usage() per terminal width, filled by the first usage error at each
-_USAGE: dict[int, str] = {}
-
-
-def _plain_args(argv: list[str]) -> argparse.Namespace | None:
-    """What `_PARSER.parse_args(argv)` returns for an argv in plain form, else None.
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """What `_parser().parse_args(argv)` returns for an argv in plain form, else None.
 
     The plain form is an exact command name, then its positional if it takes
     one, then exact `--flag value` pairs, each flag at most once and no value
-    starting with "-".  Each value goes through its action's `type` and
-    `choices`, and every action not given takes its default.  For any other
-    argv, or a value its action rejects, this returns None: argparse then
-    parses the argv and writes any usage error or help.
+    starting with "-".  Each value goes through its flag's type and choices,
+    and every flag not given takes its default.  For any other argv, or a
+    value its flag rejects, this returns None: argparse then parses the argv
+    and writes any usage error or help.
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
-    positional, options, defaults = _COMMANDS[argv[0]]
+    _, positional, flags = _COMMANDS[argv[0]]
     rest = argv[1:]
     given = []
     if positional is not None:
         if not rest:
             return None
-        given.append((positional, rest[0]))
+        given.append((positional[0], None, positional[1], rest[0]))
         rest = rest[1:]
-    flags = rest[::2]
-    if len(rest) % 2 or len(set(flags)) < len(flags):  # a flag without a value, or repeated
+    keys = rest[::2]
+    if len(rest) % 2 or len(set(keys)) < len(keys):  # a flag without a value, or repeated
         return None
-    given += [(options.get(flag), value) for flag, value in zip(flags, rest[1::2])]
-    args = dict(defaults)
-    for action, value in given:
-        if action is None or value.startswith("-"):  # not an exact flag, or a value like one
+    for key, value in zip(keys, rest[1::2]):
+        if key[:2] != "--" or key[2:] not in flags:  # not an exact flag
             return None
-        if action.type is not None:
+        given.append((key[2:], *flags[key[2:]][:2], value))
+    args = {dest: facts[2] for dest, facts in flags.items() if facts[2] is not None}
+    args["command"] = argv[0]
+    for dest, kind, choices, value in given:
+        if value.startswith("-"):  # a value like a flag
+            return None
+        if kind is not None:
             try:
-                value = action.type(value)
+                value = kind(value)
             except (TypeError, ValueError):
                 return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        args[action.dest] = value
-    return argparse.Namespace(**args)
+        args[dest] = value
+    return SimpleNamespace(**args)
+
+
+@functools.cache
+def _error_template() -> str:
+    """The template argparse's `error` writes, translated once per process."""
+    from gettext import gettext
+
+    return gettext("%(prog)s: error: %(message)s\n")
 
 
 def _usage_error(message: str):
-    """Exit 2 after writing to stderr what `_PARSER.error(message)` writes.
+    """Exit 2 after writing to stderr what `_parser().error(message)` writes.
 
     argparse formats the usage line on every error.  For a fixed parser it
     depends on the terminal width its HelpFormatter reads, so it is formatted
-    once per width; the catalogue that translates its "usage: " is taken as
-    fixed for the process.
+    once per width; the catalogue that translates its "usage: " and the error
+    template is taken as fixed for the process.
     """
     import shutil
-    from gettext import gettext
 
+    parser = _parser()
     columns = shutil.get_terminal_size().columns
     usage = _USAGE.get(columns)
     if usage is None:
-        usage = _USAGE[columns] = _PARSER.format_usage()
-    text = gettext("%(prog)s: error: %(message)s\n") % {"prog": _PARSER.prog, "message": message}
+        usage = _USAGE[columns] = parser.format_usage()
+    text = _error_template() % {"prog": parser.prog, "message": message}
     try:
         sys.stderr.write(usage + text)
     except (AttributeError, OSError):  # as argparse: no stderr, or a closed one
@@ -323,7 +315,7 @@ def _usage_error(message: str):
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _plain_args(argv) or _PARSER.parse_args(argv)
+    args = _plain_args(argv) or _parser().parse_args(argv)
 
     if args.command == "even":
         if not 1 <= args.n <= MAX_N:

@@ -20,8 +20,7 @@ paths it is used to check.
 
 This module alone decides what each check accepts (``Refused``, raised before
 the check builds any integral, names the bound), whether it passed and why not.
-Every check first refuses a tol that is not finite and > 0, naming itself
-(verify_eq9 through eq9_components, which names every refusal of eq9).
+Every check first refuses a tol that is not finite and > 0, naming itself.
 Every check that integrates, but eq2, eq7 and odd's ordered chain, declares each
 integral once, with its share of tol, weight and floor: ``_integrate`` raises
 every below-floor refusal, then runs and sums them.
@@ -406,8 +405,13 @@ def eq9_components(s: int, tol: float = 1e-9) -> LimitComponents:
     Each F(j), of weight c = C(s-1,j) pi^j, runs at tol/(4 s max(1, c)),
     clamped by _eq9_f above its own floor, so it needs no bound.
     """
-    _require_tol("eq9_components", tol)
-    _require_s("eq9_components", s, *_REAL_AXIS_S)
+    return _eq9_components("eq9_components", s, tol)
+
+
+def _eq9_components(name: str, s: int, tol: float) -> LimitComponents:
+    """`eq9_components`, its refusals naming `name`, the public function called."""
+    _require_tol(name, tol)
+    _require_s(name, s, *_REAL_AXIS_S)
     a_share, c_share = 0.125, 0.25
     x_max, tail = truncation_point(s, a_share * tol)
     rows = []
@@ -418,7 +422,7 @@ def eq9_components(s: int, tol: float = 1e-9) -> LimitComponents:
         for j, coef, _ in rows[:-1]:
             yield coef, 0.25 / (s * max(1.0, coef)), _eq9_f, s - j
         yield 1.0, c_share, integrate_segment, s, _EQ9_C
-    values, estimate, _, reason = _integrate("eq9_components", s, tol, [
+    values, estimate, _, reason = _integrate(name, s, tol, [
         (a_share, _lower_gamma(s, x_max)), (c_share, _pi_side_bound(s))], integrals())
     a, *f_values, c = values
     terms = [i_pow * (coef * f_j) for (_, coef, i_pow), f_j in zip(rows, f_values + [LN2])]
@@ -435,7 +439,7 @@ def _eq9_f(m: int, tol: float) -> QuadratureResult:
 def verify_eq9(s: int, tol: float = 1e-8) -> IdentityReport:
     """EQ9: A - B against C.  The verdict reads the residual and the stop reasons,
     not LimitComponents.error_estimate (see there)."""
-    comp = eq9_components(s, tol)
+    comp = _eq9_components("verify_eq9", s, tol)
     return IdentityReport(IdentityId.EQ9, s, comp.a - comp.b, comp.c, tol, comp.reason)
 
 

@@ -206,6 +206,38 @@ def test_even_and_bernoulli_load_only_the_exact_core():
     assert done.returncode == 0, done.stderr.decode()
 
 
+def test_plain_argv_never_imports_argparse():
+    # a plain argv is read from the flag table alone: argparse, with the gettext
+    # and locale it imports, loads only with the parser, and a fresh process's
+    # first usage error, which builds it, writes what its `error` writes
+    script = (
+        "import contextlib, io, sys\n"
+        "from zeta_recur import cli\n"
+        "parser_modules = lambda: [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]\n"
+        "for argv in (['even', '--n', '5', '--format', 'json'], ['bernoulli', '--n', '5'],\n"
+        "             ['verify', 'eq2', '--s', '3'], ['contour', '--s', '2', '--format', 'csv']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    assert not parser_modules(), (argv, parser_modules())\n"
+        "def error(call, *args):\n"
+        "    with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        "        try:\n"
+        "            call(*args)\n"
+        "        except SystemExit as exc:\n"
+        "            return exc.code, err.getvalue()\n"
+        "first = error(cli.main, ['even', '--n', '0'])\n"
+        "assert parser_modules() == ['argparse', 'gettext', 'locale'], parser_modules()\n"
+        "assert first == error(cli._parser().error, '--n must be in 1..1000'), first\n"
+        "assert first[1].endswith(' error: --n must be in 1..1000\\n'), first\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+
+
 LAZY_STDLIB = ["fractions", "decimal", "numbers", "random"]
 
 
@@ -428,10 +460,10 @@ _FLOORS = {
 
 
 @pytest.mark.parametrize("argv,name", [
-    (["verify", "eq9", "--s", "20", "--tol", "1e-10"], "eq9_components"),
+    (["verify", "eq9", "--s", "20", "--tol", "1e-10"], "verify_eq9"),
     (["contour", "--s", "20", "--radius", "30", "--tol", "1e-10"], "contour_closure"),
     (["verify", "eq10", "--s", "20", "--tol", "1e-10"], "expanded_real_identity"),
-    (["verify", "eq9", "--s", "2", "--tol", "1e-16"], "eq9_components"),
+    (["verify", "eq9", "--s", "2", "--tol", "1e-16"], "verify_eq9"),
     (["verify", "closure", "--s", "20", "--tol", "1e-10"], "contour_closure"),
     (["contour", "--s", "2", "--radius", "0.01", "--tol", "1e-17"], "contour_closure"),
     (["verify", "s2", "--tol", "1e-16"], "verify_zeta2"),
@@ -557,10 +589,10 @@ _TOKENS = (*_COMMAND_TOKENS, *cli._CHECKS, *_GOOD, *_INTS, *_FLOATS, *_JUNK, "--
 
 
 def _argparse_reads(argv):
-    """(exit code, None) if `_PARSER.parse_args(argv)` exits, else (None, its items)."""
+    """(exit code, None) if `_parser().parse_args(argv)` exits, else (None, its items)."""
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            args = cli._PARSER.parse_args(argv)
+            args = cli._parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code, None
     return None, sorted(vars(args).items())
@@ -631,7 +663,7 @@ def test_usage_error_writes_what_parser_error_writes_at_every_width(capsys, monk
             cli.main(argv)
         got = capsys.readouterr()
         with pytest.raises(SystemExit) as expected_exc:
-            cli._PARSER.error(str(refused.value))
+            cli._parser().error(str(refused.value))
         expected = capsys.readouterr()
         assert (exc.value.code, got.out, got.err) == (expected_exc.value.code, "", expected.err)
         errors.append(got.err)

@@ -280,7 +280,7 @@ _TOL_CHECKS = {  # each check's name in its refusals, and its arguments before t
     "verify_eq5": ("verify_eq5",),
     "contour_closure": ("contour_closure", 3, 30.0),
     "eq9_components": ("eq9_components", 3),
-    "verify_eq9": ("eq9_components", 3),
+    "verify_eq9": ("verify_eq9", 3),
     "verify_zeta2": ("verify_zeta2",),
     "verify_log2_identity": ("verify_log2_identity",),
     "expanded_real_identity": ("expanded_real_identity", 3),
