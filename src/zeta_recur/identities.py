@@ -20,10 +20,10 @@ paths it is used to check.
 
 This module alone decides what each check accepts (``Refused``, raised before
 the check builds any integral, names the bound), whether it passed and why not.
-Every check first refuses a tol that is not finite and > 0, naming itself.
-Every check that integrates, but eq2, eq7 and odd's ordered chain, declares each
-integral once, with its share of tol, weight and floor: ``_integrate`` raises
-every below-floor refusal, then runs and sums them.
+Every check has one shape.  It refuses a tol that is not finite and > 0, then
+an s out of its range, naming itself; closure, eq9, s2 and eq10 then refuse a
+tol below their floor (``_refuse_below_floor``); only then does it call its
+integrators, reading each value, estimate and stop reason off their results.
 """
 
 from __future__ import annotations
@@ -139,12 +139,9 @@ def _share(k: float, tol: float) -> float:
     return max(k * tol, math.ulp(0.0))
 
 
-def _integrate(name: str, s: int, tol: float, floors, integrals, why: str = (
-        "eps times a lower bound on the integral of |f| it must resolve")):
-    """Refuse tol below the floor of ``floors``; only then consume ``integrals``, a lazy
-    iterable of (weight, share, integral, *args), running integral(*args, _share(share, tol)),
-    with weight the size of its coefficient in the identity.  Returns the values in order,
-    the fsum of weight times error estimate, the evaluations and why any stopped short.
+def _refuse_below_floor(name: str, s: int, tol: float, floors, why: str = (
+        "eps times a lower bound on the integral of |f| it must resolve")) -> None:
+    """Refuse tol below the floor of ``floors``, before the check runs any integral.
 
     Each floor (share, bound) is one integral run at share * tol, with bound a lower
     bound on the integral of |f| over its range.  Every K21 panel reports at least
@@ -152,16 +149,12 @@ def _integrate(name: str, s: int, tol: float, floors, integrals, why: str = (
     2 eps * bound: share * tol below eps * bound can never be met, and the quadrature
     would run into its roundoff floor.  The floor named is the smallest tol every
     request meets, and why says what the bounds are: eq10's is an estimate of the
-    rounding of its summed terms.  An empty list never refuses.
+    rounding of its summed terms.
     """
-    floor = max([_EPS * bound / share for share, bound in floors] or [0.0])
+    floor = max(_EPS * bound / share for share, bound in floors)
     if tol < floor:
         raise Refused(f"{name} requires tol >= {floor:.3g} at s = {s} ({why}), "
                       f"got tol = {tol!r}")
-    runs = [(w, integral(*args, _share(share, tol))) for w, share, integral, *args in integrals]
-    quads = [q for _, q in runs]
-    return ([q.value for q in quads], math.fsum([w * q.error_estimate for w, q in runs]),
-            sum([q.evaluations for q in quads]), _stop_reason(quads))
 
 
 class _Verdict:
@@ -294,8 +287,8 @@ def _odd_divisor(m: int) -> float:
 
 
 def verify_bose_integral(s: int, tol: float = 1e-9) -> IdentityReport:
-    """EQ2: quadrature of x^(s-1)/(e^x-1) against Gamma(s) * zeta_series(s).  One
-    integral at tol/2 with no floor, so not through _integrate until it has a bound."""
+    """EQ2: quadrature of x^(s-1)/(e^x-1) against Gamma(s) * zeta_series(s), one
+    integral at tol/2 with no floor."""
     _require_tol("verify_bose_integral", tol)
     _require_s("verify_bose_integral", s, *_REAL_AXIS_S)
     quad = integrate_semi_infinite(bose(s), s, _share(0.5, tol))
@@ -304,8 +297,8 @@ def verify_bose_integral(s: int, tol: float = 1e-9) -> IdentityReport:
 
 
 def verify_fermi_integral(s: int, tol: float = 1e-9) -> IdentityReport:
-    """EQ7: quadrature of x^(s-1)/(e^x+1) against (1-2^(1-s)) Gamma(s) zeta_series(s).
-    Like EQ2, one integral at tol/2 with no floor, not through _integrate."""
+    """EQ7: quadrature of x^(s-1)/(e^x+1) against (1-2^(1-s)) Gamma(s) zeta_series(s),
+    one integral at tol/2 with no floor."""
     _require_tol("verify_fermi_integral", tol)
     _require_s("verify_fermi_integral", s, *_REAL_AXIS_S)
     quad = integrate_semi_infinite(fermi(s), s, _share(0.5, tol))
@@ -347,8 +340,9 @@ def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9) -> ContourReport
     """EQ8: the four side integrals, counterclockwise, their sum and its verdict.
 
     pi |R + i pi|^(s-1), the size of the integrand times a side's length, must fit
-    a double.  Each side runs at tol/4 with weight 1, and tol is refused below
-    the floor of these lower bounds on a side's integral of |f|:
+    a double.  Each side runs at tol/4, and the estimate and evaluations are
+    the sides' sums.  tol is refused below the floor of these lower bounds on a
+    side's integral of |f|:
       bottom  gamma(s, R), since 1/(e^x - 1) >= e^-x;
       top     gamma(s, R)/2, since |e^(x + i pi) - 1| = e^x + 1 <= 2 e^x, so
               its floor never exceeds the bottom's and it declares none;
@@ -362,15 +356,15 @@ def contour_closure(s: int, R: float = 30.0, tol: float = 1e-9) -> ContourReport
     s_max = 1 + int((_LN_MAX - math.log(math.pi)) / math.log(abs(complex(R, math.pi))))
     _require_s("contour_closure", s, s_max, f"pi |R + i pi|^(s-1) must fit a double at R = {R!r}")
     share = 0.25
-
-    def integrals():
-        corners = (0j, complex(R), complex(R, math.pi), complex(0.0, math.pi), 0j)
-        for side in map(Segment, corners, corners[1:]):
-            yield 1.0, share, integrate_segment, s, side
-    values, estimate, evaluations, reason = _integrate("contour_closure", s, tol, [
-        (share, _lower_gamma(s, R)), (share, _pi_side_bound(s))], integrals())
+    _refuse_below_floor("contour_closure", s, tol, [
+        (share, _lower_gamma(s, R)), (share, _pi_side_bound(s))])
+    corners = (0j, complex(R), complex(R, math.pi), complex(0.0, math.pi), 0j)
+    quads = [integrate_segment(s, side, _share(share, tol))
+             for side in map(Segment, corners, corners[1:])]
     # the bottom side's integral is a float; every side value is reported complex
-    return ContourReport(s, R, tuple(map(complex, values)), estimate, evaluations, reason, tol)
+    return ContourReport(s, R, tuple(complex(q.value) for q in quads),
+                         math.fsum([q.error_estimate for q in quads]),
+                         sum([q.evaluations for q in quads]), _stop_reason(quads), tol)
 
 
 # the segment from 0 to i pi, along which EQ9's C is integrated
@@ -379,9 +373,9 @@ _EQ9_C = Segment(complex(0.0), complex(0.0, math.pi))
 
 class LimitComponents(namedtuple("LimitComponents", "a b c error_estimate reason",
                                  defaults=("",))):
-    """The three pieces of the R -> inf limit A - B = C, their error estimate (A's
-    tail bound plus each integral's estimate times its weight: 1 for A and C,
-    C(s-1,j) pi^j for F(j)) and why the quadratures that fell short stopped.
+    """The three pieces of the R -> inf limit A - B = C, their error estimate (the
+    fsum of A's, each C(s-1,j) pi^j F(j)'s and C's estimates, plus A's tail bound)
+    and why the quadratures that fell short stopped.
     verify_eq9 reads the residual and the stop reasons, not error_estimate, which
     exceeds tol on 74 of the 485 eq9 passes of the first 8 seeded verify-sweep
     rounds of seeds 1-3."""
@@ -414,20 +408,18 @@ def _eq9_components(name: str, s: int, tol: float) -> LimitComponents:
     _require_s(name, s, *_REAL_AXIS_S)
     a_share, c_share = 0.125, 0.25
     x_max, tail = truncation_point(s, a_share * tol)
-    rows = []
-
-    def integrals():
-        yield 1.0, a_share, integrate_finite, bose(s), 0.0, x_max
-        rows.extend(_binomial_terms(s))
-        for j, coef, _ in rows[:-1]:
-            yield coef, 0.25 / (s * max(1.0, coef)), _eq9_f, s - j
-        yield 1.0, c_share, integrate_segment, s, _EQ9_C
-    values, estimate, _, reason = _integrate(name, s, tol, [
-        (a_share, _lower_gamma(s, x_max)), (c_share, _pi_side_bound(s))], integrals())
-    a, *f_values, c = values
-    terms = [i_pow * (coef * f_j) for (_, coef, i_pow), f_j in zip(rows, f_values + [LN2])]
+    _refuse_below_floor(name, s, tol, [
+        (a_share, _lower_gamma(s, x_max)), (c_share, _pi_side_bound(s))])
+    a = integrate_finite(bose(s), 0.0, x_max, _share(a_share, tol))
+    rows = list(_binomial_terms(s))
+    f = [_eq9_f(s - j, _share(0.25 / (s * max(1.0, coef)), tol)) for j, coef, _ in rows[:-1]]
+    c = integrate_segment(s, _EQ9_C, _share(c_share, tol))
+    f_values = [q.value for q in f] + [LN2]
+    terms = [i_pow * (coef * f_j) for (_, coef, i_pow), f_j in zip(rows, f_values)]
     b = -complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-    return LimitComponents(complex(a), b, c, estimate + tail, reason)
+    f_errors = [coef * q.error_estimate for (_, coef, _), q in zip(rows, f)]
+    estimate = math.fsum([a.error_estimate, *f_errors, c.error_estimate]) + tail
+    return LimitComponents(complex(a.value), b, c.value, estimate, _stop_reason([a, *f, c]))
 
 
 def _eq9_f(m: int, tol: float) -> QuadratureResult:
@@ -451,10 +443,10 @@ def verify_log2_identity(tol: float = 1e-9) -> IdentityReport:
     and neither has a bound, so no finite tol > 0 is refused.
     """
     _require_tol("verify_log2_identity", tol)
-    (lhs, rhs), _, _, reason = _integrate("verify_log2_identity", 2, tol, [], [
-        (math.pi, 0.125, integrate_semi_infinite, fermi(1), 1),
-        (0.5, 0.25, cot_power_integral, 2)])
-    return IdentityReport(IdentityId.S2_IMAG, 2, math.pi * lhs, 0.5 * rhs, tol, reason)
+    lhs = integrate_semi_infinite(fermi(1), 1, _share(0.125, tol))
+    rhs = cot_power_integral(2, _share(0.25, tol))
+    return IdentityReport(IdentityId.S2_IMAG, 2, math.pi * lhs.value, 0.5 * rhs.value, tol,
+                          _stop_reason([lhs, rhs]))
 
 
 def cot_power_integral(s: int, tol: float = 1e-10) -> QuadratureResult:
@@ -535,15 +527,16 @@ def expanded_real_identity(s: int, tol: float = 1e-9) -> IdentityReport:
     lhs_terms = _lhs_terms(s)
     lhs = math.fsum(lhs_terms)
     rhs = -_I_POW[s % 4].real * math.pi**s / (2 * s)
-    k_coef = _k_coef(s)
-    k_values, _, _, reason = _integrate(
+    _refuse_below_floor(
         "expanded_real_identity", s, tol,
         [(1.0, math.fsum(map(abs, lhs_terms)) + abs(rhs) + abs(lhs - rhs))],
-        [(abs(k_coef), 1.0, cot_power_integral, s)] if k_coef else [],
         "eps times the summed magnitudes of its terms: an estimate of their rounding, "
         "not a proven bound")
-    return IdentityReport(IdentityId.EQ10_NUMERIC, s, lhs, rhs + k_coef * sum(k_values), tol,
-                          reason)
+    k_coef = _k_coef(s)
+    if not k_coef:
+        return IdentityReport(IdentityId.EQ10_NUMERIC, s, lhs, rhs, tol)
+    k = cot_power_integral(s, tol)
+    return IdentityReport(IdentityId.EQ10_NUMERIC, s, lhs, rhs + k_coef * k.value, tol, k.reason)
 
 
 def verify_odd_zeta(s: int, tol: float = 1e-8) -> IdentityReport:
@@ -570,8 +563,7 @@ def verify_odd_zeta(s: int, tol: float = 1e-8) -> IdentityReport:
     and, for each numerator k_m K(m) - known_m, eps times the sum of its terms'
     magnitudes, weighted by |adj[m] / D_m|; it stays within about tol/2 when
     every K converges.  A K(m) that evaluated nothing ends the chain: zeta(s)
-    is nan and the estimate infinite.  Not through _integrate: its fsum would
-    reorder this printed estimate and not stop early.
+    is nan and the estimate infinite.
 
     The report's lhs is the extracted zeta(s), and it passes only when the
     residual is within tol, every K(m) of the chain converged, and the
@@ -617,12 +609,13 @@ def verify_odd_zeta(s: int, tol: float = 1e-8) -> IdentityReport:
 def verify_zeta2(tol: float = 1e-9) -> IdentityReport:
     """S2_REAL: zeta(2) extracted from the contour against the series oracle.
 
-    Re C = (3/2) zeta(2) at s = 2, so of eq9_components only C runs, at tol/4
-    with weight 2/3, and tol is refused below the floor of C's lower bound pi on
-    the integral of |f|, which also dominates A's in eq9_components at s = 2.
+    Re C = (3/2) zeta(2) at s = 2, so of eq9_components only C runs, at tol/4,
+    and tol is refused below the floor of C's lower bound pi on the integral of
+    |f|, which also dominates A's in eq9_components at s = 2.
     """
     _require_tol("verify_zeta2", tol)
     share = 0.25
-    (c,), _, _, reason = _integrate("verify_zeta2", 2, tol, [(share, _pi_side_bound(2))],
-                                    [(2.0 / 3.0, share, integrate_segment, 2, _EQ9_C)])
-    return IdentityReport(IdentityId.S2_REAL, 2, c.real * 2.0 / 3.0, _oracle(2, tol), tol, reason)
+    _refuse_below_floor("verify_zeta2", 2, tol, [(share, _pi_side_bound(2))])
+    c = integrate_segment(2, _EQ9_C, _share(share, tol))
+    return IdentityReport(IdentityId.S2_REAL, 2, c.value.real * 2.0 / 3.0, _oracle(2, tol), tol,
+                          c.reason)

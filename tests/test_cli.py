@@ -251,8 +251,8 @@ LAZY_STDLIB = ["fractions", "decimal", "numbers", "random"]
 def test_each_command_loads_only_the_stdlib_it_uses(argvs, needed, unloaded):
     # one fresh -S process per group, so each assertion sees only its own
     # commands' imports: import itself loads none of LAZY_STDLIB, `fractions`
-    # comes with the exact core's first rational, `random` with eq5, and no
-    # command loads `decimal`
+    # comes with the exact core's first rational, `random` with eq5, and the
+    # package never imports `decimal` itself (`fractions` does)
     script = (
         "import contextlib, io, sys\n"
         "from zeta_recur import cli\n"

@@ -251,6 +251,13 @@ def _record_requests(monkeypatch):
 
 def test_each_check_asks_for_its_declared_split(monkeypatch):
     asked = _record_requests(monkeypatch)
+    # eq2 and eq7 ask for their one integral at tol/2, and the least double for a subnormal tol
+    for check in (verify_bose_integral, verify_fermi_integral):
+        for tol, share in ((1e-9, 5e-10), (5e-324, 5e-324)):
+            asked.clear()
+            check(3, tol)
+            assert asked == [("integrate_semi_infinite", 3, share)], check
+    asked.clear()
     contour_closure(5, 20.0, 1e-9)
     assert [(name, tol) for name, *_, tol in asked] == [("integrate_segment", 2.5e-10)] * 4
     asked.clear()
@@ -320,6 +327,24 @@ def test_eq9_asks_for_its_declared_split(monkeypatch, s, tol):
         assert (name, m) == ("integrate_semi_infinite", m_want)
         assert abs(f_tol - want) <= math.ulp(want), (m, f_tol, want)
     assert (asked[-1][0], asked[-1][-1]) == ("integrate_segment", tol / 4)
+
+
+@pytest.mark.parametrize("s,tol", [(2, 1e-9), (5, 1e-8), (10, 1e-6), (17, 1e7)])
+def test_eq9_error_estimate_sums_its_integrals_and_tail(monkeypatch, s, tol):
+    # A's estimate, each C(s-1,j) pi^j F(j)'s and C's, summed, plus A's tail bound
+    ran = []
+    for name in ("integrate_finite", "integrate_semi_infinite", "integrate_segment"):
+        def recorded(*args, run=getattr(identities, name)):
+            ran.append(run(*args))
+            return ran[-1]
+
+        monkeypatch.setattr(identities, name, recorded)
+    comp = eq9_components(s, tol)
+    a, *f, c = ran
+    assert len(f) == s - 1
+    f_errors = [math.comb(s - 1, j) * math.pi**j * q.error_estimate for j, q in enumerate(f)]
+    want = math.fsum([a.error_estimate, *f_errors, c.error_estimate])
+    assert comp.error_estimate == want + quadrature.truncation_point(s, tol / 8)[1]
 
 
 def test_s2_component_values():
