@@ -4,6 +4,16 @@ import threading
 import pytest
 
 
+@pytest.fixture(autouse=True)
+def cold_eq9_floor_cache():
+    """Start each test with no floor-clamped eq9 F(m) computed, as in a fresh process,
+    so that recorders and starved budgets see every integral.  A module not yet
+    imported has nothing to clear, and the fixture imports nothing."""
+    identities = sys.modules.get("zeta_recur.identities")
+    if identities is not None:
+        identities._eq9_f_at_floor.cache_clear()
+
+
 @pytest.fixture
 def in_threads():
     """Run work(i) for i in range(count) on as many threads at once, switching

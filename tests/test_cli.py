@@ -446,6 +446,17 @@ def test_refusal_runs_before_any_quadrature(capsys, monkeypatch, argv):
     assert exc.value.code == 2
 
 
+def test_eq9_refusal_neither_reads_nor_fills_the_floor_cache(capsys):
+    # a warm cache holds F(2)..F(7); the refusal at s = 20 would ask for them
+    assert cli.main(["verify", "eq9", "--s", "8", "--tol", "1e-9"]) == 0
+    warm = identities._eq9_f_at_floor.cache_info()
+    assert warm.currsize == 6
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "eq9", "--s", "20", "--tol", "1e-10"])
+    assert exc.value.code == 2
+    assert identities._eq9_f_at_floor.cache_info() == warm
+
+
 # the floor each sub-floor refusal below names, byte for byte; where a check has
 # two bounds, one case lets each of them win
 _FLOORS = {
@@ -791,6 +802,7 @@ def test_no_cli_integral_bisects_more_than_64_times(capsys, monkeypatch):
     ["even", "--n", "6", "--digits", "14"],
     ["bernoulli", "--n", "8", "--format", "json"],
     ["verify", "eq7", "--s", "4", "--format", "csv"],
+    ["verify", "eq9", "--s", "8", "--tol", "1e-9", "--format", "json"],
     ["contour", "--s", "2", "--format", "json"],
 ])
 def test_byte_identical_output(capsys, argv):

@@ -299,12 +299,12 @@ _TOL_CHECKS = {  # each check's name in its refusals, and its arguments before t
 @pytest.mark.parametrize("check", _TOL_CHECKS)
 def test_each_check_refuses_a_tol_not_finite_and_positive(monkeypatch, check, tol):
     # one rule for every check cli runs and eq9_components: Refused, naming the
-    # check, before any quadrature, truncation scan or eq5 sample
+    # check, before any quadrature, truncation scan, eq5 sample or cached term
     from zeta_recur import cli
 
     assert {name for name, _ in cli._CHECKS.values()} | {"eq9_components"} == set(_TOL_CHECKS)
     asked = _record_requests(monkeypatch)
-    for name in ("truncation_point", "_eq5_points", "_lhs_terms"):
+    for name in ("truncation_point", "_eq5_points", "_lhs_terms", "_eq9_f_at_floor"):
         monkeypatch.setattr(identities, name, lambda *args, name=name: asked.append(name))
     name, *args = _TOL_CHECKS[check]
     with pytest.raises(Refused) as exc:
@@ -345,6 +345,49 @@ def test_eq9_error_estimate_sums_its_integrals_and_tail(monkeypatch, s, tol):
     f_errors = [math.comb(s - 1, j) * math.pi**j * q.error_estimate for j, q in enumerate(f)]
     want = math.fsum([a.error_estimate, *f_errors, c.error_estimate])
     assert comp.error_estimate == want + quadrature.truncation_point(s, tol / 8)[1]
+
+
+@pytest.mark.parametrize("s,unclamped", [(8, [8]), (10, [])])
+def test_eq9_warm_equals_cold(monkeypatch, s, unclamped):
+    # a clamped F(m) is integrated once per process: the second call asks only
+    # for A, the unclamped F(m) and C, and returns the same components
+    cold = eq9_components(s, 1e-9)
+    asked = _record_requests(monkeypatch)
+    warm = eq9_components(s, 1e-9)
+    assert warm == cold  # every field, error_estimate included
+    assert [m for name, m, *_ in asked if name == "integrate_semi_infinite"] == unclamped
+    assert [name for name, *_ in asked if name != "integrate_semi_infinite"] == [
+        "integrate_finite", "integrate_segment"]
+
+
+def test_eq9_floor_cache_holds_only_m_in_2_to_108(monkeypatch):
+    # across every s eq9 accepts, at a tol just above its refusal floor, the cached
+    # F(m) are the first computations of m in 2..108, each once
+    asked = _record_requests(monkeypatch)
+    for s in range(2, 109):
+        tol = 1e-9
+        while True:
+            try:
+                eq9_components(s, tol)
+                break
+            except Refused:
+                tol *= 10.0
+    missed = [m for name, m, *_, f_tol in asked
+              if name == "integrate_semi_infinite" and f_tol == 5e-15 * math.factorial(m - 1)]
+    info = identities._eq9_f_at_floor.cache_info()
+    assert len(missed) == len(set(missed)) == info.currsize == info.misses
+    assert set(missed) <= set(range(2, 109))
+    assert info.hits > 0
+
+
+def test_eq9_from_threads_equals_serial(in_threads):
+    # eight threads fill the floor cache at once, from cold, each walking s in
+    # its own order, and report what one thread does
+    orders = [[2 + (i + 2 * k) % 9 for k in range(9)] for i in range(8)]
+    serial = [[verify_eq9(s, 1e-9) for s in order] for order in orders]
+    identities._eq9_f_at_floor.cache_clear()
+    threaded = in_threads(lambda i: [verify_eq9(s, 1e-9) for s in orders[i]], len(orders))
+    assert threaded == serial
 
 
 def test_s2_component_values():
