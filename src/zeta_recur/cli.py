@@ -35,7 +35,6 @@ Output is deterministic: identical argv yields byte-identical stdout.
 from __future__ import annotations
 
 import functools
-import math
 import sys
 from types import SimpleNamespace
 
@@ -213,8 +212,6 @@ _COMMANDS = {
                    f"rectangle extent R (default: {DEFAULT_RADIUS:g})"),
         "tol": (float, None, 1e-9, "closure tolerance (default: 1e-9)")}),
 }
-# _parser().format_usage() per terminal width, filled by the first usage error at each
-_USAGE: dict[int, str] = {}
 
 
 @functools.cache
@@ -282,11 +279,12 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
 
 
 @functools.cache
-def _error_template() -> str:
-    """The template argparse's `error` writes, translated once per process."""
+def _usage_lines(columns: int) -> tuple[str, str]:
+    """The usage line `_parser()` formats at this terminal width, and the
+    template argparse's `error` writes, translated by the process's catalogue."""
     from gettext import gettext
 
-    return gettext("%(prog)s: error: %(message)s\n")
+    return _parser().format_usage(), gettext("%(prog)s: error: %(message)s\n")
 
 
 def _usage_error(message: str):
@@ -299,12 +297,8 @@ def _usage_error(message: str):
     """
     import shutil
 
-    parser = _parser()
-    columns = shutil.get_terminal_size().columns
-    usage = _USAGE.get(columns)
-    if usage is None:
-        usage = _USAGE[columns] = parser.format_usage()
-    text = _error_template() % {"prog": parser.prog, "message": message}
+    usage, template = _usage_lines(shutil.get_terminal_size().columns)
+    text = template % {"prog": _parser().prog, "message": message}
     try:
         sys.stderr.write(usage + text)
     except (AttributeError, OSError):  # as argparse: no stderr, or a closed one
@@ -337,8 +331,6 @@ def main(argv: list[str] | None = None) -> int:
             _usage_error(f"verify {identity} takes no --{flag}")
     values = {flag: getattr(args, flag, _FLAG_DEFAULTS[flag]) for flag in flags}
     values["tol"] = args.tol
-    if not 0.0 < args.tol < math.inf:
-        _usage_error(f"--tol must be finite and > 0, got {args.tol!r}")
     from . import identities
 
     try:

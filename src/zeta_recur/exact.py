@@ -48,10 +48,10 @@ recursion.  All arithmetic is exact.
 
 State: the module keeps none.  A ``Table`` holds one caller's tables: the
 tangent-number column and the Bernoulli numbers grown from it, the b_m with
-the triangle's last diagonal and its common denominator, the widest pi
-computed, the last pi^(2n) built at each precision, and the last render
-guard that settled.  ``bernoulli``, ``zeta_even_euler``,
-``zeta_even_recursive`` and ``render_decimal`` take one as ``table``;
+the triangle's last diagonal and its common denominator, pi and the last
+pi^(2n) at the last precision asked, and the last render guard that
+settled.  ``bernoulli``, ``zeta_even_euler``, ``zeta_even_recursive`` and
+``render_decimal`` take one as ``table``;
 walking the rows n = 1, 2, ... through one table costs each row only its own
 step, and each render starts from the guard the render before it settled
 at.  Without a table a call builds what it needs, starts at machin's default
@@ -98,12 +98,12 @@ class Table:
     ``b``          b_1 .. b_m with b_m = 2^(1-2m) (2m)! q_m
     ``diagonal``   the triangle's anti-diagonal 2m for m = len(b), scaled by ``scale``
     ``scale``      common denominator L of the diagonal, a multiple of every b_m's denominator
-    ``pi``         (W, V, E) of the widest pi computed, as ``machin.pi_scaled`` takes it, or None
-    ``pi_powers``  precision -> (n, y, err, pi^2, pi^2 err) of the last pi^(2n) built there
+    ``pi``         (P, V, E, n, y, err, pi^2, pi^2 err) at the last precision P asked, or None:
+                   pi as ``machin.pi_scaled`` takes it, then the last pi^(2n) built
     ``guard``      the guard digits of the last ``render_decimal`` that settled, 12 at first
     """
 
-    __slots__ = ("tangent", "bernoulli", "b", "diagonal", "scale", "pi", "pi_powers", "guard")
+    __slots__ = ("tangent", "bernoulli", "b", "diagonal", "scale", "pi", "guard")
 
     def __init__(self) -> None:
         import fractions
@@ -114,7 +114,6 @@ class Table:
         self.diagonal = [0]
         self.scale = 1
         self.pi = None
-        self.pi_powers = {}
         self.guard = _GUARD_START
 
 
@@ -260,25 +259,23 @@ def _binary_power(base: tuple[int, int], k: int, scale: int) -> tuple[int, int]:
 def _pi_power_scaled(n: int, precision: int, table: Table) -> tuple[int, int]:
     """(y, err) with |y - pi^(2n) * 10**precision| <= err, walked along the table's rows.
 
-    If the last power ``table`` built at this precision is pi^(2m) with
-    m < n, it is multiplied by (pi^2)^(n-m), a single product when
-    n = m + 1; any other request powers pi^2 from scratch.  ``pi_scaled``
-    is asked on every call, with the table's widest pi to cut from, so each
-    precision attempt of ``render_decimal`` makes exactly one call to it
-    (the one perfbench times); a wider pi replaces the table's.
+    If ``table`` holds pi^(2m) at this precision with m < n, it is multiplied
+    by (pi^2)^(n-m), a single product when n = m + 1; any other request powers
+    pi^2 from scratch.  ``pi_scaled`` is asked on every call, with the table's
+    pi to serve this precision, so each precision attempt of ``render_decimal``
+    makes exactly one call to it (the one perfbench times).  The table then
+    holds this precision's pi and power in place of whatever it held.
     """
     scale = 10**precision
-    v, v_err = pi_scaled(precision, table.pi)
-    if table.pi is None or precision > table.pi[0]:
-        table.pi = (precision, v, v_err)
-    last = table.pi_powers.get(precision)
-    if last is not None and last[0] < n:
-        m, y, y_err, *square = last
+    held = table.pi
+    v, v_err = pi_scaled(precision, held)
+    if held is not None and held[0] == precision and held[3] < n:
+        m, y, y_err, *square = held[3:]
         y, y_err = _fixed_mul(y, y_err, *_binary_power(square, n - m, scale), scale)
     else:
         square = _fixed_mul(v, v_err, v, v_err, scale)
         y, y_err = _binary_power(square, n, scale)
-    table.pi_powers[precision] = (n, y, y_err, *square)
+    table.pi = (precision, v, v_err, n, y, y_err, *square)
     return y, y_err
 
 
@@ -291,9 +288,9 @@ def render_decimal(value: ZetaEvenValue, d: int, *, table: Table | None = None) 
     the point, so the guard a row needs grows with n; carried along a table's
     rows, each guard is reached once instead of through 12, 24, 48, ... on
     every row.  pi^(2n) is built in fixed point at the wider
-    precision P = d + guard + 20, from the last power ``table`` built at P
-    times (pi^2)^(n-m) when that was pi^(2m) with m < n (one product along
-    a table's rows), else by binary powering of pi^2.  Every product
+    precision P = d + guard + 20, from the power ``table`` holds at P times
+    (pi^2)^(n-m) when that is pi^(2m) with m < n (one product along a
+    table's rows), else by binary powering of pi^2.  Every product
     floor(A*B / 10^P) carries the proven bound
 
         |floor(A*B / 10^P) - a*b * 10^P| <= ceil((A*eB + B*eA + eA*eB) / 10^P) + 1

@@ -21,9 +21,9 @@ guard that passes the test settles the same digits, so where the loop starts
 changes its cost, never its result.  The retry loop terminates for an
 irrational value, which never lands exactly on a boundary.
 
-``pi_scaled`` keeps nothing: a caller that asks for many precisions (as
-``exact.Table`` does) passes the widest ``(precision, v, err)`` it has, and
-every narrower request is cut from it; any other request runs the series.
+``pi_scaled`` keeps nothing: a caller that holds pi at some precision (as
+``exact.Table`` does) passes it, and it serves a request at that precision;
+any other request runs the series.
 """
 
 from __future__ import annotations
@@ -78,21 +78,14 @@ def _arctan_recip_scaled(x: int, scale: int) -> tuple[int, int]:
     return total, terms + 1
 
 
-def pi_scaled(precision: int, widest: tuple[int, int, int] | None = None) -> tuple[int, int]:
+def pi_scaled(precision: int, held: tuple[int, ...] | None = None) -> tuple[int, int]:
     """Return (v, err) with |v - pi * 10**precision| <= err.
 
-    ``widest`` = (W, V, E) is the caller's own such triple at precision W.
-    It serves p = W as it stands, and a narrower p is cut from it with
-    k = W - p as (V // 10**k, ceil(E / 10**k) + 1), since
-    |V / 10**k - pi * 10**p| <= E / 10**k and the floor moves it by less
-    than one unit.  Any other precision runs the Machin series.
+    ``held`` starts with the caller's own (P, V, E) with |V - pi * 10**P| <= E.
+    It serves p = P as it stands; any other precision runs the Machin series.
     """
-    if widest is not None and precision <= widest[0]:
-        w, v, err = widest
-        if precision == w:
-            return v, err
-        block = 10 ** (w - precision)
-        return v // block, -(-err // block) + 1
+    if held is not None and held[0] == precision:
+        return held[1], held[2]
     scale = 10**precision
     a5, e5 = _arctan_recip_scaled(5, scale)
     a239, e239 = _arctan_recip_scaled(239, scale)

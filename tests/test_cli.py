@@ -328,6 +328,19 @@ def test_verify_usage_errors(capsys, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,name", [(["verify", "eq2"], "verify_bose_integral"),
+                                       (["contour"], "contour_closure")])
+@pytest.mark.parametrize("tol", ["0", "inf", "nan"])
+def test_tol_not_finite_and_positive_is_refused_by_its_check(capsys, argv, name, tol):
+    # the command line has no tol rule of its own: the check refuses, naming itself
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--tol", tol])
+    got = capsys.readouterr()
+    assert (exc.value.code, got.out) == (2, "")
+    assert got.err.endswith(
+        f"zeta-recur: error: {name} requires a finite tol > 0, got tol = {float(tol)!r}\n")
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["verify", "eq5", "--s", "3"], "--s"),
     (["verify", "s2", "--s", "2"], "--s"),
@@ -679,6 +692,25 @@ def test_usage_error_writes_what_parser_error_writes_at_every_width(capsys, monk
         assert (exc.value.code, got.out, got.err) == (expected_exc.value.code, "", expected.err)
         errors.append(got.err)
     assert errors[0] == errors[3] != errors[1]  # 20 columns wrap before [-h], 40 do not
+
+
+def test_usage_errors_leave_the_module_as_it_was(capsys, monkeypatch):
+    # usage errors at two terminal widths rebind nothing in `cli` and grow no
+    # container it binds: what they cache lives in functions, not module state
+    import copy
+
+    before = {name: (value, copy.deepcopy(value) if isinstance(value, (dict, list, set)) else None)
+              for name, value in vars(cli).items() if name != "__builtins__"}
+    for columns in ("20", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in (["even", "--n", "0"], ["verify", "eq2", "--tol", "0"]):
+            with pytest.raises(SystemExit):
+                cli.main(argv)
+    assert capsys.readouterr().err.count("usage: ") == 4
+    assert vars(cli).keys() - {"__builtins__"} == before.keys()
+    for name, (value, contents) in before.items():
+        assert vars(cli)[name] is value, name
+        assert contents is None or value == contents, name
 
 
 def test_usage_error_without_stderr_still_exits_2(monkeypatch):

@@ -432,10 +432,13 @@ def test_pi_power_memo_keeps_the_bound_on_every_path():
         y, y_err = exact._pi_power_scaled(n, precision, table)
         with mpmath.workdps(precision + 2 * n + 40):
             assert abs(y - mpmath.pi ** (2 * n) * mpmath.mpf(10) ** precision) <= y_err, (n, precision)
-        assert y_err * 10 ** (precision // 2) < y  # and the bound is not vacuous
-        # the table keeps the last power at each precision and the widest pi
-        assert table.pi_powers[precision][:3] == (n, y, y_err)
-        assert table.pi[0] == max(table.pi_powers)
+        # the table holds pi and the power of the last request, at its precision
+        _, v, v_err = table.pi[:3]
+        assert table.pi[:3] == (precision, *exact.pi_scaled(precision))
+        assert table.pi[3:6] == (n, y, y_err)
+        # and the bound is not vacuous: either path leaves pi^(2n) with about 2n
+        # times the relative error of the pi it was built from, never more than 3n
+        assert y_err * v <= 3 * n * v_err * y, (n, precision)
 
 
 def test_render_decimal_matches_mpmath_floor_along_memo_paths():
@@ -455,7 +458,7 @@ def test_render_guard_carries_along_a_table(monkeypatch):
     # each row from the last guard that settled, so the retries are paid once
     asked: list[int] = []
     pi = exact.pi_scaled
-    monkeypatch.setattr(exact, "pi_scaled", lambda p, widest=None: asked.append(p) or pi(p, widest))
+    monkeypatch.setattr(exact, "pi_scaled", lambda p, held=None: asked.append(p) or pi(p, held))
     table = Table()
     guards = []
     for n in range(1, 151):

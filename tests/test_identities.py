@@ -363,15 +363,20 @@ def test_eq9_warm_equals_cold(monkeypatch, s, unclamped):
 def test_eq9_floor_cache_holds_only_m_in_2_to_108(monkeypatch):
     # across every s eq9 accepts, at a tol just above its refusal floor, the cached
     # F(m) are the first computations of m in 2..108, each once
+    # (the search for an accepted tol ends when tol overflows, so an s that eq9
+    # refuses at every tol fails here instead of hanging)
     asked = _record_requests(monkeypatch)
+    accepted = []
     for s in range(2, 109):
         tol = 1e-9
-        while True:
+        while tol < math.inf:
             try:
                 eq9_components(s, tol)
+                accepted.append(s)
                 break
             except Refused:
                 tol *= 10.0
+    assert accepted == list(range(2, 109))
     missed = [m for name, m, *_, f_tol in asked
               if name == "integrate_semi_infinite" and f_tol == 5e-15 * math.factorial(m - 1)]
     info = identities._eq9_f_at_floor.cache_info()

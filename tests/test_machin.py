@@ -60,32 +60,33 @@ def _within_bound(p: int, v: int, err: int) -> bool:
 
 
 @pytest.mark.parametrize("precisions,runs", [
-    ([5, 8, 12, 30, 31, 57, 100, 250], 8),  # every request widens the table
-    ([250, 100, 57, 31, 30, 12, 8, 5], 1),  # every request after the first is cut from it
-    ([30, 5, 100, 57, 250, 8, 31, 12], 3),
+    ([5, 8, 8, 12, 30, 31, 31, 57, 100, 250, 250], 8),  # each new precision runs it, each repeat does not
+    ([57, 57, 57, 57], 1),  # one precision: only the first request runs it
+    ([100, 100, 30, 30, 30, 100], 3),  # a narrower request and a return to a dropped one both run it
 ])
 def test_memo_serves_every_precision_within_its_bound(monkeypatch, precisions, runs):
     scales = _count_series(monkeypatch)
     served = []
 
-    def recorded(p, widest=None):
-        served.append((p, *pi_scaled(p, widest)))
+    def recorded(p, held=None):
+        served.append((p, *pi_scaled(p, held)))
         return served[-1][1:]
 
     monkeypatch.setattr(exact, "pi_scaled", recorded)
     table = exact.Table()
     for p in precisions:
         exact._pi_power_scaled(1, p, table)
+        assert table.pi[:3] == served[-1]  # the table holds the pi it was last served
     assert len(scales) == 2 * runs  # one arctan(1/5) and one arctan(1/239) per run
     assert [p for p, *_ in served] == precisions
-    assert table.pi[0] == max(precisions)
     for p, v, err in served:
         assert _within_bound(p, v, err), p
 
 
-def test_memo_never_narrows_under_concurrent_widening(in_threads):
-    # more threads than cores each widen their own table's pi at once, in
-    # seeded orders; a table that narrowed or took another's pi shows here
+def test_each_thread_table_holds_the_precision_it_last_asked(in_threads):
+    # more threads than cores each walk their own table through seeded
+    # precisions at once; a table that kept another precision, or took
+    # another thread's pi, shows here
     requests = [random.Random(i).sample(range(40 + i, 400, 8), 30) for i in range(8)]
     tables = [exact.Table() for _ in requests]
 
@@ -93,34 +94,55 @@ def test_memo_never_narrows_under_concurrent_widening(in_threads):
         held = []
         for p in requests[i]:
             exact._pi_power_scaled(1, p, tables[i])
-            held.append(tables[i].pi)
+            held.append(tables[i].pi[:3])
         return held
 
     for ps, held in zip(requests, in_threads(walk, len(requests))):
-        assert [w for w, *_ in held] == [max(ps[: k + 1]) for k in range(len(ps))]
-        assert all(_within_bound(*widest) for widest in set(held))
+        assert [p for p, *_ in held] == ps
+        assert all(_within_bound(*pi) for pi in set(held))
 
 
-def test_pi_digits_unchanged_by_a_wider_memo():
+def test_pi_scaled_serves_a_held_pi_only_at_its_own_precision(monkeypatch):
+    # a held (P, V, E) answers p = P with no series run, and any other p runs
+    # the series, so the digits cannot depend on what a caller holds
     with mpmath.workdps(1100):
         truth = mpmath.nstr(mpmath.pi, 1080, strip_zeros=False)
-    wider = (3000, *pi_scaled(3000))
-    for d in (1, 30, 999, 1000):
-        cut = truncated(lambda p: pi_scaled(p, wider), d)
-        assert truncated(pi_scaled, d) == cut == truth[: d + 2]
+    held = (1012, *pi_scaled(1012))
+    scales = _count_series(monkeypatch)
+    for p in (1012, 1011, 1013, 5):
+        scales.clear()
+        got = pi_scaled(p, held)
+        assert len(scales) == (0 if p == 1012 else 2), p
+        assert got == pi_scaled(p)
+    for d in (1, 30, 999, 1000):  # d = 1000 settles at guard 12, from the held pi
+        assert truncated(lambda p: pi_scaled(p, held), d) == truth[: d + 2]
 
 
 def test_even_table_runs_the_series_only_when_the_memo_widens(monkeypatch, capsys):
     scales = _count_series(monkeypatch)
     asked: list[int] = []
     pi = exact.pi_scaled
-    monkeypatch.setattr(exact, "pi_scaled", lambda p, widest=None: asked.append(p) or pi(p, widest))
+    monkeypatch.setattr(exact, "pi_scaled", lambda p, held=None: asked.append(p) or pi(p, held))
     assert cli.main(["even", "--n", "60", "--digits", "1000", "--format", "csv"]) == 0
     capsys.readouterr()
     assert len(asked) >= 60  # render_decimal still asks once per row and retry
     widenings = [p for i, p in enumerate(asked) if p > max(asked[:i], default=-1)]
     assert scales == [10**p for p in widenings for _ in range(2)]
     assert len(scales) < 6
+
+
+@pytest.mark.parametrize("n,digits,products,series", [(150, 10, 174, 4), (60, 1000, 60, 1)])
+def test_even_table_work_is_pinned(monkeypatch, capsys, n, digits, products, series):
+    # the fixed-point products and Machin series runs of the benchmark's two
+    # `even` tables: each guard runs the series once, and each row after a
+    # guard's first multiplies the power it holds by pi^2 once
+    scales = _count_series(monkeypatch)
+    products_run = []
+    fixed_mul = exact._fixed_mul
+    monkeypatch.setattr(exact, "_fixed_mul", lambda *args: products_run.append(1) or fixed_mul(*args))
+    assert cli.main(["even", "--n", str(n), "--digits", str(digits), "--format", "csv"]) == 0
+    capsys.readouterr()
+    assert (len(products_run), len(scales) // 2) == (products, series)
 
 
 def test_deterministic():
