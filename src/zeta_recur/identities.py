@@ -397,8 +397,9 @@ def eq9_components(s: int, tol: float = 1e-9) -> LimitComponents:
         truncation_point(s, tol/8) scan: gamma(s, X), since 1/(e^x - 1) >= e^-x;
       C at tol/4: pi^(s-1)/(s-1), since |e^(iy) - 1| = 2 sin(y/2) <= y.
     Each F(j), of weight c = C(s-1,j) pi^j, runs at tol/(4 s max(1, c)),
-    clamped by _eq9_f above its own floor, so it needs no bound.  A clamped F(j)
-    depends on s - j alone and is computed once per process.
+    clamped by _eq9_f above its own floor, so it needs no bound.  A, each F(j)
+    and C are refined once per process in quadrature's store, whatever tol
+    asks for them, and each result is the one a fresh process returns.
     """
     return _eq9_components("eq9_components", s, tol)
 
@@ -425,17 +426,8 @@ def _eq9_components(name: str, s: int, tol: float) -> LimitComponents:
 
 def _eq9_f(m: int, tol: float) -> QuadratureResult:
     """EQ9's F(s - m) = int_0^inf x^(m-1)/(e^x+1) dx at tol, clamped at 5e-15 Gamma(m),
-    the roundoff floor of an integral of size Gamma(m): its estimate carries the truth.
-    A clamped F(m) depends on m alone, so it is computed once per process."""
-    if tol <= 5e-15 * gamma_int(m):
-        return _eq9_f_at_floor(m)
-    return integrate_semi_infinite(fermi(m), m, tol)
-
-
-@functools.cache
-def _eq9_f_at_floor(m: int) -> QuadratureResult:
-    """F(s - m) at its floor 5e-15 Gamma(m); eq9 refuses s above 108, so m is in 2..108."""
-    return integrate_semi_infinite(fermi(m), m, 5e-15 * gamma_int(m))
+    the roundoff floor of an integral of size Gamma(m): its estimate carries the truth."""
+    return integrate_semi_infinite(fermi(m), m, max(tol, 5e-15 * gamma_int(m)))
 
 
 def verify_eq9(s: int, tol: float = 1e-8) -> IdentityReport:

@@ -33,16 +33,28 @@ side 0 -> R of the paper's rectangle, is integrated in real arithmetic with
 the Bose integrand; any other segment in complex arithmetic, with e^z - 1 in
 closed form near z = 0.
 
-All functions are pure and the module holds no mutable state: every
-integrator takes its evaluation budget as an argument.
+The order of the bisections does not depend on the tolerance or the
+budget, so every request on an integral stops at one step of the same
+refinement.  The module's one piece of state is the store, _kept_run, a
+function-held LRU cache of at most 1,024 refinements, one per package
+integrand on each interval of a bounded set: bose(s) and fermi(s) on [0, X]
+for X a scan point of truncation_point, cot_power(s) on [0, pi], and the
+segment integrand on 0 -> i pi and i pi -> 0.  A request walks the steps a
+run has taken and bisects only past the last of them, so a warm request
+returns every field a fresh process does, as does a run rebuilt after its
+eviction.  Every other integral, a caller's own f included, is refined for
+its one request.  Every integrator takes its evaluation budget as an
+argument.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import heapq
 import math
 import sys
+from _thread import allocate_lock
 from collections import namedtuple
 
 __all__ = [
@@ -112,7 +124,9 @@ class Segment(namedtuple("Segment", "start end")):
 # delta) along a segment.  The builder checks s, and each call of the closure
 # is the one Python frame a quadrature node costs (a segment node on the real
 # axis adds bose's, and a complex one within 0.5 of z = 0 that of _cexpm1).
-# The closure is the one home of its formula.
+# The closure is the one home of its formula.  Its attribute family =
+# (builder, *args) rebuilds it, so the store can key its refinement by value
+# (the real-axis segment closure, always R-dependent, carries none).
 
 def bose(s: int):
     """x -> x^(s-1) / (e^x - 1), stable over the whole positive axis.
@@ -132,6 +146,7 @@ def bose(s: int):
         t = math.exp(-x)
         return x ** p * t / (1.0 - t)
 
+    f.family = (bose, s)
     return f
 
 
@@ -147,6 +162,7 @@ def fermi(s: int):
         t = math.exp(-x)
         return x ** p * t / (1.0 + t)
 
+    f.family = (fermi, s)
     return f
 
 
@@ -170,6 +186,7 @@ def cot_power(s: int):
             return 2.0 * y ** (s - 2) - y**s / 6.0 - y ** (s + 2) / 360.0
         return y ** p * math.cos(0.5 * y) / math.sin(0.5 * y)
 
+    f.family = (cot_power, s)
     return f
 
 
@@ -218,6 +235,7 @@ def _segment_integrand(s: int, start: complex, delta: complex):
             return z ** p / (cmath.exp(z) - 1.0) * delta
         return z ** p / _cexpm1(z) * delta
 
+    directed.family = (_segment_integrand, s, start, delta)
     return directed
 
 
@@ -366,26 +384,30 @@ def integrate_finite(f, a: float, b: float, tol: float,
     BUDGET_EXHAUSTED, ROUNDOFF_FLOOR or FLOAT_EXHAUSTION.  A panel
     whose nodes would round onto or past its ends is never made; when [a, b]
     itself is that narrow, or budget is below the one panel's 21 evaluations,
-    nothing is evaluated and the estimate is infinite.  Otherwise there is
-    one exit: the value is the fsum of the panels' values (a zero part comes
-    back as 0.0, never -0.0), and the estimate the fsum of their errors.
+    nothing is evaluated and the estimate is infinite.  Otherwise the result
+    is one step of the integral's refinement (_Refinement): the value is the
+    fsum of that mesh's panel values (a zero part comes back as 0.0, never
+    -0.0), and the estimate the fsum of their errors.
 
-    The roundoff floor stops the loop in two ways.  Either the worst panel
+    The roundoff floor stops the walk in two ways.  Either the worst panel
     already sits at its own floor, or the floors of all panels alone exceed
     tol: sum floor - 2 eps sum err = 2 eps (R - E) > tol, with R the panels'
     K21 estimate of the integral of |f| and E their summed error estimate.
     Any mesh reports about 2 eps times the integral of |f| at least, and for
     a positive f that integral is at least R - E, so refining further cannot
     reach tol; for a sign-changing or complex f, R - E is an estimate, like
-    each panel's own floor.  Each panel is one heap entry
-    (-err, a, b, value, floor, at_floor), and the worst is the heap's top.
-    Before every bisection both stop tests are decided on fsum over the
-    entries' errors and floors, and the last error sum is the returned
-    estimate.  That is O(n) per bisection and O(n^2) over n of them.  The
-    deepest integral found over about 17,000 inputs the CLI accepts bisects
-    12 times (a CLI test fails past 64), while a long library integral pays
-    for it: sin(300x) over [0, 100] to 1e-9, 4,025 bisections, takes
-    0.8-0.9 s.
+    each panel's own floor.  Both sums are fsums over the mesh's panels,
+    taken once per step, so that is O(n) per bisection and O(n^2) over n of
+    them.  The deepest integral found over about 17,000 inputs the CLI
+    accepts bisects 12 times (a CLI test fails past 64), while a long library
+    integral pays for it: sin(300x) over [0, 100] to 1e-9, 4,025 bisections,
+    takes 0.8-0.9 s.
+
+    A package integrand on one of its bounded sets of intervals (_kept) is
+    refined once per process, in the store (_kept_run): a request reads its
+    stop off the steps already taken and bisects only past the last of them,
+    so every field is what a fresh run returns.  Any other integral is
+    refined for this request alone.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("integration bounds must be finite with a < b")
@@ -395,45 +417,144 @@ def integrate_finite(f, a: float, b: float, tol: float,
         return QuadratureResult(0.0, math.inf, 0, FLOAT_EXHAUSTION)
     if budget < 21:
         return QuadratureResult(0.0, math.inf, 0, BUDGET_EXHAUSTED)
+    family = getattr(f, "family", None)
+    if family is not None and _kept(family, a, b):
+        return _kept_run(family, a, b).stop(tol, budget)
+    return _Refinement(f, a, b, False).stop(tol, budget)
 
-    value, err, at_floor, floor = _gk21(f, a, b)
-    # the panels are disjoint, so (-err, a) decides every comparison of two
-    # entries and a value, which may be complex, is never compared
-    heap = [(-err, a, b, value, floor, at_floor)]
-    evaluations = 21
-    reason = ""
-    while True:
+
+class _Refinement:
+    """The refinement of one integral: step k is the mesh after k bisections.
+
+    Each bisection splits the worst panel, the top of a heap keyed (-error,
+    left end) whose entries (-err, a, b, value, floor, at_floor) are the only
+    record of the panels.  That order does not depend on tol or budget, so
+    every request stops at one step of the same sequence.  Step k holds the
+    fsum of its panels' errors, its floor excess (the fsum of their floors
+    less 2 eps times that error sum), the stop it forces (ROUNDOFF_FLOOR when
+    the worst panel sits at its floor, FLOAT_EXHAUSTION when that panel's
+    halves would not hold their nodes strictly inside, else "") and, in a
+    kept run, the fsum of its panels' values; its evaluations are 21 + 42 k.
+    A dropped run serves one request, which stops at its last step, so it
+    records no values: its one value is summed from the mesh at the end.
+
+    A request walks the steps with the tests of the adaptive loop, in its
+    order: converged, roundoff floor, budget, forced stop.  It bisects only
+    past the last step, under the run's lock, and a bisection builds the next
+    mesh and step aside and commits them together, so an interrupted one
+    leaves the run as it was.
+    """
+
+    __slots__ = ("f", "heap", "steps", "keep", "lock")
+
+    def __init__(self, f, a: float, b: float, keep: bool):
+        self.f = f
+        self.keep = keep
+        self.lock = allocate_lock()
+        value, err, at_floor, floor = _gk21(f, a, b)
+        # the panels are disjoint, so (-err, a) decides every comparison of two
+        # entries and a value, which may be complex, is never compared
+        self.heap = [(-err, a, b, value, floor, at_floor)]
+        self.steps = [self._step(self.heap)]
+
+    def _step(self, heap):
+        """(error fsum, floor excess, forced stop, value fsum or None) of the mesh heap."""
         err_sum = math.fsum(-entry[0] for entry in heap)
-        if err_sum <= tol:
-            break
-        if math.fsum(entry[4] for entry in heap) - 2.0 * _EPS * err_sum > tol:
-            reason = ROUNDOFF_FLOOR
-            break
-        if evaluations + 42 > budget:
-            reason = BUDGET_EXHAUSTED
-            break
+        excess = math.fsum(entry[4] for entry in heap) - 2.0 * _EPS * err_sum
         _, wa, wb, _, _, at_floor = heap[0]
+        mid = 0.5 * (wa + wb)
         if at_floor:
             # worst interval already reports its roundoff floor; bisection
             # conserves the floor sum, so no further progress is possible
-            reason = ROUNDOFF_FLOOR
-            break
+            forced = ROUNDOFF_FLOOR
+        elif not (_nodes_interior(wa, mid) and _nodes_interior(mid, wb)):
+            forced = FLOAT_EXHAUSTION  # cannot refine further
+        else:
+            forced = ""
+        return err_sum, excess, forced, _value(heap) if self.keep else None
+
+    def _bisect(self) -> None:
+        """Split the worst panel of the last step's mesh and record the next step.
+
+        A kept run builds the next mesh on a copy and commits it with its step
+        at the end; a dropped run, read by no later request, splits in place."""
+        f = self.f
+        heap = self.heap.copy() if self.keep else self.heap
+        _, wa, wb, *_ = heap[0]
         mid = 0.5 * (wa + wb)
-        if not (_nodes_interior(wa, mid) and _nodes_interior(mid, wb)):
-            reason = FLOAT_EXHAUSTION  # cannot refine further
-            break
         value, err, at_floor, floor = _gk21(f, wa, mid)
         heapq.heapreplace(heap, (-err, wa, mid, value, floor, at_floor))
         value, err, at_floor, floor = _gk21(f, mid, wb)
         heapq.heappush(heap, (-err, mid, wb, value, floor, at_floor))
-        evaluations += 42
+        step = self._step(heap)
+        self.heap = heap
+        self.steps.append(step)
 
+    def stop(self, tol: float, budget: int) -> QuadratureResult:
+        """The result of a request at tol and budget: its stop's step and reason."""
+        with self.lock:
+            steps = self.steps
+            k = 0
+            while True:
+                if k == len(steps):
+                    self._bisect()
+                err_sum, excess, forced, value = steps[k]
+                evaluations = 21 + 42 * k
+                if err_sum <= tol:
+                    reason = ""
+                elif excess > tol:
+                    reason = ROUNDOFF_FLOOR
+                elif evaluations + 42 > budget:
+                    reason = BUDGET_EXHAUSTED
+                elif forced:
+                    reason = forced
+                else:
+                    k += 1
+                    continue
+                break
+            if value is None:
+                value = _value(self.heap)
+        return QuadratureResult(value, err_sum, evaluations, reason)
+
+
+def _value(heap) -> float | complex:
+    """The fsum of the mesh's panel values, part by part when any is complex."""
     values = [entry[3] for entry in heap]
     if any(isinstance(v, complex) for v in values):
-        total = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
-    else:
-        total = math.fsum(values)
-    return QuadratureResult(total, err_sum, evaluations, reason)
+        return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+    return math.fsum(values)
+
+
+# truncation_point's scan points: the X of every kept bose and fermi run on [0, X]
+_SCAN = frozenset(map(float, range(10, 755, 5)))
+# the kept imaginary-axis segments, as (start, delta): 0 -> i pi, eq9's C, and
+# i pi -> 0, the contour's left side
+_KEPT_SEGMENTS = frozenset({(0j, complex(0.0, math.pi)),
+                            (complex(0.0, math.pi), complex(0.0, -math.pi))})
+
+
+def _kept(family, a: float, b: float) -> bool:
+    """Whether the store keeps the run of the integrand family = (builder, s, ...)
+    on [a, b]: bose(s) and fermi(s) on [0, X] for X a truncation_point scan
+    point, cot_power(s) on [0, pi], and _segment_integrand on the two kept
+    segments over t in [0, 1].  A zero end a = -0.0 gives every node that a =
+    0.0 does; a segment's real parts must be +0.0, as == does not tell."""
+    builder, _, *segment = family
+    if builder is _segment_integrand:
+        start, delta = segment
+        return ((a, b) == (0.0, 1.0) and (start, delta) in _KEPT_SEGMENTS
+                and math.copysign(1.0, start.real) == math.copysign(1.0, delta.real) == 1.0)
+    return a == 0.0 and (b == math.pi if builder is cot_power else b in _SCAN)
+
+
+@functools.lru_cache(maxsize=1024)
+def _kept_run(family, a: float, b: float) -> _Refinement:
+    """The store: the one kept run per process of family = (builder, *args) on
+    [a, b], its integrand rebuilt as builder(*args).  At most 1,024 runs are
+    held, the least recently used evicted first; a run rebuilt after eviction
+    takes the same steps, so every result stays what a fresh process returns."""
+    builder, *args = family
+    return _Refinement(builder(*args), a, b, True)
 
 
 # ---------------------------------------------------------------------------

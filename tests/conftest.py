@@ -5,13 +5,14 @@ import pytest
 
 
 @pytest.fixture(autouse=True)
-def cold_eq9_floor_cache():
-    """Start each test with no floor-clamped eq9 F(m) computed, as in a fresh process,
-    so that recorders and starved budgets see every integral.  A module not yet
-    imported has nothing to clear, and the fixture imports nothing."""
-    identities = sys.modules.get("zeta_recur.identities")
-    if identities is not None:
-        identities._eq9_f_at_floor.cache_clear()
+def cold_store():
+    """Start each test with quadrature's store of kept refinements empty, as in a
+    fresh process, so that a test reading the store or counting panels sees only
+    its own integrals.  A module not yet imported has nothing to clear, and the
+    fixture imports nothing."""
+    quadrature = sys.modules.get("zeta_recur.quadrature")
+    if quadrature is not None:
+        quadrature._kept_run.cache_clear()
 
 
 @pytest.fixture

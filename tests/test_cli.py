@@ -459,15 +459,16 @@ def test_refusal_runs_before_any_quadrature(capsys, monkeypatch, argv):
     assert exc.value.code == 2
 
 
-def test_eq9_refusal_neither_reads_nor_fills_the_floor_cache(capsys):
-    # a warm cache holds F(2)..F(7); the refusal at s = 20 would ask for them
+def test_eq9_refusal_leaves_the_store_as_it_was(capsys):
+    # a warm store holds A, F(2)..F(8) and C of s = 8; the refusal at s = 20
+    # neither reads nor fills it
     assert cli.main(["verify", "eq9", "--s", "8", "--tol", "1e-9"]) == 0
-    warm = identities._eq9_f_at_floor.cache_info()
-    assert warm.currsize == 6
+    warm = quadrature._kept_run.cache_info()
+    assert warm.currsize == 9
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "eq9", "--s", "20", "--tol", "1e-10"])
     assert exc.value.code == 2
-    assert identities._eq9_f_at_floor.cache_info() == warm
+    assert quadrature._kept_run.cache_info() == warm
 
 
 # the floor each sub-floor refusal below names, byte for byte; where a check has

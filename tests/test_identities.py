@@ -304,8 +304,9 @@ def test_each_check_refuses_a_tol_not_finite_and_positive(monkeypatch, check, to
 
     assert {name for name, _ in cli._CHECKS.values()} | {"eq9_components"} == set(_TOL_CHECKS)
     asked = _record_requests(monkeypatch)
-    for name in ("truncation_point", "_eq5_points", "_lhs_terms", "_eq9_f_at_floor"):
+    for name in ("truncation_point", "_eq5_points", "_lhs_terms"):
         monkeypatch.setattr(identities, name, lambda *args, name=name: asked.append(name))
+    monkeypatch.setattr(quadrature, "_kept_run", lambda *args: asked.append("_kept_run"))
     name, *args = _TOL_CHECKS[check]
     with pytest.raises(Refused) as exc:
         getattr(identities, check)(*args, tol)
@@ -349,23 +350,36 @@ def test_eq9_error_estimate_sums_its_integrals_and_tail(monkeypatch, s, tol):
 
 @pytest.mark.parametrize("s,unclamped", [(8, [8]), (10, [])])
 def test_eq9_warm_equals_cold(monkeypatch, s, unclamped):
-    # a clamped F(m) is integrated once per process: the second call asks only
-    # for A, the unclamped F(m) and C, and returns the same components
-    cold = eq9_components(s, 1e-9)
+    # A, every F(m) and C are kept in quadrature's store: the second call asks
+    # for the same integrals, the F(m) above their floor only for the unclamped
+    # m, evaluates no panel and returns the same components
     asked = _record_requests(monkeypatch)
+    cold = eq9_components(s, 1e-9)
+    cold_asked = asked.copy()
+    asked.clear()
+    panels = []
+    monkeypatch.setattr(quadrature, "_gk21", lambda *args: panels.append(args[1:]))
     warm = eq9_components(s, 1e-9)
     assert warm == cold  # every field, error_estimate included
-    assert [m for name, m, *_ in asked if name == "integrate_semi_infinite"] == unclamped
-    assert [name for name, *_ in asked if name != "integrate_semi_infinite"] == [
-        "integrate_finite", "integrate_segment"]
+    assert asked == cold_asked and panels == []
+    assert [m for name, m, *_, f_tol in asked if name == "integrate_semi_infinite"
+            and f_tol != 5e-15 * math.factorial(m - 1)] == unclamped
 
 
-def test_eq9_floor_cache_holds_only_m_in_2_to_108(monkeypatch):
-    # across every s eq9 accepts, at a tol just above its refusal floor, the cached
-    # F(m) are the first computations of m in 2..108, each once
+def test_eq9_store_holds_only_its_bounded_runs(monkeypatch):
+    # across every s eq9 accepts, at a tol just above its refusal floor, the
+    # store keeps one run per integral: bose(s) and fermi(m) on [0, X] for X a
+    # scan point, with m in 2..108, and C on 0 -> i pi, each filled once, and
+    # holds at most 1,024 of them
     # (the search for an accepted tol ends when tol overflows, so an s that eq9
     # refuses at every tol fails here instead of hanging)
-    asked = _record_requests(monkeypatch)
+    filled = []
+
+    def recorded(f, a, b, keep, run=quadrature._Refinement):
+        filled.append((getattr(f, "family", None), a, b, keep))
+        return run(f, a, b, keep)
+
+    monkeypatch.setattr(quadrature, "_Refinement", recorded)
     accepted = []
     for s in range(2, 109):
         tol = 1e-9
@@ -377,20 +391,25 @@ def test_eq9_floor_cache_holds_only_m_in_2_to_108(monkeypatch):
             except Refused:
                 tol *= 10.0
     assert accepted == list(range(2, 109))
-    missed = [m for name, m, *_, f_tol in asked
-              if name == "integrate_semi_infinite" and f_tol == 5e-15 * math.factorial(m - 1)]
-    info = identities._eq9_f_at_floor.cache_info()
-    assert len(missed) == len(set(missed)) == info.currsize == info.misses
-    assert set(missed) <= set(range(2, 109))
-    assert info.hits > 0
+    scan = {float(x) for x in range(10, 755, 5)}
+    info = quadrature._kept_run.cache_info()
+    assert len(filled) == len(set(filled)) == info.misses
+    assert info.currsize == min(info.misses, 1024) and info.hits > 0
+    for (builder, s, *ends), a, b, keep in filled:
+        assert keep, (builder, s)
+        if builder is quadrature._segment_integrand:
+            assert (*ends, a, b) == (0j, math.pi * 1j, 0.0, 1.0)
+        else:
+            assert (builder in (quadrature.bose, quadrature.fermi), a, b in scan) == (True, 0.0, True)
+            assert 2 <= s <= 108
 
 
 def test_eq9_from_threads_equals_serial(in_threads):
-    # eight threads fill the floor cache at once, from cold, each walking s in
-    # its own order, and report what one thread does
+    # eight threads fill the store at once, from cold, each walking s in its
+    # own order, and report what one thread does
     orders = [[2 + (i + 2 * k) % 9 for k in range(9)] for i in range(8)]
     serial = [[verify_eq9(s, 1e-9) for s in order] for order in orders]
-    identities._eq9_f_at_floor.cache_clear()
+    quadrature._kept_run.cache_clear()
     threaded = in_threads(lambda i: [verify_eq9(s, 1e-9) for s in orders[i]], len(orders))
     assert threaded == serial
 

@@ -949,3 +949,129 @@ def test_segment_is_one_complex_pass():
     assert r == direct
     assert isinstance(r.value, complex)
     assert r.converged and r.error_estimate <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the store: each kept integral is refined once per process
+
+def _kept_requests():
+    """name -> request(tol, budget), one integral of each kept family."""
+    x7 = truncation_point(7, 1e-12)[0]
+    x1 = truncation_point(1, 1e-12)[0]
+    left, c = Segment(math.pi * 1j, 0j), Segment(0j, math.pi * 1j)
+    return {
+        "bose": lambda tol, budget: integrate_finite(bose(7), 0.0, x7, tol, budget),
+        "fermi": lambda tol, budget: integrate_finite(fermi(7), 0.0, x7, tol, budget),
+        "fermi(1)": lambda tol, budget: integrate_finite(fermi(1), 0.0, x1, tol, budget),
+        "cot_power": lambda tol, budget: integrate_finite(cot_power(9), 0.0, math.pi, tol, budget),
+        "C": lambda tol, budget: integrate_segment(5, c, tol, budget),
+        "left side": lambda tol, budget: integrate_segment(5, left, tol, budget),
+    }
+
+
+# tight, loose, tighter, below every floor, then starved budgets after the warm-up
+_WALK = [(1e-12, 10**6), (1e-6, 10**6), (1e-14, 10**6), (1e-300, 10**6),
+         (1e-14, 21), (1e-14, 63), (1e-9, 63), (1e-3, 21)]
+
+
+def _cold(request, tol, budget):
+    """The request's result in a fresh process: with the store empty."""
+    quadrature._kept_run.cache_clear()
+    return repr(request(tol, budget))
+
+
+@pytest.mark.parametrize("name", ["bose", "fermi", "fermi(1)", "cot_power", "C", "left side"])
+def test_kept_run_warm_equals_cold(name):
+    # every field of every request, the signs of zero parts included, is a
+    # cold call's, while the store holds the one run
+    request_ = _kept_requests()[name]
+    cold = [_cold(request_, tol, budget) for tol, budget in _WALK]
+    quadrature._kept_run.cache_clear()
+    warm = [repr(request_(tol, budget)) for tol, budget in _WALK]
+    assert warm == cold
+    info = quadrature._kept_run.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, len(_WALK) - 1)
+
+
+def test_kept_runs_warm_equal_cold_on_seeded_walks():
+    # random walks of tol and budget over many kept integrals, sharing one store
+    rng = random.Random(3701)
+    requests = []
+    for _ in range(40):
+        s = rng.randint(2, 40)
+        x_max = truncation_point(s, 10.0 ** rng.uniform(-16.0, -4.0))[0]
+        requests += [lambda tol, budget, f=bose(s), b=x_max: integrate_finite(f, 0.0, b, tol, budget),
+                     lambda tol, budget, f=fermi(s), b=x_max: integrate_finite(f, 0.0, b, tol, budget),
+                     lambda tol, budget, f=cot_power(s): integrate_finite(f, 0.0, math.pi, tol, budget),
+                     lambda tol, budget, s=s: integrate_segment(s, Segment(0j, math.pi * 1j), tol, budget)]
+    walk = [(rng.choice(requests), 10.0 ** rng.uniform(-17.0, -1.0),
+             rng.choice((21, 63, 105, 600, 10**6))) for _ in range(300)]
+    cold = [_cold(*step) for step in walk]
+    quadrature._kept_run.cache_clear()
+    assert [repr(request(tol, budget)) for request, tol, budget in walk] == cold
+
+
+def test_eviction_at_the_bound_keeps_warm_equal_to_cold():
+    # a bose run, then 1,043 fermi runs: the store evicts the least recently
+    # used runs, the bose one first, and rebuilds it with the same steps
+    request = _kept_requests()["bose"]
+    cold = _cold(request, 1e-13, 10**6)
+    quadrature._kept_run.cache_clear()
+    request(1e-10, 10**6)
+    for s in range(2, 9):
+        for x in range(10, 755, 5):
+            integrate_finite(fermi(s), 0.0, float(x), 1e300)
+    info = quadrature._kept_run.cache_info()
+    assert (info.currsize, info.misses) == (1024, 1 + 7 * 149)
+    assert repr(request(1e-13, 10**6)) == cold
+    assert quadrature._kept_run.cache_info().misses == info.misses + 1
+
+
+def test_dropped_integrals_leave_the_store_as_it_was():
+    # a caller's lambda, the R-dependent contour sides, a package integrand off
+    # its kept intervals and a kept segment with a -0.0 part are run and dropped
+    _kept_requests()["C"](1e-10, 10**6)
+    before = quadrature._kept_run.cache_info()
+    R = 12.5
+    integrate_finite(lambda x: x * x, 0.0, 1.0, 1e-12)
+    for side in (Segment(0j, complex(R)), Segment(complex(R), complex(R, math.pi)),
+                 Segment(complex(R, math.pi), math.pi * 1j),
+                 Segment(complex(-0.0, 0.0), math.pi * 1j)):
+        integrate_segment(5, side, 1e-10)
+    integrate_finite(bose(5), 0.0, 7.5, 1e-10)
+    integrate_finite(fermi(5), 1.0, 30.0, 1e-10)
+    integrate_finite(cot_power(5), 0.0, 3.0, 1e-10)
+    assert quadrature._kept_run.cache_info() == before
+
+
+def test_dropped_run_records_no_values(monkeypatch):
+    # a dropped run keeps no per-step value fsums, which would cost a long
+    # integral O(n) more per bisection; a kept run keeps one per step
+    runs = []
+
+    def recorded(f, a, b, keep, run=quadrature._Refinement):
+        runs.append(run(f, a, b, keep))
+        return runs[-1]
+
+    monkeypatch.setattr(quadrature, "_Refinement", recorded)
+    integrate_finite(lambda x: math.sin(30.0 * x), 0.0, 10.0, 1e-9)
+    integrate_finite(cot_power(9), 0.0, math.pi, 1e-12)
+    dropped, kept = runs
+    assert (dropped.keep, kept.keep) == (False, True)
+    assert len(dropped.steps) > 10 and len(kept.steps) > 1
+    assert all(value is None for *_, value in dropped.steps)
+    assert all(value is not None for *_, value in kept.steps)
+
+
+def test_kept_runs_from_threads_equal_serial(in_threads):
+    # eight threads start cold on the same keys, each walking its own order of
+    # tols and budgets, and see what one thread sees
+    requests = list(_kept_requests().values())
+    orders = [[(requests[(i + k) % len(requests)], *_WALK[(3 * i + k) % len(_WALK)])
+               for k in range(12)] for i in range(8)]
+    serial = [[_cold(*step) for step in order] for order in orders]
+    quadrature._kept_run.cache_clear()
+    threaded = in_threads(lambda i: [repr(request(tol, budget)) for request, tol, budget in orders[i]],
+                          len(orders))
+    assert threaded == serial
+    assert quadrature._kept_run.cache_info().currsize == len(requests)
