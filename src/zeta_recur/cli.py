@@ -74,13 +74,21 @@ def _jsonable(x):
     return x
 
 
+@functools.cache
+def _json_encode():
+    """What `json.dumps(doc, sort_keys=True)` does, with one encoder for the
+    process, built by the first json print: the output is the same, as a
+    record holds no container that could refer to itself."""
+    import json
+
+    return json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
+
 def _emit_table(header: list[str], rows: list[list], fmt: str, command: str) -> None:
     if fmt == "json":
-        import json
-
         doc = {"command": command,
                "rows": [dict(zip(header, (_jsonable(v) for v in row))) for row in rows]}
-        print(json.dumps(doc, sort_keys=True))
+        print(_json_encode()(doc))
     elif fmt == "csv":
         print(",".join(header))
         for row in rows:
@@ -94,11 +102,10 @@ def _emit_table(header: list[str], rows: list[list], fmt: str, command: str) -> 
 
 def _emit_record(fields: list[tuple[str, object]], fmt: str, command: str) -> None:
     if fmt == "json":
-        import json
-
         doc = {"command": command}
-        doc.update({k: _jsonable(v) for k, v in fields})
-        print(json.dumps(doc, sort_keys=True))
+        for k, v in fields:
+            doc[k] = {"re": v.real, "im": v.imag} if isinstance(v, complex) else v
+        print(_json_encode()(doc))
     elif fmt == "csv":
         print(",".join(k for k, _ in fields))
         print(",".join(_fmt(v) for _, v in fields))
@@ -136,8 +143,8 @@ def cmd_bernoulli(m_max: int, fmt: str) -> int:
     return 0
 
 
-def _report_fields(report) -> list[tuple[str, object]]:
-    """The record of an ``identities.IdentityReport``."""
+def _report_fields(report, passed: bool) -> list[tuple[str, object]]:
+    """The record of an ``identities.IdentityReport`` whose verdict is ``passed``."""
     return [
         ("identity", report.identity_id.value),
         ("s", report.s),
@@ -145,13 +152,13 @@ def _report_fields(report) -> list[tuple[str, object]]:
         ("rhs", report.rhs),
         ("residual", report.residual),
         ("tolerance", report.tolerance),
-        ("passed", report.passed),
+        ("passed", passed),
         ("note", report.note),
     ]
 
 
-def _contour_fields(report) -> list[tuple[str, object]]:
-    """The record of an ``identities.ContourReport``."""
+def _contour_fields(report, passed: bool) -> list[tuple[str, object]]:
+    """The record of an ``identities.ContourReport`` whose verdict is ``passed``."""
     names = ("bottom", "right", "top", "left")
     fields: list[tuple[str, object]] = [("s", report.s), ("radius", report.R)]
     fields += list(zip(names, report.side_values))
@@ -164,7 +171,7 @@ def _contour_fields(report) -> list[tuple[str, object]]:
         ("converged", report.converged),
         ("tolerance", report.tolerance),
         ("note", report.note),
-        ("passed", report.passed),  # the verdict stays the record's last line
+        ("passed", passed),  # the verdict stays the record's last line
     ]
     return fields
 
@@ -306,6 +313,14 @@ def _usage_error(message: str):
     sys.exit(2)
 
 
+@functools.cache
+def _identities():
+    """The `identities` module, imported by the first verify or contour call."""
+    from . import identities
+
+    return identities
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -331,15 +346,15 @@ def main(argv: list[str] | None = None) -> int:
             _usage_error(f"verify {identity} takes no --{flag}")
     values = {flag: getattr(args, flag, _FLAG_DEFAULTS[flag]) for flag in flags}
     values["tol"] = args.tol
-    from . import identities
-
+    identities = _identities()
     try:
         report = getattr(identities, name)(*values.values())
     except identities.Refused as exc:
         _usage_error(str(exc))
-    fields = _contour_fields(report) if identity == "closure" else _report_fields(report)
+    passed = report.passed
+    fields = (_contour_fields if identity == "closure" else _report_fields)(report, passed)
     _emit_record(fields, args.format, args.command)
-    return 0 if report.passed else 1
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

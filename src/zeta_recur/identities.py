@@ -246,7 +246,8 @@ def zeta_series(s: int, tol: float) -> float:
 
     Sums k^-s for k < N and adds N^(1-s)/(s-1) + N^-s/2 + s N^(-s-1)/12.
     The first omitted correction bounds the truncation error, and N doubles
-    until that bound is below tol/4.
+    until that bound is below tol/4.  The head sum is stored per (s, N), so a
+    warm process sums it once and returns the value a fresh one does.
     """
     if s < 2:
         raise ValueError("zeta_series requires s >= 2")
@@ -255,10 +256,17 @@ def zeta_series(s: int, tol: float) -> float:
     n = 8
     while s * (s + 1) * (s + 2) / (720.0 * float(n) ** (s + 3)) > 0.25 * tol:
         n *= 2
-    head = math.fsum(k ** (-s) for k in range(1, n))
     nf = float(n)
     tail = nf ** (1 - s) / (s - 1) + nf ** (-s) / 2.0 + s * nf ** (-s - 1) / 12.0
-    return head + tail
+    return _series_head(s, n) + tail
+
+
+@functools.lru_cache(maxsize=4096)
+def _series_head(s: int, n: int) -> float:
+    """The head of zeta_series, sum_{k<n} k^-s by fsum, stored per (s, n).  Every
+    check clamps its series tol at 1e-17 and refuses s above 171, so the checks
+    reach only 218 keys (n up to 2,048, at s = 2), far fewer than the bound."""
+    return math.fsum(k ** (-s) for k in range(1, n))
 
 
 def _oracle(s: int, tol: float, factor: float = 1) -> float:
@@ -565,7 +573,8 @@ def verify_odd_zeta(s: int, tol: float = 1e-8) -> IdentityReport:
     and, for each numerator k_m K(m) - known_m, eps times the sum of its terms'
     magnitudes, weighted by |adj[m] / D_m|; it stays within about tol/2 when
     every K converges.  A K(m) that evaluated nothing ends the chain: zeta(s)
-    is nan and the estimate infinite.
+    is nan and the estimate infinite.  Each D_m, gain |adj[m] / D_m|, k_m and
+    w_m depends on s alone, so _odd_chain builds them once per s.
 
     The report's lhs is the extracted zeta(s), and it passes only when the
     residual is within tol, every K(m) of the chain converged, and the
@@ -575,23 +584,12 @@ def verify_odd_zeta(s: int, tol: float = 1e-8) -> IdentityReport:
     """
     _require_tol("verify_odd_zeta", tol)
     _require_s("verify_odd_zeta", s, *_GAMMA_S, odd=True)
-    odd = range(3, s + 1, 2)
-    divisor = {m: _odd_divisor(m) for m in odd}
-    adj = dict.fromkeys(odd, 0.0)
-    adj[s] = 1.0
-    for m in reversed(odd):
-        scale = adj[m] / divisor[m]
-        for j, ci, weight in _real_part_row(m):
-            if 2 <= j < m - 1:
-                adj[m - j] -= scale * ci * weight
+    chain = _odd_chain(s)
     extracted: dict[int, float] = {}
     estimate = 0.0
     quads = []
-    for m in odd:
-        gain = abs(adj[m] / divisor[m])
-        k_coef = _k_coef(m)
-        w = abs(k_coef) * gain
-        k_tol = _share(0.5 / len(odd) / w, tol) if w else math.inf
+    for m, divisor, gain, k_coef, w in chain:
+        k_tol = _share(0.5 / len(chain) / w, tol) if w else math.inf
         k_quad = cot_power_integral(m, k_tol)
         quads.append(k_quad)
         if not k_quad.evaluations:
@@ -601,11 +599,33 @@ def verify_odd_zeta(s: int, tol: float = 1e-8) -> IdentityReport:
             break
         known_terms = list(_real_part_terms(m, extracted.__getitem__, first_j=2))
         k_term = k_coef * k_quad.value
-        extracted[m] = (k_term - math.fsum(known_terms)) / divisor[m]
+        extracted[m] = (k_term - math.fsum(known_terms)) / divisor
         estimate += (w * k_quad.error_estimate
                      + gain * _EPS * (math.fsum(map(abs, known_terms)) + abs(k_term)))
     return IdentityReport(IdentityId.ODD_ZETA, s, extracted[s], _oracle(s, tol), tol,
                           _stop_reason(quads), estimate)
+
+
+@functools.cache
+def _odd_chain(s: int) -> tuple[tuple[int, float, float, float, float], ...]:
+    """(m, D_m, |adj[m] / D_m|, k_m, w_m) for the odd m = 3..s of verify_odd_zeta's
+    chain: everything of it that s alone fixes.  Memoized per s: verify_odd_zeta
+    refuses every s but the odd 3..171, so at most 85 tuples are ever kept."""
+    odd = range(3, s + 1, 2)
+    divisor = {m: _odd_divisor(m) for m in odd}
+    adj = dict.fromkeys(odd, 0.0)
+    adj[s] = 1.0
+    for m in reversed(odd):
+        scale = adj[m] / divisor[m]
+        for j, ci, weight in _real_part_row(m):
+            if 2 <= j < m - 1:
+                adj[m - j] -= scale * ci * weight
+    chain = []
+    for m in odd:
+        gain = abs(adj[m] / divisor[m])
+        k_coef = _k_coef(m)
+        chain.append((m, divisor[m], gain, k_coef, abs(k_coef) * gain))
+    return tuple(chain)
 
 
 def verify_zeta2(tol: float = 1e-9) -> IdentityReport:

@@ -6,13 +6,18 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def cold_store():
-    """Start each test with quadrature's store of kept refinements empty, as in a
-    fresh process, so that a test reading the store or counting panels sees only
-    its own integrals.  A module not yet imported has nothing to clear, and the
-    fixture imports nothing."""
+    """Start each test with quadrature's store of kept refinements and identities'
+    stored series heads (`_series_head`) and odd chains (`_odd_chain`) empty, as
+    in a fresh process, so that a test reading a store or counting panels or
+    calls sees only its own work.  A module not yet imported has nothing to
+    clear, and the fixture imports nothing."""
     quadrature = sys.modules.get("zeta_recur.quadrature")
     if quadrature is not None:
         quadrature._kept_run.cache_clear()
+    identities = sys.modules.get("zeta_recur.identities")
+    if identities is not None:
+        identities._series_head.cache_clear()
+        identities._odd_chain.cache_clear()
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -273,6 +274,39 @@ def test_each_command_loads_only_the_stdlib_it_uses(argvs, needed, unloaded):
     done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, env=env,
                           timeout=120)
     assert done.returncode == 0, done.stderr.decode()
+
+
+def _json_doc(fields, **head):
+    """head, then fields with each complex value as {"re", "im"}."""
+    return {**head, **{k: {"re": v.real, "im": v.imag} if isinstance(v, complex) else v
+                       for k, v in fields}}
+
+
+def test_json_records_and_tables_print_what_json_dumps_does(capsys, monkeypatch):
+    # the one kept encoder writes the bytes json.dumps(doc, sort_keys=True) does
+    fields = [("nan", math.nan), ("inf", math.inf), ("minus_inf", -math.inf),
+              ("minus_zero", -0.0), ("side", complex(-0.0, math.inf)), ("count", 7),
+              ("passed", False), ("note", 'a "quoted" note \\ ζ(3) ≈ 1.202, naïve\n')]
+    for command in ("verify", "contour"):
+        cli._emit_record(fields, "json", command)
+        assert capsys.readouterr().out == json.dumps(_json_doc(fields, command=command),
+                                                     sort_keys=True) + "\n"
+    header = [k for k, _ in fields]
+    rows = [[v for _, v in fields], [v for _, v in reversed(fields)]]
+    cli._emit_table(header, rows, "json", "even")
+    doc = {"command": "even", "rows": [_json_doc(zip(header, row)) for row in rows]}
+    assert capsys.readouterr().out == json.dumps(doc, sort_keys=True) + "\n"
+    # reports as main prints them: the contour's complex sides, and odd's nan
+    # extraction when no K(m) gets a panel
+    contour = identities.contour_closure(3, 30.0, 1e-9)
+    assert run(capsys, ["contour", "--s", "3", "--format", "json"]) == (0, json.dumps(
+        _json_doc(cli._contour_fields(contour, True), command="contour"), sort_keys=True) + "\n")
+    starve(monkeypatch, 20)
+    odd = identities.verify_odd_zeta(21, 1e-8)
+    assert math.isnan(odd.lhs)
+    doc = _json_doc(cli._report_fields(odd, False), command="verify")
+    assert run(capsys, ["verify", "odd", "--s", "21", "--tol", "1e-8", "--format", "json"]) == (
+        1, json.dumps(doc, sort_keys=True) + "\n")
 
 
 @pytest.mark.parametrize("name", ["exact", "quadrature", "identities"])

@@ -1,5 +1,6 @@
 import cmath
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -735,6 +736,92 @@ def test_odd_extraction_asks_each_k_only_for_what_zeta_s_needs(monkeypatch):
     verify_odd_zeta(41, 1e-10)
     assert len(evaluations) == 20
     assert sum(evaluations) <= 600
+
+
+# ---------------------------------------------------------------------------
+# what s alone fixes, kept per process: the series head and the odd chain
+
+def _series_n(s, tol):
+    """zeta_series' N at (s, tol), by its doubling rule written out."""
+    n = 8
+    while s * (s + 1) * (s + 2) / (720.0 * float(n) ** (s + 3)) > 0.25 * tol:
+        n *= 2
+    return n
+
+
+@pytest.mark.parametrize("s", [2, 3, 7, 41, 171])
+def test_series_head_warm_equals_cold(s):
+    # tight -> loose -> tight: every value is the fsum and tail written out here,
+    # whether its head was summed by this call or stored by an earlier one
+    for tol in (1e-17, 1e-6, 1e-17, 1e-12, 1e-6, 1e-12):
+        n = _series_n(s, tol)
+        nf = float(n)
+        written_out = (math.fsum(k ** (-s) for k in range(1, n))
+                       + (nf ** (1 - s) / (s - 1) + nf ** (-s) / 2.0 + s * nf ** (-s - 1) / 12.0))
+        assert repr(zeta_series(s, tol)) == repr(written_out), (s, tol)
+
+
+def test_series_heads_the_checks_reach_stay_under_the_bound(monkeypatch):
+    # the checks ask for s in 2..171 at a series tol of at least 1e-17, so the
+    # (s, N) they can reach are these, and they fit the store with room to spare
+    reachable = {(s, n) for s in range(2, 172)
+                 for n in itertools.takewhile(lambda n: n <= _series_n(s, 1e-17),
+                                              (8 << i for i in itertools.count()))}
+    assert max(n for s, n in reachable if s == 2) == 2048
+    assert len(reachable) < identities._series_head.cache_info().maxsize
+    asked = set()
+    head = identities._series_head
+    monkeypatch.setattr(identities, "_series_head", lambda s, n: asked.add((s, n)) or head(s, n))
+    monkeypatch.setattr(identities, "_lhs_terms",
+                        functools.cache(identities._lhs_terms.__wrapped__))
+    for tol in (5e-324, 1e-300, 1e-12, 1e-2, 1e300):
+        for s in (2, 3, 108):
+            verify_bose_integral(s, tol)
+            verify_fermi_integral(s, tol)
+        for s in (3, 41, 171):
+            verify_odd_zeta(s, tol)
+    for s in (3, 171):
+        expanded_real_identity(s, 1e300)
+    verify_zeta2(1e-14)
+    verify_zeta2(1e-2)
+    assert asked and asked <= reachable, sorted(asked - reachable)
+
+
+def test_odd_chain_warm_equals_cold():
+    # every field of a report built on a stored chain is the one a cold chain gives
+    rng = random.Random("odd-chain")
+    walk = [(rng.randrange(3, 172, 2), 10.0 ** rng.uniform(-13.0, -2.0)) for _ in range(40)]
+    walk += [(s, tol) for s, tol in walk[:5]]
+    warm = [verify_odd_zeta(s, tol) for s, tol in walk]
+    for (s, tol), report in zip(walk, warm):
+        identities._odd_chain.cache_clear()
+        cold = verify_odd_zeta(s, tol)
+        assert [repr(f) for f in cold] == [repr(f) for f in report], (s, tol)
+        assert (cold.passed, cold.note) == (report.passed, report.note), (s, tol)
+
+
+def test_odd_chain_holds_only_the_odd_s_the_check_accepts():
+    for s in (1, 2, 4, 172, 173):
+        with pytest.raises(Refused):
+            verify_odd_zeta(s, 1e-8)
+    assert identities._odd_chain.cache_info().currsize == 0
+    for s in range(3, 172, 2):
+        verify_odd_zeta(s, 1e-2)
+    assert identities._odd_chain.cache_info().currsize == 85
+
+
+def test_stored_oracle_and_chain_from_threads_equal_serial(in_threads):
+    cases = [(s, 10.0 ** -(8 + i % 5)) for i, s in enumerate((3, 5, 21, 41, 41, 99, 171, 171))]
+
+    def work(i):
+        s, tol = cases[i]
+        return [repr(tuple(r)) for r in (verify_odd_zeta(s, tol),
+                                         verify_bose_integral(min(s, 108), tol))]
+
+    serial = [work(i) for i in range(len(cases))]
+    identities._odd_chain.cache_clear()
+    identities._series_head.cache_clear()
+    assert in_threads(work, len(cases)) == serial
 
 
 # ---------------------------------------------------------------------------
