@@ -68,12 +68,6 @@ def _coeff_str(q) -> str:
     return f"{decimal_str(q.numerator)}/{decimal_str(q.denominator)}"
 
 
-def _jsonable(x):
-    if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
-    return x
-
-
 @functools.cache
 def _json_encode():
     """What `json.dumps(doc, sort_keys=True)` does, with one encoder for the
@@ -87,7 +81,7 @@ def _json_encode():
 def _emit_table(header: list[str], rows: list[list], fmt: str, command: str) -> None:
     if fmt == "json":
         doc = {"command": command,
-               "rows": [dict(zip(header, (_jsonable(v) for v in row))) for row in rows]}
+               "rows": [dict(zip(header, row)) for row in rows]}
         print(_json_encode()(doc))
     elif fmt == "csv":
         print(",".join(header))

@@ -179,7 +179,7 @@ class _Verdict:
         note = self.remark or self.reason and f"quadrature did not converge; {self.reason}"
         if not self.estimate <= self.tolerance:
             excess = f"error estimate {self.estimate:.3g}"
-        elif not self.passed and not self.reason:
+        elif not (self.reason or self.residual <= self.tolerance):
             excess = f"{self._what} {self.residual:.3g}"
         else:
             return note

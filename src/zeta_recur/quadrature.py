@@ -36,15 +36,14 @@ closed form near z = 0.
 The order of the bisections does not depend on the tolerance or the
 budget, so every request on an integral stops at one step of the same
 refinement.  The module's one piece of state is the store, _kept_run, a
-function-held LRU cache of at most 1,024 refinements, one per package
-integrand on each interval of a bounded set: bose(s) and fermi(s) on [0, X]
-for X a scan point of truncation_point, cot_power(s) on [0, pi], and the
-segment integrand on 0 -> i pi and i pi -> 0.  A request walks the steps a
-run has taken and bisects only past the last of them, so a warm request
-returns every field a fresh process does, as does a run rebuilt after its
-eviction.  Every other integral, a caller's own f included, is refined for
-its one request.  Every integrator takes its evaluation budget as an
-argument.
+function-held LRU cache of at most 1,024 refinements.  It keeps the run of
+every integrand that carries a family, on any interval: bose(s), fermi(s),
+cot_power(s), and the segment integrand on the imaginary axis, such as
+0 -> i pi and i pi -> 0.  A request walks the steps a run has taken and
+bisects only past the last of them, so a warm request returns every field a
+fresh process does, as does a run rebuilt after its eviction.  Every other
+integral, a caller's own f included, is refined for its one request.  Every
+integrator takes its evaluation budget as an argument.
 """
 
 from __future__ import annotations
@@ -125,8 +124,9 @@ class Segment(namedtuple("Segment", "start end")):
 # is the one Python frame a quadrature node costs (a segment node on the real
 # axis adds bose's, and a complex one within 0.5 of z = 0 that of _cexpm1).
 # The closure is the one home of its formula.  Its attribute family =
-# (builder, *args) rebuilds it, so the store can key its refinement by value
-# (the real-axis segment closure, always R-dependent, carries none).
+# (builder, *args) rebuilds it, and the store keeps the refinement of every
+# closure that carries one, keyed by value.  A segment closure carries one only
+# on the imaginary axis, so the contour sides that move with R are dropped.
 
 def bose(s: int):
     """x -> x^(s-1) / (e^x - 1), stable over the whole positive axis.
@@ -206,7 +206,9 @@ def _segment_integrand(s: int, start: complex, delta: complex):
     On the non-negative real axis (both ends real and >= 0) f is bose(s) at
     x = start + t delta, in real arithmetic, and the closure returns floats.
     Any other segment is evaluated in complex arithmetic, with e^z - 1 from
-    _cexpm1 below abs(z) = 0.5.  Either way the parameter is t in [0, 1], so
+    _cexpm1 below abs(z) = 0.5; it carries a family only when both real
+    parts are +0.0, as z^(s-1) may tell a -0.0 part apart and the store's
+    key, compared by ==, cannot.  Either way the parameter is t in [0, 1], so
     a segment too short for 21 distinct doubles between its ends (a radius
     down to 5e-324) still has room for the panel's nodes.
     """
@@ -235,7 +237,8 @@ def _segment_integrand(s: int, start: complex, delta: complex):
             return z ** p / (cmath.exp(z) - 1.0) * delta
         return z ** p / _cexpm1(z) * delta
 
-    directed.family = (_segment_integrand, s, start, delta)
+    if not (x0 or dx) and math.copysign(1.0, x0) == math.copysign(1.0, dx) == 1.0:
+        directed.family = (_segment_integrand, s, start, delta)
     return directed
 
 
@@ -403,11 +406,11 @@ def integrate_finite(f, a: float, b: float, tol: float,
     integral pays for it: sin(300x) over [0, 100] to 1e-9, 4,025 bisections,
     takes 0.8-0.9 s.
 
-    A package integrand on one of its bounded sets of intervals (_kept) is
-    refined once per process, in the store (_kept_run): a request reads its
-    stop off the steps already taken and bisects only past the last of them,
-    so every field is what a fresh run returns.  Any other integral is
-    refined for this request alone.
+    An integrand that carries a family (any package integrand but a segment's
+    off the imaginary axis) is refined once per process, in the store
+    (_kept_run): a request reads its stop off the steps already taken and
+    bisects only past the last of them, so every field is what a fresh run
+    returns.  Any other integral is refined for this request alone.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("integration bounds must be finite with a < b")
@@ -418,7 +421,7 @@ def integrate_finite(f, a: float, b: float, tol: float,
     if budget < 21:
         return QuadratureResult(0.0, math.inf, 0, BUDGET_EXHAUSTED)
     family = getattr(f, "family", None)
-    if family is not None and _kept(family, a, b):
+    if family is not None:
         return _kept_run(family, a, b).stop(tol, budget)
     return _Refinement(f, a, b, False).stop(tol, budget)
 
@@ -525,34 +528,14 @@ def _value(heap) -> float | complex:
     return math.fsum(values)
 
 
-# truncation_point's scan points: the X of every kept bose and fermi run on [0, X]
-_SCAN = frozenset(map(float, range(10, 755, 5)))
-# the kept imaginary-axis segments, as (start, delta): 0 -> i pi, eq9's C, and
-# i pi -> 0, the contour's left side
-_KEPT_SEGMENTS = frozenset({(0j, complex(0.0, math.pi)),
-                            (complex(0.0, math.pi), complex(0.0, -math.pi))})
-
-
-def _kept(family, a: float, b: float) -> bool:
-    """Whether the store keeps the run of the integrand family = (builder, s, ...)
-    on [a, b]: bose(s) and fermi(s) on [0, X] for X a truncation_point scan
-    point, cot_power(s) on [0, pi], and _segment_integrand on the two kept
-    segments over t in [0, 1].  A zero end a = -0.0 gives every node that a =
-    0.0 does; a segment's real parts must be +0.0, as == does not tell."""
-    builder, _, *segment = family
-    if builder is _segment_integrand:
-        start, delta = segment
-        return ((a, b) == (0.0, 1.0) and (start, delta) in _KEPT_SEGMENTS
-                and math.copysign(1.0, start.real) == math.copysign(1.0, delta.real) == 1.0)
-    return a == 0.0 and (b == math.pi if builder is cot_power else b in _SCAN)
-
-
 @functools.lru_cache(maxsize=1024)
 def _kept_run(family, a: float, b: float) -> _Refinement:
     """The store: the one kept run per process of family = (builder, *args) on
     [a, b], its integrand rebuilt as builder(*args).  At most 1,024 runs are
     held, the least recently used evicted first; a run rebuilt after eviction
-    takes the same steps, so every result stays what a fresh process returns."""
+    takes the same steps, so every result stays what a fresh process returns.
+    Ends that compare equal, such as -0.0 and 0.0 or 3 and 3.0, share a run:
+    _gk21 places every node alike on them."""
     builder, *args = family
     return _Refinement(builder(*args), a, b, True)
 

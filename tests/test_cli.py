@@ -291,10 +291,14 @@ def test_json_records_and_tables_print_what_json_dumps_does(capsys, monkeypatch)
         cli._emit_record(fields, "json", command)
         assert capsys.readouterr().out == json.dumps(_json_doc(fields, command=command),
                                                      sort_keys=True) + "\n"
-    header = [k for k, _ in fields]
-    rows = [[v for _, v in fields], [v for _, v in reversed(fields)]]
+    # a table holds ints, strings, bools and floats, the specials included
+    cells = [("n", 7), ("zeta", "1.644934066848226436472415166646"), ("equal", True),
+             ("nan", math.nan), ("inf", math.inf), ("minus_inf", -math.inf),
+             ("minus_zero", -0.0), ("note", fields[-1][1])]
+    header = [k for k, _ in cells]
+    rows = [[v for _, v in cells], [v for _, v in reversed(cells)]]
     cli._emit_table(header, rows, "json", "even")
-    doc = {"command": "even", "rows": [_json_doc(zip(header, row)) for row in rows]}
+    doc = {"command": "even", "rows": [dict(zip(header, row)) for row in rows]}
     assert capsys.readouterr().out == json.dumps(doc, sort_keys=True) + "\n"
     # reports as main prints them: the contour's complex sides, and odd's nan
     # extraction when no K(m) gets a panel

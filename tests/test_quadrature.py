@@ -993,22 +993,47 @@ def test_kept_run_warm_equals_cold(name):
     assert (info.currsize, info.misses, info.hits) == (1, 1, len(_WALK) - 1)
 
 
+def _seeded_interval(rng, zero, mid, hi):
+    """[a, b] with a in [0, mid] and b in [mid, hi], each end drawn as an integer,
+    a float or the end itself: a zero start as spelled by zero, b = hi."""
+    return (rng.choice((zero, rng.randint(0, math.floor(mid)), rng.uniform(0.0, mid))),
+            rng.choice((hi, rng.randint(math.floor(mid) + 1, math.floor(hi)), rng.uniform(mid, hi))))
+
+
+def _twin(end):
+    """An end equal to this one under ==, spelled in the other type where one
+    exists: 0 for -0.0 and 0.0, 3.0 for 3, and 3 for 3.0."""
+    return float(end) if isinstance(end, int) else int(end) if end.is_integer() else end
+
+
 def test_kept_runs_warm_equal_cold_on_seeded_walks():
-    # random walks of tol and budget over many kept integrals, sharing one store
+    # random walks of tol and budget over package integrands on seeded
+    # intervals (zero starts spelled -0.0, 0.0 or 0, integer and float ends,
+    # cot_power's inside [0, pi]) and the two kept segments, sharing one store;
+    # each interval is also asked for with its twin ends, which share its run
     rng = random.Random(3701)
     requests = []
     for _ in range(40):
         s = rng.randint(2, 40)
         x_max = truncation_point(s, 10.0 ** rng.uniform(-16.0, -4.0))[0]
-        requests += [lambda tol, budget, f=bose(s), b=x_max: integrate_finite(f, 0.0, b, tol, budget),
-                     lambda tol, budget, f=fermi(s), b=x_max: integrate_finite(f, 0.0, b, tol, budget),
-                     lambda tol, budget, f=cot_power(s): integrate_finite(f, 0.0, math.pi, tol, budget),
-                     lambda tol, budget, s=s: integrate_segment(s, Segment(0j, math.pi * 1j), tol, budget)]
+        zero = rng.choice((-0.0, 0.0, 0))
+        for f, (a, b) in ((bose(s), _seeded_interval(rng, zero, 5.5, x_max)),
+                          (fermi(s), _seeded_interval(rng, zero, 5.5, x_max)),
+                          (cot_power(s), _seeded_interval(rng, zero, 1.5, math.pi))):
+            for a, b in ((a, b), (_twin(a), _twin(b))):
+                requests.append(((f.family, a, b), lambda tol, budget, f=f, a=a, b=b:
+                                 integrate_finite(f, a, b, tol, budget)))
+        for seg in (Segment(0j, math.pi * 1j), Segment(math.pi * 1j, 0j)):
+            requests.append(((s, seg), lambda tol, budget, s=s, seg=seg:
+                             integrate_segment(s, seg, tol, budget)))
     walk = [(rng.choice(requests), 10.0 ** rng.uniform(-17.0, -1.0),
-             rng.choice((21, 63, 105, 600, 10**6))) for _ in range(300)]
-    cold = [_cold(*step) for step in walk]
+             rng.choice((21, 63, 105, 600, 10**6))) for _ in range(600)]
+    cold = [_cold(request, tol, budget) for (_, request), tol, budget in walk]
     quadrature._kept_run.cache_clear()
-    assert [repr(request(tol, budget)) for request, tol, budget in walk] == cold
+    assert [repr(request(tol, budget)) for (_, request), tol, budget in walk] == cold
+    # one run per key under ==, so twin ends shared theirs
+    spellings = {repr(key): key for (key, _), _, _ in walk}
+    assert quadrature._kept_run.cache_info().currsize == len(set(spellings.values())) < len(spellings)
 
 
 def test_eviction_at_the_bound_keeps_warm_equal_to_cold():
@@ -1028,8 +1053,8 @@ def test_eviction_at_the_bound_keeps_warm_equal_to_cold():
 
 
 def test_dropped_integrals_leave_the_store_as_it_was():
-    # a caller's lambda, the R-dependent contour sides, a package integrand off
-    # its kept intervals and a kept segment with a -0.0 part are run and dropped
+    # a caller's lambda, the R-dependent contour sides and a kept segment with a
+    # -0.0 part, which == cannot tell from the kept one, are run and dropped
     _kept_requests()["C"](1e-10, 10**6)
     before = quadrature._kept_run.cache_info()
     R = 12.5
@@ -1038,10 +1063,22 @@ def test_dropped_integrals_leave_the_store_as_it_was():
                  Segment(complex(R, math.pi), math.pi * 1j),
                  Segment(complex(-0.0, 0.0), math.pi * 1j)):
         integrate_segment(5, side, 1e-10)
-    integrate_finite(bose(5), 0.0, 7.5, 1e-10)
-    integrate_finite(fermi(5), 1.0, 30.0, 1e-10)
-    integrate_finite(cot_power(5), 0.0, 3.0, 1e-10)
     assert quadrature._kept_run.cache_info() == before
+
+
+def test_package_integrands_are_kept_on_any_interval():
+    # bose, fermi and cot_power carry a family, so the store keeps their runs
+    # on intervals no check asks for too, and a warm request equals a cold one
+    requests = [lambda tol, budget: integrate_finite(bose(5), 0.0, 7.5, tol, budget),
+                lambda tol, budget: integrate_finite(fermi(5), 1.0, 30.0, tol, budget),
+                lambda tol, budget: integrate_finite(cot_power(5), 0.0, 3.0, tol, budget)]
+    cold = [_cold(request, 1e-12, 10**6) for request in requests]
+    quadrature._kept_run.cache_clear()
+    for request in requests:
+        request(1e-6, 10**6)
+    assert [repr(request(1e-12, 10**6)) for request in requests] == cold
+    info = quadrature._kept_run.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (3, 3, 3)
 
 
 def test_dropped_run_records_no_values(monkeypatch):
