@@ -41,7 +41,7 @@ from types import SimpleNamespace
 from . import exact
 # `even` compares b_n with B_2n instead of calling zeta_even_euler; the name stays
 # bound here only because perfbench's tracer wraps it on this module
-from .exact import Table, bernoulli, render_decimal, zeta_even_euler, zeta_even_recursive
+from .exact import Table, render_decimal, zeta_even_euler, zeta_even_recursive
 from .machin import decimal_str
 
 MAX_N = 1000
@@ -132,7 +132,7 @@ def cmd_zeta_even(n_max: int, digits: int, fmt: str) -> int:
 
 def cmd_bernoulli(m_max: int, fmt: str) -> int:
     table = Table()
-    rows = [[m, str(bernoulli(m, table=table))] for m in range(m_max + 1)]
+    rows = [[m, str(exact.bernoulli(m, table=table))] for m in range(m_max + 1)]
     _emit_table(["m", "B_m"], rows, fmt, "bernoulli")
     return 0
 

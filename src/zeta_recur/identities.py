@@ -246,13 +246,16 @@ def zeta_series(s: int, tol: float) -> float:
 
     Sums k^-s for k < N and adds N^(1-s)/(s-1) + N^-s/2 + s N^(-s-1)/12.
     The first omitted correction bounds the truncation error, and N doubles
-    until that bound is below tol/4.  The head sum is stored per (s, N), so a
-    warm process sums it once and returns the value a fresh one does.
+    until that bound is below tol/4.  tol is clamped at 1e-17, below which more
+    terms no longer change a double zeta(s) near 1: a smaller tol would only
+    double N, past 1e59 terms at tol 1e-300.  The head sum is stored per (s, N),
+    so a warm process sums it once and returns the value a fresh one does.
     """
     if s < 2:
         raise ValueError("zeta_series requires s >= 2")
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
+    tol = max(tol, 1e-17)
     n = 8
     while s * (s + 1) * (s + 2) / (720.0 * float(n) ** (s + 3)) > 0.25 * tol:
         n *= 2
@@ -271,8 +274,8 @@ def _series_head(s: int, n: int) -> float:
 
 def _oracle(s: int, tol: float, factor: float = 1) -> float:
     """factor * zeta(s) from the series oracle, to a tenth of tol and at most 1e-12;
-    the series tolerance is that over factor, clamped at 1e-17, below which more
-    terms no longer change a double zeta(s) near 1."""
+    the series tolerance is that over factor, clamped at 1e-17 as zeta_series
+    clamps it, so that a tenth of a subnormal tol never reaches it as 0."""
     return factor * zeta_series(s, max(min(0.1 * tol, 1e-12) / factor, 1e-17))
 
 
@@ -474,26 +477,26 @@ def _binomial_terms(s: int):
         yield j, math.comb(s - 1, j) * math.pi**j, _I_POW[j % 4]
 
 
-@functools.cache
 def _real_part_row(s: int) -> tuple[tuple[int, float, float], ...]:
     """(j, C(s-1,j) Re((i pi)^j), weight) for the even j = 0..s-1 of EQ10's left side,
     where F(j) = weight zeta(s-j), weight = _fermi_weight(s-j), except weight = F(s-1)
-    = ln 2 itself.  Memoized per s; its callers refuse s above 171, which bounds it."""
+    = ln 2 itself.  Not stored: its callers _eq10_sides and _odd_chain keep what they read."""
     return tuple((j, coef * i_pow, LN2 if j == s - 1 else _fermi_weight(s - j))
                  for j, coef, i_pow in _binomial_terms(s) if j % 2 == 0)
 
 
-def _real_part_terms(s: int, zeta, first_j: int = 0):
-    """The even-j terms C(s-1,j) Re((i pi)^j) F(j), j >= first_j, of EQ10's left side,
-    with F(s-1) = ln 2 and F(j) = _fermi_weight(s-j) zeta(s-j) from the callable zeta."""
-    for j, ci, weight in _real_part_row(s):
-        if j >= first_j:
-            yield ci * (weight if j == s - 1 else weight * zeta(s - j))
+def _real_part_terms(s: int, row, zeta):
+    """The terms C(s-1,j) Re((i pi)^j) F(j) of row, entries of _real_part_row(s), with
+    F(s-1) = ln 2 and F(j) = _fermi_weight(s-j) zeta(s-j) from the callable zeta."""
+    for j, ci, weight in row:
+        yield ci * (weight if j == s - 1 else weight * zeta(s - j))
 
 
 @functools.cache
-def _lhs_terms(s: int) -> tuple[float, ...]:
-    """EQ10's left-side terms at s: Gamma(s) zeta(s), then ``_real_part_terms``.
+def _eq10_sides(s: int) -> tuple[float, float, float]:
+    """EQ10's (lhs, pi^s term, summed magnitudes) at s: the fsums of Gamma(s) zeta(s) and
+    ``_real_part_terms`` of s's row, and of their magnitudes, plus the pi^s term's and
+    |lhs - pi^s term|, the bound its floor scales.
 
     zeta(m) comes from the exact coefficients at even m, walked down one
     table that also serves their renders' pi, and from the series oracle at
@@ -507,7 +510,10 @@ def _lhs_terms(s: int) -> tuple[float, ...]:
             return zeta_even_recursive(m // 2, table=table).approx(table=table)
         return zeta_series(m, 1e-17)
 
-    return (gamma_int(s) * zeta(s), *_real_part_terms(s, zeta))
+    terms = (gamma_int(s) * zeta(s), *_real_part_terms(s, _real_part_row(s), zeta))
+    lhs = math.fsum(terms)
+    rhs = -_I_POW[s % 4].real * math.pi**s / (2 * s)
+    return lhs, rhs, math.fsum(map(abs, terms)) + abs(rhs) + abs(lhs - rhs)
 
 
 def _k_coef(s: int) -> float:
@@ -534,12 +540,9 @@ def expanded_real_identity(s: int, tol: float = 1e-9) -> IdentityReport:
     """
     _require_tol("expanded_real_identity", tol)
     _require_s("expanded_real_identity", s, *_GAMMA_S)
-    lhs_terms = _lhs_terms(s)
-    lhs = math.fsum(lhs_terms)
-    rhs = -_I_POW[s % 4].real * math.pi**s / (2 * s)
+    lhs, rhs, magnitude = _eq10_sides(s)
     _refuse_below_floor(
-        "expanded_real_identity", s, tol,
-        [(1.0, math.fsum(map(abs, lhs_terms)) + abs(rhs) + abs(lhs - rhs))],
+        "expanded_real_identity", s, tol, [(1.0, magnitude)],
         "eps times the summed magnitudes of its terms: an estimate of their rounding, "
         "not a proven bound")
     k_coef = _k_coef(s)
@@ -573,8 +576,8 @@ def verify_odd_zeta(s: int, tol: float = 1e-8) -> IdentityReport:
     and, for each numerator k_m K(m) - known_m, eps times the sum of its terms'
     magnitudes, weighted by |adj[m] / D_m|; it stays within about tol/2 when
     every K converges.  A K(m) that evaluated nothing ends the chain: zeta(s)
-    is nan and the estimate infinite.  Each D_m, gain |adj[m] / D_m|, k_m and
-    w_m depends on s alone, so _odd_chain builds them once per s.
+    is nan and the estimate infinite.  Each D_m, gain |adj[m] / D_m|, k_m, w_m
+    and row of known terms depends on s alone, so _odd_chain builds them once per s.
 
     The report's lhs is the extracted zeta(s), and it passes only when the
     residual is within tol, every K(m) of the chain converged, and the
@@ -588,7 +591,7 @@ def verify_odd_zeta(s: int, tol: float = 1e-8) -> IdentityReport:
     extracted: dict[int, float] = {}
     estimate = 0.0
     quads = []
-    for m, divisor, gain, k_coef, w in chain:
+    for m, divisor, gain, k_coef, w, row in chain:
         k_tol = _share(0.5 / len(chain) / w, tol) if w else math.inf
         k_quad = cot_power_integral(m, k_tol)
         quads.append(k_quad)
@@ -597,7 +600,7 @@ def verify_odd_zeta(s: int, tol: float = 1e-8) -> IdentityReport:
             # later row would amplify the gap, up to overflow
             extracted[s], estimate = math.nan, math.inf
             break
-        known_terms = list(_real_part_terms(m, extracted.__getitem__, first_j=2))
+        known_terms = list(_real_part_terms(m, row, extracted.__getitem__))
         k_term = k_coef * k_quad.value
         extracted[m] = (k_term - math.fsum(known_terms)) / divisor
         estimate += (w * k_quad.error_estimate
@@ -607,25 +610,23 @@ def verify_odd_zeta(s: int, tol: float = 1e-8) -> IdentityReport:
 
 
 @functools.cache
-def _odd_chain(s: int) -> tuple[tuple[int, float, float, float, float], ...]:
-    """(m, D_m, |adj[m] / D_m|, k_m, w_m) for the odd m = 3..s of verify_odd_zeta's
-    chain: everything of it that s alone fixes.  Memoized per s: verify_odd_zeta
-    refuses every s but the odd 3..171, so at most 85 tuples are ever kept."""
+def _odd_chain(s: int) -> tuple[tuple[int, float, float, float, float, tuple], ...]:
+    """(m, D_m, |adj[m] / D_m|, k_m, w_m, row_m) for the odd m = 3..s of verify_odd_zeta's
+    chain: everything of it that s alone fixes, with row_m the j >= 2 part of
+    _real_part_row(m), whose last entry is the ln 2 term the adjoint pass skips.  Memoized
+    per s: verify_odd_zeta refuses every s but the odd 3..171, so at most 85 are kept."""
     odd = range(3, s + 1, 2)
     divisor = {m: _odd_divisor(m) for m in odd}
+    rows = {m: _real_part_row(m)[1:] for m in odd}
     adj = dict.fromkeys(odd, 0.0)
     adj[s] = 1.0
     for m in reversed(odd):
         scale = adj[m] / divisor[m]
-        for j, ci, weight in _real_part_row(m):
-            if 2 <= j < m - 1:
-                adj[m - j] -= scale * ci * weight
-    chain = []
-    for m in odd:
-        gain = abs(adj[m] / divisor[m])
-        k_coef = _k_coef(m)
-        chain.append((m, divisor[m], gain, k_coef, abs(k_coef) * gain))
-    return tuple(chain)
+        for j, ci, weight in rows[m][:-1]:
+            adj[m - j] -= scale * ci * weight
+    gain = {m: abs(adj[m] / divisor[m]) for m in odd}
+    return tuple((m, divisor[m], gain[m], _k_coef(m), abs(_k_coef(m)) * gain[m], rows[m])
+                 for m in odd)
 
 
 def verify_zeta2(tol: float = 1e-9) -> IdentityReport:

@@ -65,7 +65,6 @@ def _arctan_recip_scaled(x: int, scale: int) -> tuple[int, int]:
     xx = x * x
     total = 0
     k = 0
-    terms = 0
     while power > 0:
         term = power // (2 * k + 1)
         if term == 0:
@@ -73,9 +72,8 @@ def _arctan_recip_scaled(x: int, scale: int) -> tuple[int, int]:
         total += -term if (k & 1) else term
         power //= xx
         k += 1
-        terms += 1
     # one unit of slack per floored term, one for series truncation
-    return total, terms + 1
+    return total, k + 1
 
 
 def pi_scaled(precision: int, held: tuple[int, ...] | None = None) -> tuple[int, int]:

@@ -66,6 +66,20 @@ def test_series_rejects_bad_arguments():
         zeta_series(2, 0.0)
 
 
+@pytest.mark.parametrize("tol", [1e-40, 1e-300, 5e-324])
+def test_series_clamps_its_tol_at_1e17(monkeypatch, tol):
+    # below 1e-17 more terms no longer move a double zeta(2): the value is the
+    # one at 1e-17, and N stops where it does there instead of doubling on
+    head = identities._series_head
+
+    def head_at_most_2048(s, n):
+        assert n <= 2048, n
+        return head(s, n)
+
+    monkeypatch.setattr(identities, "_series_head", head_at_most_2048)
+    assert repr(zeta_series(2, tol)) == repr(zeta_series(2, 1e-17))
+
+
 # ---------------------------------------------------------------------------
 # weighted-series integrals
 
@@ -305,7 +319,7 @@ def test_each_check_refuses_a_tol_not_finite_and_positive(monkeypatch, check, to
 
     assert {name for name, _ in cli._CHECKS.values()} | {"eq9_components"} == set(_TOL_CHECKS)
     asked = _record_requests(monkeypatch)
-    for name in ("truncation_point", "_eq5_points", "_lhs_terms"):
+    for name in ("truncation_point", "_eq5_points", "_eq10_sides"):
         monkeypatch.setattr(identities, name, lambda *args, name=name: asked.append(name))
     monkeypatch.setattr(quadrature, "_kept_run", lambda *args: asked.append("_kept_run"))
     name, *args = _TOL_CHECKS[check]
@@ -772,8 +786,8 @@ def test_series_heads_the_checks_reach_stay_under_the_bound(monkeypatch):
     asked = set()
     head = identities._series_head
     monkeypatch.setattr(identities, "_series_head", lambda s, n: asked.add((s, n)) or head(s, n))
-    monkeypatch.setattr(identities, "_lhs_terms",
-                        functools.cache(identities._lhs_terms.__wrapped__))
+    monkeypatch.setattr(identities, "_eq10_sides",
+                        functools.cache(identities._eq10_sides.__wrapped__))
     for tol in (5e-324, 1e-300, 1e-12, 1e-2, 1e300):
         for s in (2, 3, 108):
             verify_bose_integral(s, tol)
@@ -785,6 +799,25 @@ def test_series_heads_the_checks_reach_stay_under_the_bound(monkeypatch):
     verify_zeta2(1e-14)
     verify_zeta2(1e-2)
     assert asked and asked <= reachable, sorted(asked - reachable)
+
+
+def test_eq10_sides_warm_equals_cold():
+    # every field of an accepted eq10 report read off stored sides is the one
+    # cold sides give, at each s the check accepts and a tol above its floor
+    for s in range(2, 172):
+        tol = max(1e-9, 4.0 * math.ulp(identities._eq10_sides(s)[2]))
+        warm = expanded_real_identity(s, tol)
+        identities._eq10_sides.cache_clear()
+        cold = expanded_real_identity(s, tol)
+        assert [repr(f) for f in cold] == [repr(f) for f in warm], (s, tol)
+        assert (cold.passed, cold.note) == (warm.passed, warm.note), (s, tol)
+
+
+def test_identities_keeps_exactly_its_three_s_only_caches():
+    # each table that s alone fixes belongs to the one check that reads it:
+    # eq10's sides, the odd chain with its rows, and the oracle's series heads
+    cached = {name for name, obj in vars(identities).items() if hasattr(obj, "cache_info")}
+    assert cached == {"_eq10_sides", "_odd_chain", "_series_head"}
 
 
 def test_odd_chain_warm_equals_cold():
